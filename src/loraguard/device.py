@@ -9,7 +9,7 @@ assignment the network last confirmed via a control downlink.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .engine import SimTime, US_PER_SECOND, sample_gaussian
 from .phy import RadioParams, RX2_FREQ_HZ, RX2_SF
@@ -32,7 +32,7 @@ class DcpCommand:
     up_sf: int
 
 
-@dataclass
+@dataclass(slots=True)
 class ReceiveWindows:
     """The two Class-A windows that follow one uplink."""
 
@@ -67,7 +67,6 @@ class EndDevice:
     busy_until: SimTime = 0
     last_tx_start: SimTime = -1
     windows: ReceiveWindows | None = None
-    pending_ups: list[SimTime] = field(default_factory=list)
 
     def __post_init__(self) -> None:
         if self.rp_period_us is not None and self.rp_period_us <= 0:
@@ -102,14 +101,25 @@ class EndDevice:
         return RadioParams(sf=self.assignment[1])
 
     def open_rx_windows(self, uplink_end: SimTime, freq_hz: int, sf: int) -> ReceiveWindows:
-        """Open the Class-A windows after an uplink; RX1 mirrors the uplink."""
-        self.windows = ReceiveWindows(
-            rx1_at=uplink_end + self.receive_delay1_us,
-            rx1_freq_hz=freq_hz,
-            rx1_sf=sf,
-            rx2_at=uplink_end + self.receive_delay2_us,
-        )
-        return self.windows
+        """Open the Class-A windows after an uplink; RX1 mirrors the uplink.
+
+        The device keeps one ``ReceiveWindows`` and updates it in place, so
+        the returned object describes the windows of the latest uplink.
+        """
+        w = self.windows
+        if w is None:
+            w = self.windows = ReceiveWindows(
+                rx1_at=uplink_end + self.receive_delay1_us,
+                rx1_freq_hz=freq_hz,
+                rx1_sf=sf,
+                rx2_at=uplink_end + self.receive_delay2_us,
+            )
+        else:
+            w.rx1_at = uplink_end + self.receive_delay1_us
+            w.rx1_freq_hz = freq_hz
+            w.rx1_sf = sf
+            w.rx2_at = uplink_end + self.receive_delay2_us
+        return w
 
     def window_open_at(self, at: SimTime, freq_hz: int, sf: int) -> bool:
         """Does a downlink starting at ``at`` on (freq, sf) hit a live window?"""

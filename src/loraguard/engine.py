@@ -69,8 +69,12 @@ class Engine:
 
     def run_while(self, keep_going: Callable[[], bool]) -> None:
         """Drain the queue until it empties or ``keep_going()`` turns false."""
-        while keep_going() and self.step():
-            pass
+        queue = self._queue
+        pop = heapq.heappop
+        while keep_going() and queue:
+            at, _seq, _kind, action = pop(queue)
+            self.now = at
+            action()
 
 
 class RandomStreams:

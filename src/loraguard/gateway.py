@@ -23,25 +23,13 @@ from .phy import CaptureModel, Transmission, decodes_against
 DEMOD_PATHS_DEFAULT = 10
 
 
-@dataclass
+@dataclass(slots=True)
 class Reception:
     """One uplink currently occupying a demodulation path."""
 
     tx: Transmission
     # (sf, rx power) of every co-channel frame that overlapped this one.
     interferers: list[tuple[int, float]] = field(default_factory=list)
-
-
-@dataclass
-class DownlinkRequest:
-    """A control downlink the server asked its gateway to radiate."""
-
-    command: object  # DcpCommand; opaque at this layer
-    target: str
-    freq_hz: int
-    sf: int
-    payload_len: int
-    window: int  # 1 or 2
 
 
 @dataclass
@@ -68,9 +56,6 @@ class Gateway:
         if self.demod_paths < 1:
             raise ValueError(f"{self.id}: demod_paths must be >= 1")
 
-    def _power_of(self, source: str) -> float:
-        return self.rx_power_dbm.get(source, 0.0)
-
     def on_uplink_start(self, tx: Transmission, now: SimTime) -> None:
         """Register an arriving uplink.
 
@@ -78,35 +63,42 @@ class Gateway:
         every overlapping reception regardless of whether it wins a
         demodulation path itself.
         """
-        channel = self.on_air.setdefault(tx.freq_hz, {})
-        ended = [uid for uid, (_sf, _p, end) in channel.items() if end <= now]
-        for uid in ended:
-            del channel[uid]
-        power = self._power_of(tx.source)
-        for uid in channel:
-            reception = self.active.get(uid)
-            if reception is not None:
-                reception.interferers.append((tx.params.sf, power))
-        interferers_seen = [(sf, p) for (sf, p, _end) in channel.values()]
-        channel[tx.uid] = (tx.params.sf, power, tx.end_us)
+        channel = self.on_air.get(tx.freq_hz)
+        if channel is None:
+            channel = self.on_air[tx.freq_hz] = {}
+        sf = tx.params.sf
+        power = self.rx_power_dbm.get(tx.source, 0.0)
+        if channel:
+            ended = [uid for uid, (_sf, _p, end) in channel.items() if end <= now]
+            for uid in ended:
+                del channel[uid]
+            for uid in channel:
+                reception = self.active.get(uid)
+                if reception is not None:
+                    reception.interferers.append((sf, power))
+            interferers_seen = [(sf_i, p) for (sf_i, p, _end) in channel.values()]
+        else:
+            interferers_seen = []  # nothing else on the air: the common case
+        channel[tx.uid] = (sf, power, tx.end_us)
 
         if self.tx_busy_until > now:
             self.finished[tx.uid] = CAUSE_TX_BUSY
         elif len(self.active) >= self.demod_paths:
             self.finished[tx.uid] = CAUSE_NO_DEMOD_PATH
         else:
-            self.active[tx.uid] = Reception(tx=tx, interferers=interferers_seen)
+            self.active[tx.uid] = Reception(tx, interferers_seen)
 
     def on_uplink_end(self, tx: Transmission, now: SimTime, model: CaptureModel,
                       rng) -> str | None:
         """Close out an uplink; returns this gateway's loss cause, None if decoded."""
-        channel = self.on_air.setdefault(tx.freq_hz, {})
-        channel.pop(tx.uid, None)
+        channel = self.on_air.get(tx.freq_hz)
+        if channel is not None:
+            channel.pop(tx.uid, None)
         cause = self.finished.pop(tx.uid, None)
         if cause is not None:
             return cause
         reception = self.active.pop(tx.uid)
-        if not decodes_against(model, tx.params.sf, self._power_of(tx.source),
+        if not decodes_against(model, tx.params.sf, self.rx_power_dbm.get(tx.source, 0.0),
                                reception.interferers, rng):
             return CAUSE_COLLISION
         return None

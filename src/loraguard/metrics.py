@@ -136,7 +136,9 @@ class MetricsCollector:
     def on_gateway_outcome(self, kind: str, gateway: str, cause: str | None) -> None:
         """Record one gateway's view of an uplink (cause None = decoded)."""
         if cause is None:
-            by_kind = self.gateway_decoded.setdefault(gateway, {})
+            by_kind = self.gateway_decoded.get(gateway)
+            if by_kind is None:
+                by_kind = self.gateway_decoded[gateway] = {}
             by_kind[kind] = by_kind.get(kind, 0) + 1
             return
         by_kind = self.per_gateway_losses.setdefault(gateway, {})

@@ -126,17 +126,28 @@ class OutOfPlanError(ValueError):
 
 @dataclass(frozen=True)
 class ChannelPlan:
-    """An ordered set of non-overlapping sub-bands."""
+    """An ordered set of non-overlapping sub-bands.
+
+    ``subband_of`` answers from a frequency -> sub-band index of every
+    listed channel, built once at construction; any other frequency falls
+    back to a scan of the band edges.
+    """
 
     subbands: tuple[SubBand, ...]
+    _by_channel: dict[int, SubBand] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         ordered = sorted(self.subbands, key=lambda b: b.low_hz)
         for a, b in zip(ordered, ordered[1:]):
             if a.high_hz > b.low_hz:
                 raise ValueError(f"sub-bands {a.name} and {b.name} overlap")
+        object.__setattr__(self, "_by_channel", {
+            ch: band for band in self.subbands for ch in band.channels})
 
     def subband_of(self, freq_hz: int) -> SubBand:
+        band = self._by_channel.get(freq_hz)
+        if band is not None:
+            return band
         for band in self.subbands:
             if band.contains(freq_hz):
                 return band
@@ -174,6 +185,109 @@ class LedgerError(RuntimeError):
 WINDOW_US_DEFAULT = 3_600 * US_PER_SECOND  # the hourly budget window
 
 
+class OfftimeBudget:
+    """Off-time rule for one (transmitter, sub-band).
+
+    After a transmission of airtime t the sub-band stays blocked until
+    ``end + t*(duty_one_in - 1)``, i.e. the off-time is ``t*(1/d - 1)``.
+    """
+
+    __slots__ = ("transmitter", "band", "next_allowed")
+
+    def __init__(self, transmitter: str, band: SubBand) -> None:
+        self.transmitter = transmitter
+        self.band = band
+        self.next_allowed: SimTime = 0
+
+    def clearance(self, now: SimTime, airtime_us: SimTime = 0) -> SimTime:
+        """Earliest time >= ``now`` at which a frame may start."""
+        next_allowed = self.next_allowed
+        return next_allowed if next_allowed > now else now
+
+    def record(self, start: SimTime, airtime_us: SimTime) -> None:
+        if self.next_allowed > start:
+            raise _overdraw(self, start, self.next_allowed)
+        # end + t*(1/d - 1) == start + t/d, exact in integer us.
+        self.next_allowed = start + airtime_us * self.band.duty_one_in
+
+
+class WindowBudget:
+    """Sliding-window rule for one (transmitter, sub-band).
+
+    A transmission is permitted while the airtime whose end lies inside the
+    trailing window stays within ``window_us // duty_one_in``.  ``history``
+    holds ``(end, airtime)`` of every recorded frame; entries before
+    ``start`` have slid out of the window and ``used`` sums the rest.
+    """
+
+    __slots__ = ("transmitter", "band", "window_us", "limit_us", "history", "start",
+                 "used", "_checked")
+
+    def __init__(self, transmitter: str, band: SubBand, window_us: SimTime) -> None:
+        self.transmitter = transmitter
+        self.band = band
+        self.window_us = window_us
+        self.limit_us = window_us // band.duty_one_in
+        self.history: list[tuple[SimTime, SimTime]] = []
+        self.start = 0
+        self.used: SimTime = 0
+        # (now, airtime_us, clearance) of the last check since the last record.
+        self._checked: tuple[SimTime, SimTime, SimTime] | None = None
+
+    def clearance(self, now: SimTime, airtime_us: SimTime = 0) -> SimTime:
+        """Earliest time >= ``now`` at which a frame of ``airtime_us`` may start."""
+        limit = self.limit_us
+        if airtime_us > limit:
+            raise LedgerError(
+                f"a {airtime_us} us frame can never fit the {limit} us per-window "
+                f"budget of {self.band.name}")
+        history = self.history
+        i = self.start
+        used = self.used
+        if i < len(history):
+            horizon = now - self.window_us
+            while i < len(history) and history[i][0] <= horizon:
+                used -= history[i][1]
+                i += 1
+            if i > 4096 and i * 2 > len(history):
+                del history[:i]
+                i = 0
+            self.start = i
+            self.used = used
+        clear = now
+        if used + airtime_us > limit:
+            # Slide forward until enough old airtime has left the trailing window.
+            while True:
+                if i >= len(history):  # pragma: no cover
+                    raise AssertionError("window accounting out of sync")
+                end_i, spent_i = history[i]
+                used -= spent_i
+                i += 1
+                if used + airtime_us <= limit:
+                    clear = end_i + self.window_us
+                    break
+        self._checked = (now, airtime_us, clear)
+        return clear
+
+    def record(self, start: SimTime, airtime_us: SimTime) -> None:
+        checked = self._checked
+        if checked is not None and checked[0] == start and checked[1] == airtime_us:
+            clear = checked[2]  # nothing was recorded since that check
+        else:
+            clear = self.clearance(start, airtime_us)
+        if clear > start:
+            raise _overdraw(self, start, clear)
+        self.history.append((start + airtime_us, airtime_us))
+        self.used += airtime_us
+        self._checked = None
+
+
+def _overdraw(budget: OfftimeBudget | WindowBudget, start: SimTime,
+              allowed_at: SimTime) -> LedgerError:
+    return LedgerError(f"{budget.transmitter} may not transmit on {budget.band.name} "
+                       f"at {start}; clear at {allowed_at}")
+
+
 class DutyCycleLedger:
     """Per-(transmitter, sub-band) duty-cycle accounting.
 
@@ -192,6 +306,14 @@ class DutyCycleLedger:
       until its end slides out of it, which over-counts at the boundary and
       keeps the audit conservative.
 
+    The ledger is a façade over one budget object per (transmitter,
+    sub-band), an ``OfftimeBudget`` or a ``WindowBudget`` after the
+    transmitter's policy.  ``budget`` binds it on first use; ``check`` and
+    ``record`` are one dictionary lookup plus the budget's own work.
+    ``record`` re-validates in O(1): the off-time rule is one comparison, and
+    the window rule reuses the clearance its last ``check`` computed at the
+    same ``(start, airtime)``, re-checking otherwise.
+
     Sub-bands are independent: spending on one never blocks another.
     """
 
@@ -204,27 +326,34 @@ class DutyCycleLedger:
         self.default_policy = default_policy
         self.window_us = window_us
         self._policy: dict[str, str] = {}
-        self._next_allowed: dict[tuple[str, str], SimTime] = {}
-        self._history: dict[tuple[str, str], list[tuple[SimTime, SimTime]]] = {}
-        self._window_used: dict[tuple[str, str], SimTime] = {}
-        self._window_start: dict[tuple[str, str], int] = {}  # index of first live entry
-        self.total_airtime: dict[tuple[str, str], SimTime] = {}
+        self._budgets: dict[tuple[str, str], OfftimeBudget | WindowBudget] = {}
 
     def set_policy(self, transmitter: str, policy: str) -> None:
         if policy not in self.POLICIES:
             raise ValueError(f"unknown duty-cycle policy {policy!r}")
+        if any(owner == transmitter for owner, _band in self._budgets):
+            raise ValueError(f"{transmitter} already holds duty-cycle budgets; "
+                             "set its policy before it transmits")
         self._policy[transmitter] = policy
 
     def policy_of(self, transmitter: str) -> str:
         return self._policy.get(transmitter, self.default_policy)
 
+    def budget(self, transmitter: str, band: SubBand) -> OfftimeBudget | WindowBudget:
+        """The budget of ``transmitter`` on ``band``, bound on first use."""
+        budget = self._budgets.get((transmitter, band.name))
+        if budget is None:
+            if self.policy_of(transmitter) == "offtime":
+                budget = OfftimeBudget(transmitter, band)
+            else:
+                budget = WindowBudget(transmitter, band, self.window_us)
+            self._budgets[(transmitter, band.name)] = budget
+        return budget
+
     def check(self, transmitter: str, band: SubBand, now: SimTime,
               airtime_us: SimTime = 0) -> SimTime:
         """Earliest time >= ``now`` at which a frame of ``airtime_us`` may start."""
-        key = (transmitter, band.name)
-        if self.policy_of(transmitter) == "offtime":
-            return max(now, self._next_allowed.get(key, 0))
-        return self._window_clearance(key, band, now, airtime_us)
+        return self.budget(transmitter, band).clearance(now, airtime_us)
 
     def permitted(self, transmitter: str, band: SubBand, now: SimTime,
                   airtime_us: SimTime = 0) -> bool:
@@ -239,60 +368,7 @@ class DutyCycleLedger:
         """
         if airtime_us <= 0:
             raise ValueError(f"airtime_us must be > 0, got {airtime_us}")
-        allowed_at = self.check(transmitter, band, start, airtime_us)
-        if allowed_at > start:
-            raise LedgerError(
-                f"{transmitter} may not transmit on {band.name} at {start}; "
-                f"clear at {allowed_at}")
-        key = (transmitter, band.name)
-        end = start + airtime_us
-        self.total_airtime[key] = self.total_airtime.get(key, 0) + airtime_us
-        if self.policy_of(transmitter) == "offtime":
-            # Off-time after the frame: t*(1/d - 1), exact in integer us.
-            self._next_allowed[key] = end + airtime_us * (band.duty_one_in - 1)
-        else:
-            self._history.setdefault(key, []).append((end, airtime_us))
-            self._window_used[key] = self._window_used.get(key, 0) + airtime_us
-
-    # -- window policy internals ------------------------------------------------
-
-    def _prune(self, key: tuple[str, str], now: SimTime) -> None:
-        history = self._history.get(key)
-        if not history:
-            return
-        i = self._window_start.get(key, 0)
-        used = self._window_used.get(key, 0)
-        horizon = now - self.window_us
-        while i < len(history) and history[i][0] <= horizon:
-            used -= history[i][1]
-            i += 1
-        self._window_start[key] = i
-        self._window_used[key] = used
-        if i > 4096 and i * 2 > len(history):
-            del history[:i]
-            self._window_start[key] = 0
-
-    def _window_clearance(self, key: tuple[str, str], band: SubBand,
-                          now: SimTime, airtime_us: SimTime) -> SimTime:
-        budget = self.window_us // band.duty_one_in
-        if airtime_us > budget:
-            raise LedgerError(
-                f"a {airtime_us} us frame can never fit the {budget} us per-window "
-                f"budget of {band.name}")
-        self._prune(key, now)
-        used = self._window_used.get(key, 0)
-        if used + airtime_us <= budget:
-            return now
-        # Slide forward until enough old airtime has left the trailing window.
-        history = self._history[key]
-        i = self._window_start.get(key, 0)
-        while i < len(history):
-            end_i, spent_i = history[i]
-            used -= spent_i
-            i += 1
-            if used + airtime_us <= budget:
-                return end_i + self.window_us
-        raise AssertionError("window accounting out of sync")  # pragma: no cover
+        self.budget(transmitter, band).record(start, airtime_us)
 
 
 class TransmissionKind(str, Enum):
@@ -308,14 +384,15 @@ _uid_counter = 0
 
 
 def _next_uid() -> int:
+    # Serves standalone construction; a Simulation numbers its own frames.
     global _uid_counter
     _uid_counter += 1
     return _uid_counter
 
 
-@dataclass
+@dataclass(slots=True)
 class Transmission:
-    """One frame on the air."""
+    """One frame on the air; ``end_us`` is fixed at construction."""
 
     source: str
     kind: TransmissionKind
@@ -326,10 +403,10 @@ class Transmission:
     payload_len: int
     trigger_us: SimTime | None = None  # alarm instant for urgent uplinks
     uid: int = field(default_factory=_next_uid)
+    end_us: SimTime = field(init=False)
 
-    @property
-    def end_us(self) -> SimTime:
-        return self.start_us + self.airtime_us
+    def __post_init__(self) -> None:
+        self.end_us = self.start_us + self.airtime_us
 
 
 # Per-party survival probabilities calibrated from synchronized same-start

@@ -1,4 +1,4 @@
-"""Network server: uplink deduplication, resource assignment, downlink control.
+"""Network server: resource assignment and downlink control.
 
 For every decoded periodic report the server schedules one control downlink
 (through the cluster's designated gateway) confirming the sender's urgent
@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .device import DcpCommand
-from .phy import Transmission
 
 SF_SINGLE = 7            # sole occupant of a channel
 SF_STACKED = (8, 9, 10)  # co-channel occupants, kept mutually distinct
@@ -69,12 +68,12 @@ class Cluster:
 
 @dataclass
 class NetworkServer:
-    """Backhaul-side state: dedup window and the assignment table."""
+    """Backhaul-side state: clusters and the assignment table."""
 
     clusters: dict[str, Cluster] = field(default_factory=dict)
     assignments: dict[str, tuple[int, int]] = field(default_factory=dict)
-    _seen_uplinks: set[int] = field(default_factory=set)
     _cluster_of: dict[str, str] = field(default_factory=dict)
+    _commands: dict[str, DcpCommand] = field(default_factory=dict)
 
     def add_cluster(self, cluster: Cluster,
                     explicit: dict[str, tuple[int, int]] | None = None) -> None:
@@ -93,20 +92,18 @@ class NetworkServer:
             for member in missing:
                 self.assignments[member] = auto[member]
 
-    def on_uplink(self, tx: Transmission) -> bool:
-        """Deduplicate one decoded uplink; True the first time it is seen.
-
-        Copies decoded by several gateways count once.
-        """
-        if tx.uid in self._seen_uplinks:
-            return False
-        self._seen_uplinks.add(tx.uid)
-        return True
-
     def cluster_of(self, device: str) -> Cluster:
         return self.clusters[self._cluster_of[device]]
 
     def dcp_for(self, device: str) -> DcpCommand:
-        """Control payload confirming the device's current assignment."""
+        """Control payload confirming the device's current assignment.
+
+        Commands are immutable, so one is shared per device until the
+        assignment changes.
+        """
         freq_hz, sf = self.assignments[device]
-        return DcpCommand(target=device, up_freq_hz=freq_hz, up_sf=sf)
+        command = self._commands.get(device)
+        if command is None or command.up_freq_hz != freq_hz or command.up_sf != sf:
+            command = self._commands[device] = DcpCommand(target=device, up_freq_hz=freq_hz,
+                                                          up_sf=sf)
+        return command

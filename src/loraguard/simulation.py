@@ -1,9 +1,9 @@
 """Scenario runner: wires devices, gateways, server and alarm sources together.
 
 Traffic flow per periodic report: the device hops to a random report channel,
-every gateway in range tracks the frame, and the server deduplicates decoded
-copies and schedules one control downlink through the cluster's gateway into
-the device's first receive window (mirroring the uplink channel and SF).  A
+every gateway in range tracks the frame, and if any gateway decoded it the
+server schedules one control downlink through the cluster's gateway into the
+device's first receive window (mirroring the uplink channel and SF).  A
 window-1 downlink blocked by the duty-cycle budget falls back to window 2 on
 the high-duty band; one that would overlap a transmission already programmed
 at the gateway is dropped.  Starting any downlink aborts every reception in
@@ -11,17 +11,28 @@ progress at that gateway, which is the loss mechanism urgent uplinks suffer.
 
 Urgent uplinks are triggered by gas alarms, use the device's confirmed
 (channel, SF) assignment, and are never retransmitted.
+
+Everything that depends only on the scenario is bound once per run: radio
+parameters and airtime per (SF, payload length), each reporter's sub-band,
+parameters and airtime per report channel, and each downlink's sub-band and
+airtime per (channel, SF).  Urgent-uplink resources are bound per assignment,
+since a control downlink may change it.
 """
 
 from __future__ import annotations
 
+import itertools
 import logging
 from dataclasses import dataclass
+from functools import partial
+from typing import Callable
+
+import numpy as np
 
 from .device import DcpCommand, EndDevice
 from .engine import Engine, RandomStreams, SimTime
 from .gateway import Gateway
-from .metrics import (CAUSE_DUTY_CYCLE, CAUSE_UNASSIGNED, MetricsCollector,
+from .metrics import (CAUSE_DUTY_CYCLE, CAUSE_UNASSIGNED, KindStats, MetricsCollector,
                       PacketOutcome, build_report, system_cause)
 from .phy import (CaptureModel, ChannelPlan, DEFAULT_SURVIVAL, DutyCycleLedger,
                   RadioParams, RX2_FREQ_HZ, RX2_SF, SubBand, Transmission,
@@ -40,6 +51,20 @@ class _AlarmSource:
     events: object  # iterator of GasEvent
 
 
+# (sub-band, radio parameters, airtime) of one uplink resource.
+_Resource = tuple[SubBand, RadioParams, SimTime]
+
+
+@dataclass(slots=True)
+class _Reporter:
+    """Periodic-report state of one device, bound once per run."""
+
+    device: EndDevice
+    rng: np.random.Generator
+    channels: dict[int, _Resource]  # report channel -> resource
+    handler: Callable[[], None] | None = None  # the device's one "rp" action
+
+
 class Simulation:
     """One runnable instance of a scenario."""
 
@@ -52,6 +77,11 @@ class Simulation:
         self.metrics = MetricsCollector()
         self.up_outcomes: list[PacketOutcome] = []
         self.transmission_log: list[Transmission] | None = None  # enable for tests
+        self._uids = itertools.count(1)
+        self._radio: dict[tuple[int, int], tuple[RadioParams, SimTime]] = {}
+        self._up_resources: dict[tuple[int, int, int], _Resource] = {}
+        self._dcp_resources: dict[tuple[int, int], tuple[SubBand, SimTime]] = {}
+        self._rp_stats: KindStats | None = None
 
         survival = dict(DEFAULT_SURVIVAL)
         survival.update(dict(self.scenario.capture.survival))
@@ -106,9 +136,21 @@ class Simulation:
             for gw in self.gateways.values():
                 gw.rx_power_dbm[dspec.id] = dspec.rx_power_dbm
 
-        self._rp_rng = {d: self.streams.stream(f"rp:{d}") for d in self.devices}
-        self._capture_rng = {g: self.streams.stream(f"capture:{g}")
-                             for g in self.gateways}
+        self._reporters: list[_Reporter] = []
+        for device in self.devices.values():
+            if device.rp_period_us is None:
+                continue
+            params, air = self._radio_for(device.rp_sf, device.rp_payload_len)
+            channels = {freq: (self.plan.subband_of(freq), params, air)
+                        for freq in device.rp_channels}
+            reporter = _Reporter(device, self.streams.stream(f"rp:{device.id}"), channels)
+            reporter.handler = partial(self._attempt_rp, reporter)
+            self._reporters.append(reporter)
+        # (gateway id, gateway, its capture stream), in scenario order.
+        self._receivers = [(g, gw, self.streams.stream(f"capture:{g}"))
+                           for g, gw in self.gateways.items()]
+        self._dcp_gateway = {d: self.gateways[self.server.cluster_of(d).dcp_gateway]
+                             for d in self.devices}
 
         self._ups_generated = 0
         self._ups_finalized = 0
@@ -126,16 +168,38 @@ class Simulation:
             self._alarm_sources.append(source)
         self._live_alarm_sources = len(self._alarm_sources)
 
+    def _radio_for(self, sf: int, payload_len: int) -> tuple[RadioParams, SimTime]:
+        radio = self._radio.get((sf, payload_len))
+        if radio is None:
+            params = RadioParams(sf=sf)
+            radio = self._radio[(sf, payload_len)] = (params, airtime_us(params, payload_len))
+        return radio
+
+    def _up_resource(self, device: EndDevice) -> _Resource:
+        freq_hz, sf = device.assignment
+        key = (freq_hz, sf, device.up_payload_len)
+        resource = self._up_resources.get(key)
+        if resource is None:
+            resource = self._up_resources[key] = (
+                self.plan.subband_of(freq_hz), *self._radio_for(sf, device.up_payload_len))
+        return resource
+
+    def _dcp_resource(self, freq_hz: int, sf: int) -> tuple[SubBand, SimTime]:
+        resource = self._dcp_resources.get((freq_hz, sf))
+        if resource is None:
+            _params, air = self._radio_for(sf, self.scenario.dcp_payload_len)
+            resource = self._dcp_resources[(freq_hz, sf)] = (self.plan.subband_of(freq_hz), air)
+        return resource
+
     # -- run loop ---------------------------------------------------------------
 
     def run(self) -> dict:
         """Execute the scenario and return its report."""
-        for device in self.devices.values():
-            if device.rp_period_us is not None:
-                # Stationary start: each sender begins at a uniform random
-                # phase of its report period.
-                phase = int(self._rp_rng[device.id].integers(device.rp_period_us))
-                self.engine.schedule(phase, self._rp_handler(device), "rp")
+        for reporter in self._reporters:
+            # Stationary start: each sender begins at a uniform random phase
+            # of its report period.
+            phase = int(reporter.rng.integers(reporter.device.rp_period_us))
+            self.engine.schedule(phase, reporter.handler, "rp")
         for source in self._alarm_sources:
             self._schedule_next_alarm(source)
 
@@ -173,8 +237,7 @@ class Simulation:
         for event in source.events:
             if self._end_at is not None and event.at_us > self._end_at:
                 return
-            self.engine.schedule(event.at_us,
-                                 lambda e=event, s=source: self._fire_alarm(s, e),
+            self.engine.schedule(event.at_us, partial(self._fire_alarm, source, event),
                                  "alarm")
             return
         self._live_alarm_sources -= 1  # generator exhausted
@@ -205,12 +268,10 @@ class Simulation:
             # Half-duplex: wait out the device's own transmission.
             self.metrics.kind("UP").deferrals += 1
             self.engine.schedule(device.busy_until,
-                                 lambda: self._attempt_up(device, outcome), "up")
+                                 partial(self._attempt_up, device, outcome), "up")
             return
-        freq_hz, sf = device.assignment
-        band = self.plan.subband_of(freq_hz)
-        params = RadioParams(sf=sf)
-        air = airtime_us(params, device.up_payload_len)
+        freq_hz = device.assignment[0]
+        band, params, air = self._up_resource(device)
         if self.ledger.check(device.id, band, now, air) > now:
             # An urgent alarm is stale by the time the band frees; count it lost.
             outcome.cause = CAUSE_DUTY_CYCLE
@@ -220,18 +281,19 @@ class Simulation:
         tx = Transmission(source=device.id, kind=TransmissionKind.UP,
                           freq_hz=freq_hz, params=params, start_us=now,
                           airtime_us=air, payload_len=device.up_payload_len,
-                          trigger_us=outcome.trigger_us)
+                          trigger_us=outcome.trigger_us, uid=next(self._uids))
         outcome.uid = tx.uid
         outcome.start_us = now
         outcome.end_us = tx.end_us
         self._start_uplink(device, tx, band)
-        self.engine.schedule(tx.end_us,
-                             lambda: self._finish_up(device, tx, outcome), "up-end")
+        self.engine.schedule(tx.end_us, partial(self._finish_up, device, tx, outcome),
+                             "up-end")
 
     def _finish_up(self, device: EndDevice, tx: Transmission,
                    outcome: PacketOutcome) -> None:
         now = self.engine.now
-        causes = self._close_uplink(tx)
+        causes = {gw_id: gw.on_uplink_end(tx, now, self.capture, rng)
+                  for gw_id, gw, rng in self._receivers}
         for gw_id, cause in causes.items():
             self.metrics.on_gateway_outcome("UP", gw_id, cause)
         outcome.per_gateway = {gw: (c if c is not None else "decoded")
@@ -254,49 +316,50 @@ class Simulation:
 
     # -- periodic reports -----------------------------------------------------------
 
-    def _rp_handler(self, device: EndDevice):
-        return lambda: self._attempt_rp(device)
-
-    def _attempt_rp(self, device: EndDevice) -> None:
+    def _attempt_rp(self, reporter: _Reporter) -> None:
         now = self.engine.now
-        rng = self._rp_rng[device.id]
+        device = reporter.device
         if not device.idle_at(now):
             self.metrics.kind("RP").deferrals += 1
-            self.engine.schedule(device.busy_until,
-                                 lambda: self._attempt_rp(device), "rp")
+            self.engine.schedule(device.busy_until, reporter.handler, "rp")
             return
-        freq_hz = device.pick_rp_channel(rng)
-        band = self.plan.subband_of(freq_hz)
-        params = device.rp_params()
-        air = airtime_us(params, device.rp_payload_len)
+        freq_hz = device.pick_rp_channel(reporter.rng)
+        band, params, air = reporter.channels[freq_hz]
         clear_at = self.ledger.check(device.id, band, now, air)
         if clear_at > now:
             self.metrics.kind("RP").deferrals += 1
-            self.engine.schedule(clear_at, lambda: self._attempt_rp(device), "rp")
+            self.engine.schedule(clear_at, reporter.handler, "rp")
             return
         tx = Transmission(source=device.id, kind=TransmissionKind.RP,
                           freq_hz=freq_hz, params=params, start_us=now,
-                          airtime_us=air, payload_len=device.rp_payload_len)
+                          airtime_us=air, payload_len=device.rp_payload_len,
+                          uid=next(self._uids))
         self._start_uplink(device, tx, band)
-        self.engine.schedule(tx.end_us, lambda: self._finish_rp(device, tx), "rp-end")
-        self.engine.schedule(device.next_rp_time(now, rng),
-                             self._rp_handler(device), "rp")
+        self.engine.schedule(tx.end_us, partial(self._finish_rp, device, tx), "rp-end")
+        self.engine.schedule(device.next_rp_time(now, reporter.rng), reporter.handler, "rp")
 
     def _finish_rp(self, device: EndDevice, tx: Transmission) -> None:
-        causes = self._close_uplink(tx)
-        stats = self.metrics.kind("RP")
+        now = self.engine.now
+        stats = self._rp_stats
+        if stats is None:
+            stats = self._rp_stats = self.metrics.kind("RP")
         stats.generated += 1
-        first_copy = False
-        for gw_id, cause in causes.items():
+        decoded = False
+        lost = None  # gateway id -> loss cause, built only when some gateway lost it
+        for gw_id, gw, rng in self._receivers:
+            cause = gw.on_uplink_end(tx, now, self.capture, rng)
             self.metrics.on_gateway_outcome("RP", gw_id, cause)
-            if cause is None and self.server.on_uplink(tx):
-                first_copy = True
-        if any(c is None for c in causes.values()):
+            if cause is None:
+                decoded = True
+            elif lost is None:
+                lost = {gw_id: cause}
+            else:
+                lost[gw_id] = cause
+        if decoded:
             stats.delivered += 1
-        else:
-            stats.add_loss(system_cause(causes))
-        if first_copy:
             self._request_dcp(device, tx)
+        else:
+            stats.add_loss(system_cause(lost))
 
     # -- shared uplink mechanics ---------------------------------------------------
 
@@ -306,19 +369,13 @@ class Simulation:
         self.ledger.record(device.id, band, tx.start_us, tx.airtime_us)
         if self.transmission_log is not None:
             self.transmission_log.append(tx)
-        for gw in self.gateways.values():
+        for _gw_id, gw, _rng in self._receivers:
             gw.on_uplink_start(tx, tx.start_us)
-
-    def _close_uplink(self, tx: Transmission) -> dict[str, str | None]:
-        now = self.engine.now
-        return {gw_id: gw.on_uplink_end(tx, now, self.capture, self._capture_rng[gw_id])
-                for gw_id, gw in self.gateways.items()}
 
     # -- control downlinks -----------------------------------------------------------
 
     def _request_dcp(self, device: EndDevice, rp: Transmission) -> None:
-        cluster = self.server.cluster_of(device.id)
-        gw = self.gateways[cluster.dcp_gateway]
+        gw = self._dcp_gateway[device.id]
         command = self.server.dcp_for(device.id)
         self.metrics.dcp["requested"] += 1
         rx1_at = rp.end_us + device.receive_delay1_us
@@ -328,11 +385,11 @@ class Simulation:
         ready_at = self.engine.now + 2 * gw.backhaul_delay_us
         if ready_at <= rx1_at:
             self.engine.schedule(
-                rx1_at, lambda: self._attempt_dcp(device, command, gw, rp, 1), "dl")
+                rx1_at, partial(self._attempt_dcp, device, command, gw, rp, 1), "dl")
         elif ready_at <= rx2_at:
             self.metrics.dcp["skipped_too_late"] += 1
             self.engine.schedule(
-                rx2_at, lambda: self._attempt_dcp(device, command, gw, rp, 2), "dl")
+                rx2_at, partial(self._attempt_dcp, device, command, gw, rp, 2), "dl")
         else:
             self.metrics.dcp["skipped_too_late"] += 1
 
@@ -351,15 +408,14 @@ class Simulation:
             # conflicting programming is rejected, not deferred.
             self.metrics.dcp["skipped_tx_busy"] += 1
             return
-        band = self.plan.subband_of(freq_hz)
-        air = airtime_us(RadioParams(sf=sf), self.scenario.dcp_payload_len)
-        if not self.ledger.permitted(gw.id, band, now, air):
+        band, air = self._dcp_resource(freq_hz, sf)
+        if self.ledger.check(gw.id, band, now, air) > now:
             if window == 1:
                 # Window 1 blocked by the sub-band budget: retry in window 2,
                 # which lives on the high-duty band.
                 rx2_at = rp.end_us + device.receive_delay2_us
                 self.engine.schedule(
-                    rx2_at, lambda: self._attempt_dcp(device, command, gw, rp, 2), "dl")
+                    rx2_at, partial(self._attempt_dcp, device, command, gw, rp, 2), "dl")
             else:
                 self.metrics.dcp["skipped_duty_cycle"] += 1
             return
@@ -369,8 +425,7 @@ class Simulation:
         self.ledger.record(gw.id, band, now, air)
         self.metrics.dcp["sent_rx1" if window == 1 else "sent_rx2"] += 1
         self.engine.schedule(
-            now + air,
-            lambda: self._finish_dcp(device, command, now, listening), "dl-end")
+            now + air, partial(self._finish_dcp, device, command, now, listening), "dl-end")
 
     def _finish_dcp(self, device: EndDevice, command: DcpCommand,
                     started_at: SimTime, listening: bool) -> None:

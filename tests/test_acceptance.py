@@ -9,6 +9,7 @@ feeds the determinism check).
 
 import collections
 import contextlib
+import hashlib
 import re
 import time
 from dataclasses import replace
@@ -45,6 +46,26 @@ SHIPPED = [
     "demo_small",
     "burst_cluster15",
 ]
+
+# sha256 of emit_report for every shipped scenario at its own seed and length.
+# A change that moves one of these changes the simulator's output and must
+# say why.
+GOLDEN_REPORT_SHA256 = {
+    "test1_sf_pairs":
+        "900b60e14cf8487b97b01842d8ee99298870c76f93a36bdd75e8d1190d515e94",
+    "test2_dl_priority":
+        "17587e0f1c19c7c90950973c827395f3b9c2c49397ee9ca2f35e89a19c4ce6b7",
+    "test3_dual_gw":
+        "b9ef7b7a3336ab2d2c17ff3e2be970acfcf61afff7a96fb6948173241565cf2c",
+    "calibration_pairs_sf7":
+        "1640d97cb2d94e1e854d239db18e6f0d9e9cf617d88dd3f20dac7de007c69651",
+    "calibration_pairs_sf7_sf8":
+        "d7f4b37ded696866c216394ac14cd02bb09899327402e0af027d26dcac08f20b",
+    "demo_small":
+        "126e0ccae5829898f4c89b844accc07b406602b9565ead507dc1c67ef5192dad",
+    "burst_cluster15":
+        "a5428da3e1114b1c2cd8707670a35b085964fc2aa8131fde8a8ac808b092426d",
+}
 
 
 @contextlib.contextmanager
@@ -286,3 +307,10 @@ def test_criterion_10_seeded_runs_are_byte_identical(shipped_runs):
             scenario, _sim, first_report, _elapsed = shipped_runs[name]
             second_report = run_scenario(scenario)
             assert emit_report(first_report) == emit_report(second_report), name
+
+
+@pytest.mark.parametrize("name", SHIPPED)
+def test_shipped_report_matches_its_golden_digest(shipped_runs, name):
+    _scenario, _sim, report, _elapsed = shipped_runs[name]
+    digest = hashlib.sha256(emit_report(report).encode("utf-8")).hexdigest()
+    assert digest == GOLDEN_REPORT_SHA256[name]

@@ -72,3 +72,13 @@ def test_overlapping_subbands_are_rejected():
 
 def test_default_plan_is_reconstructible():
     assert default_eu868_plan() == default_eu868_plan()
+
+
+def test_channel_index_agrees_with_the_band_edges(plan):
+    # Listed channels answer from the index; every other frequency from the
+    # band edges.  Both must route a frequency to the same band.
+    for band in plan.subbands:
+        for freq in (*band.channels, band.low_hz, band.high_hz - 1):
+            assert plan.subband_of(freq) is band
+            assert band.contains(freq)
+    assert hash(plan) == hash(default_eu868_plan())

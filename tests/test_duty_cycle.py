@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from loraguard.engine import US_PER_SECOND
-from loraguard.phy import DutyCycleLedger, LedgerError, default_eu868_plan
+from loraguard.phy import (DutyCycleLedger, LedgerError, OfftimeBudget, WindowBudget,
+                           default_eu868_plan)
 
 PLAN = default_eu868_plan()
 G = PLAN.subband("g")      # 1%
@@ -148,6 +149,60 @@ class TestPolicySelection:
         with pytest.raises(ValueError):
             DutyCycleLedger().record("ed1", G, 0, 0)
 
+    def test_budgets_are_bound_once_per_transmitter_and_band(self):
+        ledger = DutyCycleLedger("offtime")
+        ledger.set_policy("gw1", "window")
+        assert isinstance(ledger.budget("ed1", G), OfftimeBudget)
+        assert isinstance(ledger.budget("gw1", G), WindowBudget)
+        assert ledger.budget("ed1", G) is ledger.budget("ed1", G)
+        assert ledger.budget("ed1", G) is not ledger.budget("ed1", G1)
+
+    def test_policy_is_fixed_once_a_budget_is_bound(self):
+        ledger = DutyCycleLedger("offtime")
+        ledger.record("ed1", G, 0, 1_000)
+        with pytest.raises(ValueError):
+            ledger.set_policy("ed1", "window")
+
+
+class TestRecordValidation:
+    """``record`` re-validates whatever ``check`` came before it."""
+
+    @pytest.mark.parametrize("policy", DutyCycleLedger.POLICIES)
+    def test_overdraw_without_a_prior_check_raises(self, policy):
+        ledger = DutyCycleLedger(policy)
+        ledger.record("ed1", G, 0, 20 * US_PER_SECOND)
+        with pytest.raises(LedgerError):
+            ledger.record("ed1", G, 30 * US_PER_SECOND, 20 * US_PER_SECOND)
+
+    @pytest.mark.parametrize("policy", DutyCycleLedger.POLICIES)
+    def test_check_at_another_start_does_not_clear_the_record(self, policy):
+        ledger = DutyCycleLedger(policy)
+        ledger.record("ed1", G, 0, 20 * US_PER_SECOND)
+        assert ledger.check("ed1", G, 25 * US_PER_SECOND, 20 * US_PER_SECOND) > 25 * US_PER_SECOND
+        with pytest.raises(LedgerError):
+            ledger.record("ed1", G, 30 * US_PER_SECOND, 20 * US_PER_SECOND)
+
+    @pytest.mark.parametrize("policy", DutyCycleLedger.POLICIES)
+    def test_check_of_another_airtime_does_not_clear_the_record(self, policy):
+        ledger = DutyCycleLedger(policy)
+        ledger.record("ed1", G, 0, 20 * US_PER_SECOND)
+        now = 30 * US_PER_SECOND
+        if policy == "window":
+            # A short frame fits the window's remaining 16 s; a 20 s one does not.
+            assert ledger.check("ed1", G, now, US_PER_SECOND) == now
+        ledger.check("ed1", G, now, US_PER_SECOND)
+        with pytest.raises(LedgerError):
+            ledger.record("ed1", G, now, 20 * US_PER_SECOND)
+
+    @pytest.mark.parametrize("policy", DutyCycleLedger.POLICIES)
+    def test_a_record_voids_the_check_before_it(self, policy):
+        ledger = DutyCycleLedger(policy)
+        air = 20 * US_PER_SECOND
+        assert ledger.check("ed1", G, 0, air) == 0
+        ledger.record("ed1", G, 0, air)
+        with pytest.raises(LedgerError):
+            ledger.record("ed1", G, 0, air)  # same (start, airtime) as that check
+
 
 @settings(max_examples=60, deadline=None)
 @given(airtimes=st.lists(st.integers(1_000, 2_000_000), min_size=1, max_size=60))
@@ -195,3 +250,39 @@ def test_off_time_arithmetic_holds_for_every_frame(airtimes):
         end = now + air
         assert ledger.check("dev", G, end) == end + air * (G.duty_one_in - 1)
         now = end
+
+
+_LEDGER_OPS = st.lists(
+    st.tuples(st.sampled_from(("check", "record")),
+              st.integers(0, 3 * US_PER_SECOND),      # gap since the previous op
+              st.integers(1_000, 3 * US_PER_SECOND),  # airtime
+              st.booleans()),                         # record at the clearance
+    min_size=1, max_size=80)
+
+
+@settings(max_examples=80, deadline=None)
+@given(policy=st.sampled_from(DutyCycleLedger.POLICIES), ops=_LEDGER_OPS)
+def test_bound_budget_and_facade_agree(policy, ops):
+    """Property: one sequence of checks and records gives the same clearance
+    times, and the same refusals, through a budget held directly and through
+    the ledger's façade."""
+    facade = DutyCycleLedger(policy)
+    budget = DutyCycleLedger(policy).budget("dev", G)
+    now = 0
+    for op, gap, air, at_clearance in ops:
+        now += gap
+        if op == "check":
+            assert facade.check("dev", G, now, air) == budget.clearance(now, air)
+            continue
+        start = budget.clearance(now, air) if at_clearance else now
+        facade.check("dev", G, start, air)
+        outcomes = []
+        for record in (lambda: facade.record("dev", G, start, air),
+                       lambda: budget.record(start, air)):
+            try:
+                record()
+                outcomes.append("ok")
+            except LedgerError:
+                outcomes.append("refused")
+        assert outcomes[0] == outcomes[1]
+        now = max(now, start)

@@ -5,7 +5,6 @@ import collections
 import pytest
 from hypothesis import given, strategies as st
 
-from loraguard.phy import RadioParams, Transmission, TransmissionKind
 from loraguard.server import (
     MAX_PER_CHANNEL,
     SF_SINGLE,
@@ -107,14 +106,6 @@ class TestNetworkServer:
         with pytest.raises(ValueError, match="non-members"):
             server.add_cluster(make_cluster(3), explicit={"ghost": (CHANNELS[0], 7)})
 
-    def test_uplink_deduplication(self):
-        server = NetworkServer()
-        tx = Transmission(source="ed01", kind=TransmissionKind.RP,
-                          freq_hz=868_100_000, params=RadioParams(sf=7),
-                          start_us=0, airtime_us=82_176, payload_len=37)
-        assert server.on_uplink(tx)
-        assert not server.on_uplink(tx)  # second gateway's copy
-
     def test_cluster_lookup_and_control_payload(self):
         server = NetworkServer()
         server.add_cluster(make_cluster(6))
@@ -122,6 +113,16 @@ class TestNetworkServer:
         cmd = server.dcp_for("ed01")
         assert cmd.target == "ed01"
         assert (cmd.up_freq_hz, cmd.up_sf) == server.assignments["ed01"]
+
+    def test_control_payload_is_reused_until_the_assignment_changes(self):
+        server = NetworkServer()
+        server.add_cluster(make_cluster(6))
+        first = server.dcp_for("ed01")
+        assert server.dcp_for("ed01") is first
+        server.assignments["ed01"] = (CHANNELS[4], 10)
+        moved = server.dcp_for("ed01")
+        assert (moved.up_freq_hz, moved.up_sf) == (CHANNELS[4], 10)
+        assert server.dcp_for("ed01") is moved
 
     def test_cluster_validation(self):
         with pytest.raises(ValueError):

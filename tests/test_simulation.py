@@ -6,7 +6,7 @@ import jsonschema
 import pytest
 
 from loraguard.metrics import CAUSE_DUTY_CYCLE, emit_report, latency_of
-from loraguard.phy import TransmissionKind, default_eu868_plan
+from loraguard.phy import RadioParams, Transmission, TransmissionKind, default_eu868_plan
 from loraguard.scenario import load_scenario, parse_scenario, shipped_scenario_path
 from loraguard.simulation import Simulation, run_scenario
 
@@ -156,3 +156,39 @@ class TestDemoRun:
         trimmed = {k: v for k, v in report.items() if k not in skip}
         other_trimmed = {k: v for k, v in other.items() if k not in skip}
         assert trimmed != other_trimmed
+
+
+def test_uid_sequences_do_not_depend_on_other_simulations():
+    # Each simulation numbers its own frames from 1, so two runs in one
+    # process (and frames built outside any simulation) cannot interleave.
+    scenario = load_scenario(shipped_scenario_path("demo_small"))
+    first, second = Simulation(scenario), Simulation(scenario)
+    first.transmission_log, second.transmission_log = [], []
+    first.run()
+    Transmission(source="x", kind=TransmissionKind.UP, freq_hz=867_100_000,
+                 params=RadioParams(sf=7), start_us=0, airtime_us=1, payload_len=1)
+    second.run()
+    uids = [tx.uid for tx in first.transmission_log]
+    assert uids == list(range(1, len(uids) + 1))
+    assert [tx.uid for tx in second.transmission_log] == uids
+
+
+def test_each_decoded_report_requests_one_downlink():
+    # Reports decoded by both gateways still provoke a single control downlink.
+    scenario = parse_scenario({
+        "name": "two_gateways",
+        "seed": 5,
+        "stop": {"duration": "600 s"},
+        "gateways": [{"id": "gw1"}, {"id": "gw2", "role": "rx_only"}],
+        "clusters": [{"id": "c1", "members": ["ed1", "ed2"], "dcp_gateway": "gw1"}],
+        "devices": [{"id": "ed1", "cluster": "c1", "rp_period": "10 s"},
+                    {"id": "ed2", "cluster": "c1", "rp_period": "10 s"}],
+        "alarms": [{"kind": "script", "species": "methane", "level": "1.2 %vol",
+                    "devices": ["ed1"], "times": ["100 s"]}],
+    })
+    report = run_scenario(scenario)
+    delivered = report["kinds"]["RP"]["delivered"]
+    decoded_copies = sum(report["gateways"][gw]["decoded"].get("RP", 0)
+                         for gw in ("gw1", "gw2"))
+    assert decoded_copies > delivered > 0
+    assert report["dcp"]["requested"] == delivered
