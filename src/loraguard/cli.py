@@ -135,6 +135,16 @@ def cmd_validate(args: argparse.Namespace) -> int:
         return EXIT_INVALID
     if args.seed is not None:
         scenario = scenario.with_seed(args.seed)
+    # The model takes one report period and jitter for every sender.
+    reporters = [d for d in scenario.devices if d.rp_period_us is not None]
+    differing = [d.id for d in reporters
+                 if (d.rp_period_us, d.clock_sigma_us)
+                 != (reporters[0].rp_period_us, reporters[0].clock_sigma_us)]
+    if differing:
+        print(f"error: reporters {', '.join(differing)} differ from {reporters[0].id} in "
+              f"report period or clock jitter; the model needs one shared (T, sigma)",
+              file=sys.stderr)
+        return EXIT_INVALID
 
     sim = Simulation(scenario)
     report = sim.run()
@@ -149,23 +159,14 @@ def cmd_validate(args: argparse.Namespace) -> int:
                         for d in (trig.devices or
                                   next(c.members for c in scenario.clusters
                                        if c.id == trig.cluster))})
-    dcp_airtimes = []
-    periods = []
-    sigmas = []
-    for dev in scenario.devices:
-        if dev.rp_period_us is None:
-            continue
-        dcp_airtimes.append(
-            airtime_us(RadioParams(sf=dev.rp_sf), scenario.dcp_payload_len)
-            / US_PER_SECOND)
-        periods.append(dev.rp_period_us / US_PER_SECOND)
-        sigmas.append(dev.clock_sigma_us / US_PER_SECOND)
-    if not dcp_airtimes:
+    if not reporters:
         print("error: no reporting devices, the downlink-load model does not apply",
               file=sys.stderr)
         return EXIT_RUNTIME
-    period = periods[0]
-    sigma = sigmas[0]
+    dcp_airtimes = [airtime_us(RadioParams(sf=dev.rp_sf), scenario.dcp_payload_len)
+                    / US_PER_SECOND for dev in reporters]
+    period = reporters[0].rp_period_us / US_PER_SECOND
+    sigma = reporters[0].clock_sigma_us / US_PER_SECOND
     up_airs = {airtime_us(RadioParams(sf=sim.server.assignments[d][1]),
                           scenario.device(d).up_payload_len) / US_PER_SECOND
                for d in triggered}

@@ -11,13 +11,11 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 
-from .engine import SimTime, US_PER_SECOND, sample_gaussian
+from .engine import SimTime, sample_gaussian
 from .phy import RadioParams, RX2_FREQ_HZ, RX2_SF
+from .scenario import DeviceSpec
 
 log = logging.getLogger(__name__)
-
-RECEIVE_DELAY1_US = 1 * US_PER_SECOND
-RECEIVE_DELAY2_US = 2 * US_PER_SECOND
 
 UP_SF_MIN = 7
 UP_SF_MAX = 10  # keeps the urgent airtime under the 500 ms latency budget
@@ -46,21 +44,21 @@ class ReceiveWindows:
 
 @dataclass
 class EndDevice:
-    """State of one alarm sensor node."""
+    """State of one alarm sensor node; defaults are those of ``DeviceSpec``."""
 
     id: str
     cluster: str
     rp_period_us: SimTime | None  # None disables periodic reports
-    clock_sigma_us: SimTime = 50_000
-    rp_sf: int = 7
-    rp_payload_len: int = 37
+    clock_sigma_us: SimTime = DeviceSpec.clock_sigma_us
+    rp_sf: int = DeviceSpec.rp_sf
+    rp_payload_len: int = DeviceSpec.rp_payload_len
     rp_channels: tuple[int, ...] = ()
-    up_payload_len: int = 37
+    up_payload_len: int = DeviceSpec.up_payload_len
     up_channels: tuple[int, ...] = ()  # channels DCP assignments may use
-    rx_power_dbm: float = 0.0
-    receive_delay1_us: SimTime = RECEIVE_DELAY1_US
-    receive_delay2_us: SimTime = RECEIVE_DELAY2_US
-    rp_floor_us: SimTime = 1 * US_PER_SECOND  # shortest gap jitter may produce
+    rx_power_dbm: float = DeviceSpec.rx_power_dbm
+    receive_delay1_us: SimTime = DeviceSpec.receive_delay1_us
+    receive_delay2_us: SimTime = DeviceSpec.receive_delay2_us
+    rp_floor_us: SimTime = DeviceSpec.rp_floor_us  # shortest gap jitter may produce
     assignment: tuple[int, int] | None = None  # (freq_hz, sf) for urgent uplinks
 
     # runtime state

@@ -19,8 +19,7 @@ from .engine import SimTime
 from .metrics import (CAUSE_COLLISION, CAUSE_GW_PREEMPTED, CAUSE_NO_DEMOD_PATH,
                       CAUSE_TX_BUSY)
 from .phy import CaptureModel, Transmission, decodes_against
-
-DEMOD_PATHS_DEFAULT = 10
+from .scenario import GatewaySpec
 
 
 @dataclass(slots=True)
@@ -34,12 +33,12 @@ class Reception:
 
 @dataclass
 class Gateway:
-    """State of one gateway radio."""
+    """State of one gateway radio; defaults are those of ``GatewaySpec``."""
 
     id: str
-    role: str = "full"  # "full" transmits downlinks, "rx_only" never does
-    demod_paths: int = DEMOD_PATHS_DEFAULT
-    backhaul_delay_us: SimTime = 20_000
+    role: str = GatewaySpec.role  # "full" transmits downlinks, "rx_only" never does
+    demod_paths: int = GatewaySpec.demod_paths
+    backhaul_delay_us: SimTime = GatewaySpec.backhaul_delay_us
     rx_power_dbm: dict[str, float] = field(default_factory=dict)
 
     # runtime state

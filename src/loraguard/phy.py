@@ -17,6 +17,7 @@ from enum import Enum
 from typing import Iterable, Mapping, Sequence
 
 from .engine import SimTime, US_PER_SECOND
+from .scenario import CaptureSpec
 
 VALID_BANDWIDTHS_HZ = (125_000, 250_000, 500_000)
 
@@ -451,11 +452,12 @@ class CaptureModel:
     (frame, interferer) pair from the calibrated table; SF pairs absent from
     the table are treated as orthogonal (survival 1).  ``"threshold"`` keeps a
     frame only if it beats every same-SF interferer by ``co_sf_margin_db``;
-    different SFs never destroy each other in this mode.
+    different SFs never destroy each other in this mode.  Mode and margin
+    default to those of ``CaptureSpec``.
     """
 
-    mode: str = "empirical"
-    co_sf_margin_db: float = 6.0
+    mode: str = CaptureSpec.mode
+    co_sf_margin_db: float = CaptureSpec.co_sf_margin_db
     survival: Mapping[tuple[int, int], float] = field(
         default_factory=lambda: dict(DEFAULT_SURVIVAL))
 

@@ -4,19 +4,25 @@ Every dimensioned field is a string with a unit suffix ("70 s", "50 ms",
 "867.1 MHz", "14 dBm", "1.2 %vol"); bare numbers are rejected so a stray
 millisecond/second mix-up cannot slip through.  Validation errors name the
 offending field path.
+
+Each field is declared once, on its spec dataclass: YAML key, kind (how the
+value parses and formats), default and range.  Parsing, serialising and the
+range checks are all derived from those declarations.
 """
 
 from __future__ import annotations
 
 import hashlib
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
+from functools import partial
 from pathlib import Path
+from typing import Any, Callable, NamedTuple
 
 import yaml
 
 from .engine import SimTime, US_PER_SECOND
-from .sensor import COMBUSTIBLE_GASES, SensorProfile, TriggerSpec
+from .sensor import SensorProfile, TriggerSpec
 
 __all__ = [
     "ScenarioError", "StopSpec", "DeviceSpec", "GatewaySpec", "ClusterSpec",
@@ -71,17 +77,10 @@ def parse_frequency(value: object, path: str = "frequency") -> int:
     return round(number * factor)
 
 
-def _parse_power_dbm(value: object, path: str) -> float:
-    number, unit = _split_quantity(value, path, "14 dBm")
-    if unit.lower() != "dbm":
-        raise ScenarioError(f"{path}: expected dBm, got {unit!r}")
-    return number
-
-
-def _parse_db(value: object, path: str) -> float:
-    number, unit = _split_quantity(value, path, "6 dB")
-    if unit.lower() != "db":
-        raise ScenarioError(f"{path}: expected dB, got {unit!r}")
+def _parse_decibels(value: object, path: str, unit: str) -> float:
+    number, got = _split_quantity(value, path, f"6 {unit}")
+    if got.lower() != unit.lower():
+        raise ScenarioError(f"{path}: expected {unit}, got {got!r}")
     return number
 
 
@@ -99,90 +98,18 @@ def _parse_level(value: object, species: str, path: str) -> float:
     return number
 
 
-@dataclass(frozen=True)
-class StopSpec:
-    """Run termination: a count of finalized urgent uplinks or a sim duration."""
-
-    ups: int | None = None
-    at_us: SimTime | None = None
-
-    def __post_init__(self) -> None:
-        if (self.ups is None) == (self.at_us is None):
-            raise ScenarioError("stop: exactly one of 'ups' or 'duration' is required")
-        if self.ups is not None and self.ups <= 0:
-            raise ScenarioError(f"stop.ups: must be > 0, got {self.ups}")
-        if self.at_us is not None and self.at_us <= 0:
-            raise ScenarioError("stop.duration: must be > 0")
+def _fmt_us(us: SimTime) -> str:
+    if us % US_PER_SECOND == 0:
+        return f"{us // US_PER_SECOND} s"
+    if us % 1000 == 0:
+        return f"{us // 1000} ms"
+    return f"{us} us"
 
 
-@dataclass(frozen=True)
-class DeviceSpec:
-    id: str
-    cluster: str
-    rp_period_us: SimTime | None = 70 * US_PER_SECOND
-    clock_sigma_us: SimTime = 50_000
-    rp_sf: int = 7
-    rp_payload_len: int = 37
-    rp_channels: tuple[int, ...] | None = None  # None = all report-band channels
-    up_payload_len: int = 37
-    assignment: tuple[int, int] | None = None  # (freq_hz, sf)
-    rx_power_dbm: float = 0.0
-    receive_delay1_us: SimTime = 1 * US_PER_SECOND
-    receive_delay2_us: SimTime = 2 * US_PER_SECOND
-    rp_floor_us: SimTime = 1 * US_PER_SECOND
-
-
-@dataclass(frozen=True)
-class GatewaySpec:
-    id: str
-    role: str = "full"
-    demod_paths: int = 10
-    backhaul_delay_us: SimTime = 20_000
-    duty_policy: str = "window"
-
-
-@dataclass(frozen=True)
-class ClusterSpec:
-    id: str
-    members: tuple[str, ...]
-    dcp_gateway: str
-    up_channels: tuple[int, ...] | None = None  # None = all urgent-band channels
-
-
-@dataclass(frozen=True)
-class CaptureSpec:
-    mode: str = "empirical"
-    co_sf_margin_db: float = 6.0
-    # ((own_sf, other_sf), survival) overrides of the calibrated table
-    survival: tuple[tuple[tuple[int, int], float], ...] = ()
-
-
-@dataclass(frozen=True)
-class Scenario:
-    """A complete, validated simulation input."""
-
-    name: str
-    stop: StopSpec
-    gateways: tuple[GatewaySpec, ...]
-    clusters: tuple[ClusterSpec, ...]
-    devices: tuple[DeviceSpec, ...]
-    triggers: tuple[TriggerSpec, ...] = ()
-    capture: CaptureSpec = CaptureSpec()
-    sensor: SensorProfile = SensorProfile()
-    seed: int = 0
-    dcp_payload_len: int = 37
-    rp_subband: str = "g1"
-    up_subband: str = "g"
-    device_duty_policy: str = "offtime"
-
-    def with_seed(self, seed: int) -> "Scenario":
-        return replace(self, seed=seed)
-
-    def device(self, device_id: str) -> DeviceSpec:
-        for dev in self.devices:
-            if dev.id == device_id:
-                return dev
-        raise KeyError(device_id)
+def _fmt_hz(hz: int) -> str:
+    if hz % 100_000 == 0:
+        return f"{hz / 1_000_000} MHz"
+    return f"{hz} Hz"
 
 
 def _as_mapping(node: object, path: str) -> dict:
@@ -197,245 +124,380 @@ def _as_list(node: object, path: str) -> list:
     return node
 
 
-def _take_int(section: dict, key: str, path: str, default: int) -> int:
-    value = section.pop(key, default)
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ScenarioError(f"{path}.{key}: expected an integer, got {value!r}")
-    return value
-
-
-def _take_str(section: dict, key: str, path: str, default: str | None = None) -> str:
-    value = section.pop(key, default)
-    if value is None:
-        raise ScenarioError(f"{path}.{key}: required")
-    if not isinstance(value, str):
-        raise ScenarioError(f"{path}.{key}: expected a string, got {value!r}")
-    return value
-
-
 def _no_leftovers(section: dict, path: str) -> None:
     if section:
         raise ScenarioError(f"{path}: unknown fields {sorted(section)}")
 
 
-def _parse_device(node: object, path: str) -> DeviceSpec:
+def _join(path: str, key: str) -> str:
+    return f"{path}.{key}" if path else key
+
+
+# -- field kinds ------------------------------------------------------------------
+
+
+class _Kind(NamedTuple):
+    """How one field's YAML value parses, ``parse(value, path)``, and formats back."""
+
+    parse: Callable[[Any, str], Any]
+    format: Callable[[Any], Any]
+
+
+def _parse_int(value: object, path: str) -> int:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ScenarioError(f"{path}: expected an integer, got {value!r}")
+    return value
+
+
+def _parse_str(value: object, path: str) -> str:
+    if not isinstance(value, str):
+        raise ScenarioError(f"{path}: expected a string, got {value!r}")
+    return value
+
+
+def _list_of(kind: _Kind) -> _Kind:
+    def parse(node: object, path: str) -> tuple:
+        return tuple(kind.parse(item, f"{path}[{i}]")
+                     for i, item in enumerate(_as_list(node, path)))
+    return _Kind(parse, lambda items: [kind.format(item) for item in items])
+
+
+def _parse_spec(cls: type, node: object, path: str) -> Any:
+    """Build a declared spec from its YAML mapping; ``path`` prefixes error messages.
+
+    A missing key, or a null one, takes the declared default; a key without a
+    default is required.  A spec with an ``id`` names it in later paths.
+    """
+    section = _as_mapping(node, path or "scenario")
+    values: dict[str, object] = {}
+    for f in fields(cls):
+        key = f.metadata["key"]
+        raw = section.pop(key, None)
+        if raw is not None:
+            values[f.name] = f.metadata["kind"].parse(raw, _join(path, key))
+        elif key in node and f.metadata.get("nullable"):
+            values[f.name] = None
+        elif f.default is MISSING:
+            raise ScenarioError(f"{_join(path, key)}: required")
+        if f.name == "id":
+            path = f"{path}({values['id']})"
+    _no_leftovers(section, path or "scenario")
+    return cls(**values)
+
+
+def _dump_spec(spec: Any) -> dict:
+    """The YAML mapping of a declared spec.
+
+    A None or empty value is left out, so parsing restores the default,
+    unless the field is nullable.
+    """
+    doc: dict[str, object] = {}
+    for f in fields(spec):
+        value = getattr(spec, f.name)
+        text = None if value is None else f.metadata["kind"].format(value)
+        if text not in (None, [], {}) or f.metadata.get("nullable"):
+            doc[f.metadata["key"]] = text
+    return doc
+
+
+def _spec(cls: type) -> _Kind:
+    return _Kind(partial(_parse_spec, cls), _dump_spec)
+
+
+def _parse_assignment(node: object, path: str) -> tuple[int, int]:
     section = _as_mapping(node, path)
-    dev_id = _take_str(section, "id", path)
-    cluster = _take_str(section, "cluster", path)
-    path = f"{path}({dev_id})"
-
-    if "rp_period" in section:
-        raw = section.pop("rp_period")
-        rp_period = None if raw is None else parse_duration(raw, f"{path}.rp_period")
-    else:
-        rp_period = 70 * US_PER_SECOND
-    sigma = (parse_duration(section.pop("clock_sigma"), f"{path}.clock_sigma")
-             if "clock_sigma" in section else 50_000)
-    assignment = None
-    if (node_assign := section.pop("assignment", None)) is not None:
-        amap = _as_mapping(node_assign, f"{path}.assignment")
-        freq = parse_frequency(amap.pop("channel", None), f"{path}.assignment.channel")
-        sf = _take_int(amap, "sf", f"{path}.assignment", -1)
-        _no_leftovers(amap, f"{path}.assignment")
-        assignment = (freq, sf)
-    rp_channels = None
-    if (raw_channels := section.pop("rp_channels", None)) is not None:
-        rp_channels = tuple(
-            parse_frequency(ch, f"{path}.rp_channels[{i}]")
-            for i, ch in enumerate(_as_list(raw_channels, f"{path}.rp_channels")))
-    spec = DeviceSpec(
-        id=dev_id,
-        cluster=cluster,
-        rp_period_us=rp_period,
-        clock_sigma_us=sigma,
-        rp_sf=_take_int(section, "rp_sf", path, 7),
-        rp_payload_len=_take_int(section, "rp_payload", path, 37),
-        rp_channels=rp_channels,
-        up_payload_len=_take_int(section, "up_payload", path, 37),
-        assignment=assignment,
-        rx_power_dbm=(_parse_power_dbm(section.pop("rx_power"), f"{path}.rx_power")
-                      if "rx_power" in section else 0.0),
-        receive_delay1_us=(parse_duration(section.pop("receive_delay1"),
-                                          f"{path}.receive_delay1")
-                           if "receive_delay1" in section else 1 * US_PER_SECOND),
-        receive_delay2_us=(parse_duration(section.pop("receive_delay2"),
-                                          f"{path}.receive_delay2")
-                           if "receive_delay2" in section else 2 * US_PER_SECOND),
-        rp_floor_us=(parse_duration(section.pop("rp_floor"), f"{path}.rp_floor")
-                     if "rp_floor" in section else 1 * US_PER_SECOND),
-    )
+    freq = parse_frequency(section.pop("channel", None), f"{path}.channel")
+    sf = _parse_int(section.pop("sf", None), f"{path}.sf")
     _no_leftovers(section, path)
-    return spec
+    return freq, sf
 
 
-def _parse_gateway(node: object, path: str) -> GatewaySpec:
-    section = _as_mapping(node, path)
-    gw_id = _take_str(section, "id", path)
-    path = f"{path}({gw_id})"
-    spec = GatewaySpec(
-        id=gw_id,
-        role=_take_str(section, "role", path, "full"),
-        demod_paths=_take_int(section, "demod_paths", path, 10),
-        backhaul_delay_us=(parse_duration(section.pop("backhaul"), f"{path}.backhaul")
-                           if "backhaul" in section else 20_000),
-        duty_policy=_take_str(section, "duty_policy", path, "window"),
-    )
-    _no_leftovers(section, path)
-    return spec
+def _parse_survival(node: object, path: str) -> tuple[tuple[tuple[int, int], float], ...]:
+    overrides = []
+    # YAML may mix integer and string keys; sort on the text so both compare.
+    for key, prob in sorted(_as_mapping(node, path).items(), key=lambda kv: str(kv[0])):
+        pair = re.fullmatch(r"(\d+)/(\d+)", str(key))
+        if not pair:
+            raise ScenarioError(f"{path}: keys look like 'own_sf/other_sf', got {key!r}")
+        if not isinstance(prob, (int, float)) or isinstance(prob, bool):
+            raise ScenarioError(f"{path}[{key}]: expected a number")
+        overrides.append(((int(pair.group(1)), int(pair.group(2))), float(prob)))
+    return tuple(overrides)
 
 
-def _parse_cluster(node: object, path: str) -> ClusterSpec:
-    section = _as_mapping(node, path)
-    cl_id = _take_str(section, "id", path)
-    path = f"{path}({cl_id})"
-    members = tuple(_as_list(section.pop("members", None), f"{path}.members"))
-    up_channels = None
-    if (raw := section.pop("up_channels", None)) is not None:
-        up_channels = tuple(
-            parse_frequency(ch, f"{path}.up_channels[{i}]")
-            for i, ch in enumerate(_as_list(raw, f"{path}.up_channels")))
-    spec = ClusterSpec(
-        id=cl_id,
-        members=members,
-        dcp_gateway=_take_str(section, "dcp_gateway", path),
-        up_channels=up_channels,
-    )
-    _no_leftovers(section, path)
-    return spec
+_INT = _Kind(_parse_int, int)
+_STR = _Kind(_parse_str, str)
+_IDS = _list_of(_STR)
+_DURATION = _Kind(parse_duration, _fmt_us)
+_DURATIONS = _list_of(_DURATION)
+_FREQUENCIES = _list_of(_Kind(parse_frequency, _fmt_hz))
+_DBM = _Kind(partial(_parse_decibels, unit="dBm"), "{} dBm".format)
+_DB = _Kind(partial(_parse_decibels, unit="dB"), "{} dB".format)
+_ASSIGNMENT = _Kind(_parse_assignment,
+                    lambda a: {"channel": _fmt_hz(a[0]), "sf": a[1]})
+_SURVIVAL = _Kind(_parse_survival,
+                  lambda table: {f"{own}/{other}": p for (own, other), p in table})
 
 
 def _parse_trigger(node: object, path: str) -> TriggerSpec:
     section = _as_mapping(node, path)
-    kind = _take_str(section, "kind", path)
-    species = _take_str(section, "species", path)
+    kind = _parse_str(section.pop("kind", None), f"{path}.kind")
+    species = _parse_str(section.pop("species", None), f"{path}.species")
     level = _parse_level(section.pop("level", None), species, f"{path}.level")
     devices: tuple[str, ...] = ()
     if (raw := section.pop("devices", None)) is not None:
-        devices = tuple(_as_list(raw, f"{path}.devices"))
+        devices = _IDS.parse(raw, f"{path}.devices")
     cluster = section.pop("cluster", None)
     if not devices and cluster is None:
         raise ScenarioError(f"{path}: needs 'devices' or 'cluster'")
-    times: tuple[SimTime, ...] = ()
+    timing: dict[str, object] = {}
     if (raw := section.pop("times", None)) is not None:
-        times = tuple(parse_duration(t, f"{path}.times[{i}]")
-                      for i, t in enumerate(_as_list(raw, f"{path}.times")))
-    lo, hi = 120 * US_PER_SECOND, 130 * US_PER_SECOND
+        timing["times_us"] = _DURATIONS.parse(raw, f"{path}.times")
     if (raw := section.pop("interarrival", None)) is not None:
         imap = _as_mapping(raw, f"{path}.interarrival")
-        lo = parse_duration(imap.pop("min", None), f"{path}.interarrival.min")
-        hi = parse_duration(imap.pop("max", None), f"{path}.interarrival.max")
+        timing["interarrival_min_us"] = parse_duration(imap.pop("min", None),
+                                                       f"{path}.interarrival.min")
+        timing["interarrival_max_us"] = parse_duration(imap.pop("max", None),
+                                                       f"{path}.interarrival.max")
         _no_leftovers(imap, f"{path}.interarrival")
     try:
         spec = TriggerSpec(kind=kind, species=species, level=level, devices=devices,
-                           cluster=cluster, times_us=times,
-                           interarrival_min_us=lo, interarrival_max_us=hi)
+                           cluster=cluster, **timing)
     except ValueError as exc:
         raise ScenarioError(f"{path}: {exc}") from exc
     _no_leftovers(section, path)
     return spec
 
 
-def _parse_capture(node: object, path: str) -> CaptureSpec:
-    section = _as_mapping(node, path)
-    mode = _take_str(section, "mode", path, "empirical")
-    margin = (_parse_db(section.pop("co_sf_margin"), f"{path}.co_sf_margin")
-              if "co_sf_margin" in section else 6.0)
-    overrides: list[tuple[tuple[int, int], float]] = []
-    if (raw := section.pop("survival", None)) is not None:
-        for key, prob in sorted(_as_mapping(raw, f"{path}.survival").items()):
-            pair = re.fullmatch(r"(\d+)/(\d+)", str(key))
-            if not pair:
-                raise ScenarioError(
-                    f"{path}.survival: keys look like 'own_sf/other_sf', got {key!r}")
-            if not isinstance(prob, (int, float)) or isinstance(prob, bool):
-                raise ScenarioError(f"{path}.survival[{key}]: expected a number")
-            overrides.append(((int(pair.group(1)), int(pair.group(2))), float(prob)))
-    spec = CaptureSpec(mode=mode, co_sf_margin_db=margin, survival=tuple(overrides))
-    _no_leftovers(section, path)
-    return spec
+def _dump_trigger(trigger: TriggerSpec) -> dict:
+    entry: dict[str, object] = {
+        "kind": trigger.kind, "species": trigger.species,
+        "level": f"{trigger.level} {_LEVEL_UNITS[trigger.species]}"}
+    if trigger.devices:
+        entry["devices"] = list(trigger.devices)
+    if trigger.cluster is not None:
+        entry["cluster"] = trigger.cluster
+    if trigger.kind == "script":
+        entry["times"] = _DURATIONS.format(trigger.times_us)
+    else:
+        entry["interarrival"] = {"min": _fmt_us(trigger.interarrival_min_us),
+                                 "max": _fmt_us(trigger.interarrival_max_us)}
+    return entry
+
+
+# YAML key -> (gas species fixing its unit, SensorProfile attribute)
+_SENSOR_LEVELS = {"co_alarm": ("co", "co_alarm_ppm"),
+                  "o2_deficiency": ("o2", "o2_deficiency_pct")}
 
 
 def _parse_sensor(node: object, path: str) -> SensorProfile:
     section = _as_mapping(node, path)
-    kwargs = {}
-    if "co_alarm" in section:
-        kwargs["co_alarm_ppm"] = _parse_level(section.pop("co_alarm"), "co",
-                                              f"{path}.co_alarm")
-    if "o2_deficiency" in section:
-        kwargs["o2_deficiency_pct"] = _parse_level(section.pop("o2_deficiency"), "o2",
-                                                   f"{path}.o2_deficiency")
+    levels = {attr: _parse_level(section.pop(key), species, f"{path}.{key}")
+              for key, (species, attr) in _SENSOR_LEVELS.items() if key in section}
     _no_leftovers(section, path)
-    return SensorProfile(**kwargs)
+    return SensorProfile(**levels)
+
+
+def _dump_sensor(sensor: SensorProfile) -> dict:
+    if sensor == SensorProfile():
+        return {}
+    return {key: f"{getattr(sensor, attr)} {_LEVEL_UNITS[species]}"
+            for key, (species, attr) in _SENSOR_LEVELS.items()}
+
+
+_TRIGGERS = _list_of(_Kind(_parse_trigger, _dump_trigger))
+_SENSOR = _Kind(_parse_sensor, _dump_sensor)
+
+
+# -- field declarations -------------------------------------------------------------
+
+
+def _field(key: str, kind: _Kind, default: object = MISSING, **checks: object) -> Any:
+    """Declare a scenario field: YAML key, kind, default (none = required) and checks.
+
+    Checks are ``lo``/``hi`` (inclusive bounds), ``choices``, and ``nullable``:
+    YAML null is then a value of its own instead of meaning "use the default".
+    """
+    return field(default=default, metadata={"key": key, "kind": kind, **checks})
+
+
+_DUTY_POLICIES = ("offtime", "window")
+_PAYLOAD_BYTES = {"lo": 0, "hi": 255}  # the LoRa PHY payload limit
+
+
+@dataclass(frozen=True)
+class StopSpec:
+    """Run termination: a count of finalized urgent uplinks or a sim duration."""
+
+    ups: int | None = _field("ups", _INT, None)
+    at_us: SimTime | None = _field("duration", _DURATION, None)
+
+    def __post_init__(self) -> None:
+        if (self.ups is None) == (self.at_us is None):
+            raise ScenarioError("stop: exactly one of 'ups' or 'duration' is required")
+        if self.ups is not None and self.ups <= 0:
+            raise ScenarioError(f"stop.ups: must be > 0, got {self.ups}")
+        if self.at_us is not None and self.at_us <= 0:
+            raise ScenarioError("stop.duration: must be > 0")
+
+
+@dataclass(frozen=True)
+class DeviceSpec:
+    id: str = _field("id", _STR)
+    cluster: str = _field("cluster", _STR)
+    rp_period_us: SimTime | None = _field("rp_period", _DURATION, 70 * US_PER_SECOND,
+                                          lo=1, nullable=True)
+    clock_sigma_us: SimTime = _field("clock_sigma", _DURATION, 50_000, lo=0)
+    rp_sf: int = _field("rp_sf", _INT, 7, lo=7, hi=12)
+    rp_payload_len: int = _field("rp_payload", _INT, 37, **_PAYLOAD_BYTES)
+    # None = all report-band channels
+    rp_channels: tuple[int, ...] | None = _field("rp_channels", _FREQUENCIES, None)
+    up_payload_len: int = _field("up_payload", _INT, 37, **_PAYLOAD_BYTES)
+    assignment: tuple[int, int] | None = _field("assignment", _ASSIGNMENT, None)  # (freq_hz, sf)
+    rx_power_dbm: float = _field("rx_power", _DBM, 0.0)
+    receive_delay1_us: SimTime = _field("receive_delay1", _DURATION, 1 * US_PER_SECOND, lo=0)
+    receive_delay2_us: SimTime = _field("receive_delay2", _DURATION, 2 * US_PER_SECOND, lo=0)
+    rp_floor_us: SimTime = _field("rp_floor", _DURATION, 1 * US_PER_SECOND, lo=0)
+
+
+@dataclass(frozen=True)
+class GatewaySpec:
+    id: str = _field("id", _STR)
+    role: str = _field("role", _STR, "full", choices=("full", "rx_only"))
+    demod_paths: int = _field("demod_paths", _INT, 10, lo=1)
+    backhaul_delay_us: SimTime = _field("backhaul", _DURATION, 20_000, lo=0)
+    duty_policy: str = _field("duty_policy", _STR, "window", choices=_DUTY_POLICIES)
+
+
+@dataclass(frozen=True)
+class ClusterSpec:
+    id: str = _field("id", _STR)
+    members: tuple[str, ...] = _field("members", _IDS)
+    dcp_gateway: str = _field("dcp_gateway", _STR)
+    # None = all urgent-band channels
+    up_channels: tuple[int, ...] | None = _field("up_channels", _FREQUENCIES, None)
+
+
+@dataclass(frozen=True)
+class CaptureSpec:
+    mode: str = _field("mode", _STR, "empirical", choices=("empirical", "threshold"))
+    co_sf_margin_db: float = _field("co_sf_margin", _DB, 6.0)
+    # ((own_sf, other_sf), survival) overrides of the calibrated table
+    survival: tuple[tuple[tuple[int, int], float], ...] = _field("survival", _SURVIVAL, ())
+
+
+@dataclass(frozen=True)
+class Scenario:
+    """A complete, validated simulation input."""
+
+    name: str = _field("name", _STR)
+    stop: StopSpec = _field("stop", _spec(StopSpec))
+    gateways: tuple[GatewaySpec, ...] = _field("gateways", _list_of(_spec(GatewaySpec)))
+    clusters: tuple[ClusterSpec, ...] = _field("clusters", _list_of(_spec(ClusterSpec)))
+    devices: tuple[DeviceSpec, ...] = _field("devices", _list_of(_spec(DeviceSpec)))
+    triggers: tuple[TriggerSpec, ...] = _field("alarms", _TRIGGERS, ())
+    capture: CaptureSpec = _field("capture", _spec(CaptureSpec), CaptureSpec())
+    sensor: SensorProfile = _field("sensor", _SENSOR, SensorProfile())
+    seed: int = _field("seed", _INT, 0, lo=0)
+    dcp_payload_len: int = _field("dcp_payload", _INT, 37, **_PAYLOAD_BYTES)
+    rp_subband: str = _field("rp_subband", _STR, "g1")
+    up_subband: str = _field("up_subband", _STR, "g")
+    device_duty_policy: str = _field("device_duty_policy", _STR, "offtime",
+                                     choices=_DUTY_POLICIES)
+
+    def with_seed(self, seed: int) -> "Scenario":
+        return replace(self, seed=seed)
+
+    def device(self, device_id: str) -> DeviceSpec:
+        for dev in self.devices:
+            if dev.id == device_id:
+                return dev
+        raise KeyError(device_id)
+
+
+# -- range checks over the declarations -------------------------------------------
+
+
+def _is_declared(value: object) -> bool:
+    return is_dataclass(value) and "key" in fields(value)[0].metadata
+
+
+def _range_problems(spec: Any, path: str = "") -> list[str]:
+    """Every declared ``lo``/``hi``/``choices`` violation in a spec and its nested specs."""
+    problems: list[str] = []
+    for f in fields(spec):
+        meta, value = f.metadata, getattr(spec, f.name)
+        where = _join(path, meta["key"])
+        if _is_declared(value):
+            problems += _range_problems(value, where)
+        elif isinstance(value, tuple) and value and _is_declared(value[0]):
+            for item in value:
+                problems += _range_problems(item, f"{where}({item.id})")
+        elif value is not None:
+            fmt, lo, hi = meta["kind"].format, meta.get("lo"), meta.get("hi")
+            if "choices" in meta and value not in meta["choices"]:
+                problems.append(f"{where}: {value!r} is not one of {list(meta['choices'])}")
+            elif hi is not None and not lo <= value <= hi:
+                problems.append(f"{where}: {fmt(value)} outside [{fmt(lo)}, {fmt(hi)}]")
+            elif lo is not None and value < lo:
+                problems.append(f"{where}: {fmt(value)} below {fmt(lo)}")
+    return problems
 
 
 def parse_scenario(data: object) -> Scenario:
     """Build a Scenario from a parsed YAML document, then cross-validate it."""
-    doc = _as_mapping(data, "scenario")
-    name = _take_str(doc, "name", "scenario")
-
-    raw_stop = _as_mapping(doc.pop("stop", None), "stop")
-    ups = raw_stop.pop("ups", None)
-    if ups is not None and (not isinstance(ups, int) or isinstance(ups, bool)):
-        raise ScenarioError(f"stop.ups: expected an integer, got {ups!r}")
-    at_us = (parse_duration(raw_stop.pop("duration"), "stop.duration")
-             if "duration" in raw_stop else None)
-    _no_leftovers(raw_stop, "stop")
-    stop = StopSpec(ups=ups, at_us=at_us)
-
-    seed = doc.pop("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-        raise ScenarioError(f"seed: expected a non-negative integer, got {seed!r}")
-
-    gateways = tuple(_parse_gateway(g, f"gateways[{i}]")
-                     for i, g in enumerate(_as_list(doc.pop("gateways", None), "gateways")))
-    clusters = tuple(_parse_cluster(c, f"clusters[{i}]")
-                     for i, c in enumerate(_as_list(doc.pop("clusters", None), "clusters")))
-    devices = tuple(_parse_device(d, f"devices[{i}]")
-                    for i, d in enumerate(_as_list(doc.pop("devices", None), "devices")))
-    triggers: tuple[TriggerSpec, ...] = ()
-    if (raw := doc.pop("alarms", None)) is not None:
-        triggers = tuple(_parse_trigger(t, f"alarms[{i}]")
-                         for i, t in enumerate(_as_list(raw, "alarms")))
-    capture = (_parse_capture(doc.pop("capture"), "capture")
-               if "capture" in doc else CaptureSpec())
-    sensor = (_parse_sensor(doc.pop("sensor"), "sensor")
-              if "sensor" in doc else SensorProfile())
-
-    scenario = Scenario(
-        name=name,
-        stop=stop,
-        gateways=gateways,
-        clusters=clusters,
-        devices=devices,
-        triggers=triggers,
-        capture=capture,
-        sensor=sensor,
-        seed=seed,
-        dcp_payload_len=_take_int(doc, "dcp_payload", "scenario", 37),
-        rp_subband=_take_str(doc, "rp_subband", "scenario", "g1"),
-        up_subband=_take_str(doc, "up_subband", "scenario", "g"),
-        device_duty_policy=_take_str(doc, "device_duty_policy", "scenario", "offtime"),
-    )
-    _no_leftovers(doc, "scenario")
+    scenario = _parse_spec(Scenario, data, "")
     validate_scenario(scenario)
     return scenario
 
 
+def _assignment_collisions(cluster: ClusterSpec, channels: tuple[int, ...],
+                           scenario: Scenario) -> list[str]:
+    """Automatic assignments that land on a (channel, SF) an explicit member holds.
+
+    Explicit members may share a resource on purpose; an automatic one never
+    should, or the cluster loses its collision-free urgent bursts.
+    """
+    from .server import assign_resources  # lazy: server imports device, which imports this
+
+    explicit = {d.id: d.assignment for d in scenario.devices
+                if d.cluster == cluster.id and d.assignment is not None}
+    automatic = [m for m in cluster.members if m not in explicit]
+    if not explicit or not automatic:
+        return []
+    try:
+        table = assign_resources(cluster.members, channels)
+    except ValueError:
+        return []  # no channels, over capacity or a repeated member: reported elsewhere
+    problems = []
+    for member in automatic:
+        holders = [d for d, held in explicit.items() if held == table[member]]
+        if holders:
+            freq, sf = table[member]
+            problems.append(f"devices({member}).assignment: automatic "
+                            f"({_fmt_hz(freq)}, SF{sf}) collides with {holders[0]}")
+    return problems
+
+
 def validate_scenario(scenario: Scenario) -> None:
-    """Cross-field checks; raises ScenarioError listing every problem found."""
-    from .phy import default_eu868_plan
+    """Range and cross-field checks; raises ScenarioError listing every problem found."""
+    # Lazy: device and phy import this module for their defaults.
+    from .device import UP_SF_MAX, UP_SF_MIN
+    from .phy import SubBand, default_eu868_plan
 
     plan = default_eu868_plan()
-    problems: list[str] = []
+    problems = _range_problems(scenario)
 
-    def check_subband(name: str, where: str) -> None:
+    def subband(name: str, where: str) -> SubBand | None:
         try:
-            plan.subband(name)
+            return plan.subband(name)
         except KeyError:
             problems.append(f"{where}: unknown sub-band {name!r}")
+            return None
 
-    check_subband(scenario.rp_subband, "rp_subband")
-    check_subband(scenario.up_subband, "up_subband")
+    rp_band = subband(scenario.rp_subband, "rp_subband")
+    up_band = subband(scenario.up_subband, "up_subband")
+    up_default_channels = up_band.channels if up_band is not None else ()
 
     device_ids = [d.id for d in scenario.devices]
     gateway_ids = [g.id for g in scenario.gateways]
@@ -450,17 +512,6 @@ def validate_scenario(scenario: Scenario) -> None:
         problems.append(f"ids used for both a device and a gateway: {shared}")
     known_devices = set(device_ids)
     gateways_by_id = {g.id: g for g in scenario.gateways}
-
-    try:
-        up_band = plan.subband(scenario.up_subband)
-        up_default_channels: tuple[int, ...] = up_band.channels
-    except KeyError:
-        up_band = None
-        up_default_channels = ()
-    try:
-        rp_band = plan.subband(scenario.rp_subband)
-    except KeyError:
-        rp_band = None
 
     member_cluster: dict[str, str] = {}
     cluster_channels: dict[str, tuple[int, ...]] = {}
@@ -492,6 +543,7 @@ def validate_scenario(scenario: Scenario) -> None:
             problems.append(
                 f"{where}: {len(cl.members)} members exceed capacity "
                 f"{3 * len(channels)} ({len(channels)} channels x 3 SFs)")
+        problems += _assignment_collisions(cl, channels, scenario)
 
     occupancy: dict[tuple[str, int], int] = {}
     for dev in scenario.devices:
@@ -500,12 +552,10 @@ def validate_scenario(scenario: Scenario) -> None:
             problems.append(f"{where}.cluster: unknown cluster {dev.cluster!r}")
         elif member_cluster.get(dev.id) != dev.cluster:
             problems.append(f"{where}: not listed in cluster {dev.cluster!r} members")
-        if not 7 <= dev.rp_sf <= 12:
-            problems.append(f"{where}.rp_sf: {dev.rp_sf} outside [7, 12]")
-        if dev.clock_sigma_us < 0:
-            problems.append(f"{where}.clock_sigma: must be >= 0")
-        if dev.rp_period_us is not None and dev.rp_period_us <= 0:
-            problems.append(f"{where}.rp_period: must be > 0 or null")
+        if dev.receive_delay1_us >= dev.receive_delay2_us:
+            problems.append(
+                f"{where}.receive_delay1: {_fmt_us(dev.receive_delay1_us)} not before "
+                f"receive_delay2 {_fmt_us(dev.receive_delay2_us)}")
         if dev.rp_channels is not None:
             if not dev.rp_channels:
                 problems.append(f"{where}.rp_channels: empty list")
@@ -517,8 +567,9 @@ def validate_scenario(scenario: Scenario) -> None:
                             f"{scenario.rp_subband}")
         if dev.assignment is not None:
             freq, sf = dev.assignment
-            if not 7 <= sf <= 10:
-                problems.append(f"{where}.assignment.sf: {sf} outside [7, 10]")
+            if not UP_SF_MIN <= sf <= UP_SF_MAX:
+                problems.append(
+                    f"{where}.assignment.sf: {sf} outside [{UP_SF_MIN}, {UP_SF_MAX}]")
             allowed = cluster_channels.get(dev.cluster, up_default_channels)
             if allowed and freq not in allowed:
                 problems.append(
@@ -541,17 +592,6 @@ def validate_scenario(scenario: Scenario) -> None:
         if trig.level < 0:
             problems.append(f"{where}.level: must be >= 0")
 
-    for gw in scenario.gateways:
-        if gw.role not in ("full", "rx_only"):
-            problems.append(f"gateways({gw.id}).role: {gw.role!r} is not 'full'/'rx_only'")
-        if gw.duty_policy not in ("offtime", "window"):
-            problems.append(f"gateways({gw.id}).duty_policy: {gw.duty_policy!r}")
-        if gw.demod_paths < 1:
-            problems.append(f"gateways({gw.id}).demod_paths: must be >= 1")
-    if scenario.device_duty_policy not in ("offtime", "window"):
-        problems.append(f"device_duty_policy: {scenario.device_duty_policy!r}")
-    if scenario.capture.mode not in ("empirical", "threshold"):
-        problems.append(f"capture.mode: {scenario.capture.mode!r}")
     for (own, other), p in scenario.capture.survival:
         if not (7 <= own <= 12 and 7 <= other <= 12):
             problems.append(f"capture.survival: SF pair {own}/{other} outside [7, 12]")
@@ -572,85 +612,9 @@ def load_scenario(path: str | Path) -> Scenario:
     return parse_scenario(data)
 
 
-def _fmt_us(us: SimTime) -> str:
-    if us % US_PER_SECOND == 0:
-        return f"{us // US_PER_SECOND} s"
-    if us % 1000 == 0:
-        return f"{us // 1000} ms"
-    return f"{us} us"
-
-
-def _fmt_hz(hz: int) -> str:
-    if hz % 100_000 == 0:
-        return f"{hz / 1_000_000} MHz"
-    return f"{hz} Hz"
-
-
 def scenario_to_dict(scenario: Scenario) -> dict:
     """Serialize back to the YAML document shape; parse_scenario round-trips it."""
-    doc: dict[str, object] = {"name": scenario.name, "seed": scenario.seed}
-    doc["stop"] = ({"ups": scenario.stop.ups} if scenario.stop.ups is not None
-                   else {"duration": _fmt_us(scenario.stop.at_us or 0)})
-    doc["gateways"] = [
-        {"id": g.id, "role": g.role, "demod_paths": g.demod_paths,
-         "backhaul": _fmt_us(g.backhaul_delay_us), "duty_policy": g.duty_policy}
-        for g in scenario.gateways]
-    doc["clusters"] = [
-        {"id": c.id, "members": list(c.members), "dcp_gateway": c.dcp_gateway,
-         **({"up_channels": [_fmt_hz(ch) for ch in c.up_channels]}
-            if c.up_channels is not None else {})}
-        for c in scenario.clusters]
-    devices = []
-    for d in scenario.devices:
-        entry: dict[str, object] = {
-            "id": d.id, "cluster": d.cluster,
-            "rp_period": None if d.rp_period_us is None else _fmt_us(d.rp_period_us),
-            "clock_sigma": _fmt_us(d.clock_sigma_us),
-            "rp_sf": d.rp_sf, "rp_payload": d.rp_payload_len,
-            "up_payload": d.up_payload_len,
-            "rx_power": f"{d.rx_power_dbm} dBm",
-            "receive_delay1": _fmt_us(d.receive_delay1_us),
-            "receive_delay2": _fmt_us(d.receive_delay2_us),
-            "rp_floor": _fmt_us(d.rp_floor_us),
-        }
-        if d.rp_channels is not None:
-            entry["rp_channels"] = [_fmt_hz(ch) for ch in d.rp_channels]
-        if d.assignment is not None:
-            entry["assignment"] = {"channel": _fmt_hz(d.assignment[0]),
-                                   "sf": d.assignment[1]}
-        devices.append(entry)
-    doc["devices"] = devices
-    if scenario.triggers:
-        alarms = []
-        for t in scenario.triggers:
-            entry = {"kind": t.kind, "species": t.species,
-                     "level": f"{t.level} {_LEVEL_UNITS[t.species]}"}
-            if t.devices:
-                entry["devices"] = list(t.devices)
-            if t.cluster is not None:
-                entry["cluster"] = t.cluster
-            if t.kind == "script":
-                entry["times"] = [_fmt_us(x) for x in t.times_us]
-            else:
-                entry["interarrival"] = {"min": _fmt_us(t.interarrival_min_us),
-                                         "max": _fmt_us(t.interarrival_max_us)}
-            alarms.append(entry)
-        doc["alarms"] = alarms
-    doc["capture"] = {
-        "mode": scenario.capture.mode,
-        "co_sf_margin": f"{scenario.capture.co_sf_margin_db} dB",
-        **({"survival": {f"{a}/{b}": p for (a, b), p in scenario.capture.survival}}
-           if scenario.capture.survival else {}),
-    }
-    defaults = SensorProfile()
-    if scenario.sensor != defaults:
-        doc["sensor"] = {"co_alarm": f"{scenario.sensor.co_alarm_ppm} ppm",
-                         "o2_deficiency": f"{scenario.sensor.o2_deficiency_pct} %"}
-    doc["dcp_payload"] = scenario.dcp_payload_len
-    doc["rp_subband"] = scenario.rp_subband
-    doc["up_subband"] = scenario.up_subband
-    doc["device_duty_policy"] = scenario.device_duty_policy
-    return doc
+    return _dump_spec(scenario)
 
 
 def save_scenario(scenario: Scenario, path: str | Path) -> None:

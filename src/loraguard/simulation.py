@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import itertools
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import partial
 from typing import Callable
 
@@ -65,6 +65,13 @@ class _Reporter:
     handler: Callable[[], None] | None = None  # the device's one "rp" action
 
 
+def _from_spec(cls: type, spec: object, **resolved: object):
+    """A ``cls`` built from the fields it shares with ``spec``, then ``resolved``."""
+    wanted = {f.name for f in fields(cls)}
+    shared = {f.name: getattr(spec, f.name) for f in fields(spec) if f.name in wanted}
+    return cls(**{**shared, **resolved})
+
+
 class Simulation:
     """One runnable instance of a scenario."""
 
@@ -83,11 +90,9 @@ class Simulation:
         self._dcp_resources: dict[tuple[int, int], tuple[SubBand, SimTime]] = {}
         self._rp_stats: KindStats | None = None
 
-        survival = dict(DEFAULT_SURVIVAL)
-        survival.update(dict(self.scenario.capture.survival))
-        self.capture = CaptureModel(mode=self.scenario.capture.mode,
-                                    co_sf_margin_db=self.scenario.capture.co_sf_margin_db,
-                                    survival=survival)
+        capture = self.scenario.capture
+        self.capture = _from_spec(CaptureModel, capture,
+                                  survival={**DEFAULT_SURVIVAL, **dict(capture.survival)})
 
         self.rp_band = self.plan.subband(self.scenario.rp_subband)
         self.up_band = self.plan.subband(self.scenario.up_subband)
@@ -95,9 +100,7 @@ class Simulation:
         self.ledger = DutyCycleLedger(default_policy=self.scenario.device_duty_policy)
         self.gateways: dict[str, Gateway] = {}
         for spec in self.scenario.gateways:
-            self.gateways[spec.id] = Gateway(
-                id=spec.id, role=spec.role, demod_paths=spec.demod_paths,
-                backhaul_delay_us=spec.backhaul_delay_us)
+            self.gateways[spec.id] = _from_spec(Gateway, spec)
             self.ledger.set_policy(spec.id, spec.duty_policy)
 
         self.server = NetworkServer()
@@ -108,26 +111,15 @@ class Simulation:
             cluster_channels[cspec.id] = channels
             explicit = {d.id: d.assignment for d in self.scenario.devices
                         if d.cluster == cspec.id and d.assignment is not None}
-            self.server.add_cluster(
-                Cluster(id=cspec.id, members=cspec.members,
-                        dcp_gateway=cspec.dcp_gateway, up_channels=channels),
-                explicit=explicit)
+            self.server.add_cluster(_from_spec(Cluster, cspec, up_channels=channels),
+                                    explicit=explicit)
 
         self.devices: dict[str, EndDevice] = {}
         for dspec in self.scenario.devices:
-            device = EndDevice(
-                id=dspec.id, cluster=dspec.cluster,
-                rp_period_us=dspec.rp_period_us,
-                clock_sigma_us=dspec.clock_sigma_us,
-                rp_sf=dspec.rp_sf,
-                rp_payload_len=dspec.rp_payload_len,
+            device = _from_spec(
+                EndDevice, dspec,
                 rp_channels=dspec.rp_channels or self.rp_band.channels,
-                up_payload_len=dspec.up_payload_len,
                 up_channels=cluster_channels[dspec.cluster],
-                rx_power_dbm=dspec.rx_power_dbm,
-                receive_delay1_us=dspec.receive_delay1_us,
-                receive_delay2_us=dspec.receive_delay2_us,
-                rp_floor_us=dspec.rp_floor_us,
                 # Commissioning: the device powers up knowing its assignment;
                 # control downlinks re-confirm it for the rest of the run.
                 assignment=self.server.assignments[dspec.id],

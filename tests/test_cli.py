@@ -160,3 +160,44 @@ class TestValidate:
 def test_no_subcommand_is_a_usage_error():
     with pytest.raises(SystemExit):
         main([])
+
+
+def write_doc(tmp_path, doc):
+    path = tmp_path / "scenario.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    return str(path)
+
+
+def two_device_doc():
+    return {
+        "name": "pair",
+        "stop": {"ups": 2},
+        "gateways": [{"id": "gw1"}],
+        "clusters": [{"id": "c1", "members": ["ed1", "ed2"], "dcp_gateway": "gw1"}],
+        "devices": [{"id": "ed1", "cluster": "c1"}, {"id": "ed2", "cluster": "c1"}],
+        "alarms": [{"kind": "script", "species": "methane", "level": "1.2 %vol",
+                    "devices": ["ed1"], "times": ["10 s", "40 s"]}],
+    }
+
+
+@pytest.mark.parametrize("device,message", [
+    ({"rp_payload": -1}, "devices(ed2).rp_payload: -1 outside [0, 255]"),
+    ({"assignment": {"channel": "867.1 MHz", "sf": 7}},
+     "devices(ed1).assignment: automatic (867.1 MHz, SF7) collides with ed2"),
+])
+def test_run_rejects_an_invalid_scenario_before_simulating(tmp_path, capsys, device, message):
+    doc = two_device_doc()
+    doc["devices"][1].update(device)
+    assert main(["run", write_doc(tmp_path, doc)]) == EXIT_INVALID
+    err = capsys.readouterr().err
+    assert "invalid scenario" in err and message in err
+
+
+def test_validate_rejects_reporters_with_different_period_or_jitter(tmp_path, capsys):
+    doc = two_device_doc()
+    doc["devices"].append({"id": "ed3", "cluster": "c1", "clock_sigma": "10 ms"})
+    doc["devices"][1]["rp_period"] = "30 s"
+    doc["clusters"][0]["members"].append("ed3")
+    assert main(["validate", write_doc(tmp_path, doc)]) == EXIT_INVALID
+    err = capsys.readouterr().err
+    assert "reporters ed2, ed3 differ from ed1" in err

@@ -1,10 +1,13 @@
 """Scenario documents: unit-suffixed quantities, validation, round-trips."""
 
+import dataclasses
 import re
+from pathlib import Path
 
 import pytest
 import yaml
 
+from loraguard import scenario as scenario_module
 from loraguard.scenario import (
     Scenario,
     ScenarioError,
@@ -18,6 +21,8 @@ from loraguard.scenario import (
     scenario_to_dict,
     shipped_scenario_path,
 )
+from loraguard.sensor import SensorProfile
+from loraguard.simulation import Simulation
 
 SHIPPED = [
     "test1_sf_pairs",
@@ -85,7 +90,7 @@ class TestShippedScenarios:
 
 
 class TestRoundTrip:
-    @pytest.mark.parametrize("name", ["test3_dual_gw", "demo_small"])
+    @pytest.mark.parametrize("name", SHIPPED)
     def test_serialization_round_trips_exactly(self, name):
         original = load_scenario(shipped_scenario_path(name))
         doc = yaml.safe_load(yaml.safe_dump(scenario_to_dict(original)))
@@ -287,3 +292,191 @@ class TestDocumentValidation:
     def test_missing_file_raises_file_not_found(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_scenario(tmp_path / "nope.yaml")
+
+
+# Sets every declared field, and every hand-written alarm and sensor key, to a
+# value other than its default; ed2 sits on the inclusive range bounds.  The
+# digest was recorded with the hand-written parsers and serialiser that the
+# field declarations replaced.
+EVERY_FIELD_DOC = {
+    "name": "every_field",
+    "seed": 11,
+    "stop": {"duration": "2 h"},
+    "gateways": [
+        {"id": "gw1", "role": "full", "demod_paths": 4, "backhaul": "35 ms",
+         "duty_policy": "offtime"},
+        {"id": "gw2", "role": "rx_only", "demod_paths": 2, "backhaul": "250 us",
+         "duty_policy": "window"},
+    ],
+    "clusters": [
+        {"id": "c1", "members": ["ed1", "ed2"], "dcp_gateway": "gw1",
+         "up_channels": ["868.1 MHz", "868.3 MHz"]},
+    ],
+    "devices": [
+        {"id": "ed1", "cluster": "c1", "rp_period": "30 s", "clock_sigma": "20 ms",
+         "rp_sf": 9, "rp_payload": 20, "rp_channels": ["869.525 MHz"],
+         "up_payload": 12, "assignment": {"channel": "868.1 MHz", "sf": 8},
+         "rx_power": "-3.5 dBm", "receive_delay1": "1500 ms",
+         "receive_delay2": "2500 ms", "rp_floor": "250 ms"},
+        {"id": "ed2", "cluster": "c1", "rp_period": None, "clock_sigma": "0 s",
+         "rp_sf": 12, "rp_payload": 255, "rp_channels": ["869.525 MHz"],
+         "up_payload": 0, "assignment": {"channel": "868.3 MHz", "sf": 10},
+         "rx_power": "4 dBm", "receive_delay1": "3 s",
+         "receive_delay2": "4 s", "rp_floor": "0 s"},
+    ],
+    "alarms": [
+        {"kind": "script", "species": "co", "level": "150 ppm", "devices": ["ed1"],
+         "times": ["10 s", "90 s"]},
+        {"kind": "random", "species": "propane", "level": "0.9 %vol", "cluster": "c1",
+         "devices": ["ed2"], "interarrival": {"min": "200 s", "max": "300 s"}},
+    ],
+    "capture": {"mode": "threshold", "co_sf_margin": "4.5 dB",
+                "survival": {"8/7": 0.75, "7/8": 0.25}},
+    "sensor": {"co_alarm": "120 ppm", "o2_deficiency": "18.5 %"},
+    "dcp_payload": 21,
+    "rp_subband": "g3",
+    "up_subband": "g1",
+    "device_duty_policy": "window",
+}
+EVERY_FIELD_DIGEST = "811d32dde7b8c823"
+
+
+class TestEveryField:
+    def test_digest_is_pinned(self):
+        assert scenario_digest(parse_scenario(EVERY_FIELD_DOC)) == EVERY_FIELD_DIGEST
+
+    def test_round_trips_exactly(self):
+        original = parse_scenario(EVERY_FIELD_DOC)
+        doc = yaml.safe_load(yaml.safe_dump(scenario_to_dict(original)))
+        assert parse_scenario(doc) == original
+        assert scenario_to_dict(parse_scenario(doc)) == scenario_to_dict(original)
+
+    def test_every_declared_field_is_set_away_from_its_default(self):
+        scenario = parse_scenario(EVERY_FIELD_DOC)
+        specs = [scenario, scenario.stop, scenario.capture,
+                 *scenario.gateways, *scenario.clusters, *scenario.devices]
+        for cls in {type(spec) for spec in specs}:
+            for f in dataclasses.fields(cls):
+                if (cls, f.name) == (StopSpec, "ups"):
+                    continue  # excludes 'duration'; every shipped scenario sets it
+                assert any(getattr(spec, f.name) != f.default
+                           for spec in specs if type(spec) is cls), (cls.__name__, f.name)
+        assert scenario.sensor != SensorProfile()
+        assert {t.kind for t in scenario.triggers} == {"script", "random"}
+
+    def test_simulation_objects_carry_every_spec_value(self):
+        scenario = parse_scenario(EVERY_FIELD_DOC)
+        sim = Simulation(scenario)
+        pairs = [(spec, sim.devices[spec.id]) for spec in scenario.devices]
+        pairs += [(spec, sim.gateways[spec.id]) for spec in scenario.gateways]
+        pairs += [(scenario.capture, sim.capture)]
+        for spec, built in pairs:
+            for f in dataclasses.fields(spec):
+                if f.name == "duty_policy":
+                    continue  # a ledger setting, not a gateway attribute
+                expected = getattr(spec, f.name)
+                if f.name == "survival":
+                    assert {k: built.survival[k] for k, _p in expected} == dict(expected)
+                else:
+                    assert getattr(built, f.name) == expected, (type(built).__name__, f.name)
+
+
+OUT_OF_RANGE = [
+    # (section, key, value, the problem reported)
+    ("devices", "rp_payload", -1, "devices(ed1).rp_payload: -1 outside [0, 255]"),
+    ("devices", "rp_payload", 300, "devices(ed1).rp_payload: 300 outside [0, 255]"),
+    ("devices", "up_payload", 256, "devices(ed1).up_payload: 256 outside [0, 255]"),
+    (None, "dcp_payload", -3, "dcp_payload: -3 outside [0, 255]"),
+    ("gateways", "backhaul", "-5 ms", "gateways(gw1).backhaul: -5 ms below 0 s"),
+    ("devices", "receive_delay1", "-1 s", "devices(ed1).receive_delay1: -1 s below 0 s"),
+    ("devices", "receive_delay2", "-2 s", "devices(ed1).receive_delay2: -2 s below 0 s"),
+    ("devices", "rp_floor", "-1 ms", "devices(ed1).rp_floor: -1 ms below 0 s"),
+    ("devices", "receive_delay1", "3 s",
+     "devices(ed1).receive_delay1: 3 s not before receive_delay2 2 s"),
+    ("devices", "receive_delay1", "2 s",
+     "devices(ed1).receive_delay1: 2 s not before receive_delay2 2 s"),
+]
+
+
+class TestFieldRanges:
+    @pytest.mark.parametrize("section,key,value,message", OUT_OF_RANGE,
+                             ids=[f"{key}={value}" for _s, key, value, _m in OUT_OF_RANGE])
+    def test_out_of_range_values_name_the_field(self, section, key, value, message):
+        doc = minimal_doc()
+        (doc[section][0] if section else doc)[key] = value
+        with pytest.raises(ScenarioError, match=re.escape(message)):
+            parse_scenario(doc)
+
+    def test_null_takes_the_default_except_where_null_is_a_value(self):
+        doc = minimal_doc()
+        doc["devices"][0].update(rp_sf=None, assignment=None, rp_period=None)
+        device = parse_scenario(doc).device("ed1")
+        assert device.rp_sf == 7 and device.assignment is None
+        assert device.rp_period_us is None
+        doc["devices"][0]["cluster"] = None
+        with pytest.raises(ScenarioError, match=r"devices\[0\]\(ed1\)\.cluster: required"):
+            parse_scenario(doc)
+
+
+def mixed_assignment_doc():
+    doc = minimal_doc()
+    doc["clusters"][0]["members"] = ["ed1", "ed2"]
+    doc["devices"] = [
+        {"id": "ed1", "cluster": "c1"},
+        {"id": "ed2", "cluster": "c1", "assignment": {"channel": "867.1 MHz", "sf": 7}},
+    ]
+    return doc
+
+
+def test_non_string_survival_keys_are_reported_not_crashed_on():
+    doc = minimal_doc()
+    doc["capture"] = {"survival": {"7/8": 0.5, 78: 0.5}}
+    with pytest.raises(ScenarioError, match="own_sf/other_sf.*78"):
+        parse_scenario(doc)
+
+
+class TestAssignmentCollisions:
+    def test_automatic_assignment_may_not_take_an_explicit_resource(self):
+        with pytest.raises(ScenarioError, match=re.escape(
+                "devices(ed1).assignment: automatic (867.1 MHz, SF7) collides with ed2")):
+            parse_scenario(mixed_assignment_doc())
+
+    def test_mixed_assignments_on_distinct_resources_are_accepted(self):
+        doc = mixed_assignment_doc()
+        doc["devices"][1]["assignment"] = {"channel": "867.3 MHz", "sf": 7}
+        assert parse_scenario(doc).device("ed1").assignment is None
+
+    def test_explicit_duplicates_stay_legal(self):
+        doc = mixed_assignment_doc()
+        doc["devices"][0]["assignment"] = {"channel": "867.1 MHz", "sf": 7}
+        assert parse_scenario(doc)
+
+
+DOC_TABLES = {
+    scenario_module.Scenario: "Top-level fields",
+    scenario_module.StopSpec: "Stop",
+    scenario_module.GatewaySpec: "Gateways",
+    scenario_module.ClusterSpec: "Clusters",
+    scenario_module.DeviceSpec: "Devices",
+    scenario_module.CaptureSpec: "Capture",
+}
+
+
+def documented_keys(section: str) -> set[str]:
+    """First-column keys of the table under ``## <section>`` in the format doc."""
+    text = (Path(__file__).parent.parent / "docs" / "scenario_format.md").read_text()
+    body = text.split(f"\n## {section}\n", 1)[1].split("\n## ", 1)[0]
+    return set(re.findall(r"^\| `([a-z0-9_]+)`", body, flags=re.MULTILINE))
+
+
+class TestFormatDoc:
+    def test_every_declared_spec_has_a_table(self):
+        declared = {obj for obj in vars(scenario_module).values()
+                    if isinstance(obj, type) and dataclasses.is_dataclass(obj)
+                    and "key" in dataclasses.fields(obj)[0].metadata}
+        assert declared == set(DOC_TABLES)
+
+    @pytest.mark.parametrize("spec", list(DOC_TABLES), ids=lambda spec: spec.__name__)
+    def test_table_lists_exactly_the_declared_keys(self, spec):
+        keys = {f.metadata["key"] for f in dataclasses.fields(spec)}
+        assert documented_keys(DOC_TABLES[spec]) == keys
