@@ -14,6 +14,15 @@ collision-free probability multiplies the per-sender survival terms:
 
     P_free = prod_n (1 - I(tau_n + D) / T),  I(delta) = int_0^delta (1 - F_r(x)) dx.
 
+For sigma > 0 the integral has a closed form.  With u = (x - T) / sigma,
+Phi the standard normal CDF, phi its density and g(u) = u Phi(u) + phi(u),
+g' = Phi, so the antiderivative of 1 - Phi is u - g(u) and
+
+    I(delta) = delta - sigma [g(u1) - g(u0)],  u1 = (delta - T)/sigma, u0 = -T/sigma.
+
+Phi is evaluated as erfc(-u/sqrt 2)/2, which keeps full relative precision in
+the lower tail; for sigma = 0 the integral is exactly min(delta, T).
+
 Three evaluators are provided: exact per-sender airtimes, independent
 discrete mixtures of airtimes, and the small-loss linear approximation
 PLR = N (E[tau] + E[D]) / T.
@@ -25,17 +34,25 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from scipy.integrate import quad
-
 #: Results are flagged out-of-regime when tau + D comes within this many
 #: sigmas of the period, where the residual-density truncation at 0 matters.
 REGIME_SIGMAS = 5.0
 
+_INV_SQRT2 = 1.0 / math.sqrt(2.0)
+_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
-def _gaussian_cdf(x: float, mean: float, sigma: float) -> float:
-    if sigma == 0.0:
-        return 1.0 if x >= mean else 0.0
-    return 0.5 * (1.0 + math.erf((x - mean) / (sigma * math.sqrt(2.0))))
+
+def _normal_cdf(u: float) -> float:
+    """Standard normal CDF; keeps its relative precision deep in the lower tail."""
+    return 0.5 * math.erfc(-u * _INV_SQRT2)
+
+
+def _g(u: float) -> float:
+    # u Phi(u) + phi(u), the antiderivative of Phi.  Below u = -40 both terms
+    # underflow to 0.0, so the early return changes no result.
+    if u < -40.0:
+        return 0.0
+    return u * _normal_cdf(u) + _INV_SQRT_2PI * math.exp(-0.5 * u * u)
 
 
 def residual_density(x: float, period_s: float, sigma_s: float) -> float:
@@ -43,23 +60,29 @@ def residual_density(x: float, period_s: float, sigma_s: float) -> float:
     _validate_process(period_s, sigma_s)
     if x < 0:
         raise ValueError(f"residual time must be >= 0, got {x}")
-    return (1.0 - _gaussian_cdf(x, period_s, sigma_s)) / period_s
+    if sigma_s == 0.0:
+        return 0.0 if x >= period_s else 1.0 / period_s
+    return _normal_cdf((period_s - x) / sigma_s) / period_s
 
 
 def survivor_integral(delta_s: float, period_s: float, sigma_s: float) -> float:
     """I(delta) = integral of (1 - F_r) from 0 to delta.
 
-    For sigma = 0 this is exactly min(delta, T); otherwise it is evaluated by
-    adaptive Gauss-Kronrod quadrature to 1e-10 absolute tolerance.
+    Exactly min(delta, T) for sigma = 0; otherwise the closed form
+    delta - sigma [g(u1) - g(u0)] of the module docstring, which follows from
+    integral (1 - Phi) du = u - g(u).
     """
     _validate_process(period_s, sigma_s)
     if delta_s < 0:
         raise ValueError(f"delta must be >= 0, got {delta_s}")
+    return _survivor_integral(delta_s, period_s, sigma_s)
+
+
+def _survivor_integral(delta_s: float, period_s: float, sigma_s: float) -> float:
+    """``survivor_integral`` without input checks, for callers that made them."""
     if sigma_s == 0.0:
         return min(delta_s, period_s)
-    value, _err = quad(lambda x: 1.0 - _gaussian_cdf(x, period_s, sigma_s),
-                       0.0, delta_s, epsabs=1e-10, limit=200)
-    return value
+    return delta_s - sigma_s * (_g((delta_s - period_s) / sigma_s) - _g(-period_s / sigma_s))
 
 
 def _validate_process(period_s: float, sigma_s: float) -> None:
@@ -134,7 +157,7 @@ def plr_exact_fixed(dcp_airtimes_s: Sequence[float], up_airtime_s: float,
             raise ValueError(f"dcp airtime must be >= 0, got {tau}")
         block = tau + up_airtime_s
         max_block = max(max_block, block)
-        factor = 1.0 - survivor_integral(block, period_s, sigma_s) / period_s
+        factor = 1.0 - _survivor_integral(block, period_s, sigma_s) / period_s
         if factor <= 0.0:
             raise ValueError(
                 f"blocking interval {block} s saturates the period {period_s} s")
@@ -156,8 +179,8 @@ def plr_marginal(params: PlrModelParams) -> PlrResult:
         for d, p_d in params.up_airtimes:
             block = tau + d
             max_block = max(max_block, block)
-            factor = 1.0 - survivor_integral(block, params.period_s,
-                                             params.sigma_s) / params.period_s
+            factor = 1.0 - _survivor_integral(block, params.period_s,
+                                              params.sigma_s) / params.period_s
             if factor <= 0.0:
                 raise ValueError(
                     f"blocking interval {block} s saturates the period "

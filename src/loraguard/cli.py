@@ -15,7 +15,7 @@ from .analytic import PlrModelParams, plr_approx, plr_exact_fixed, plr_marginal
 from .engine import US_PER_SECOND
 from .metrics import emit_report, wilson_interval
 from .phy import RadioParams, airtime_us
-from .scenario import ScenarioError, load_scenario
+from .scenario import Scenario, ScenarioError, load_scenario
 from .simulation import Simulation
 
 EXIT_OK = 0
@@ -32,17 +32,21 @@ def _say(args: argparse.Namespace, text: str) -> None:
         print(text)
 
 
+def _load(args: argparse.Namespace) -> Scenario:
+    """The scenario file with the ``--seed`` override applied and checked."""
+    scenario = load_scenario(args.scenario)
+    return scenario if args.seed is None else scenario.with_seed(args.seed)
+
+
 def cmd_run(args: argparse.Namespace) -> int:
     try:
-        scenario = load_scenario(args.scenario)
+        scenario = _load(args)
     except OSError as exc:
         print(f"error: cannot read {args.scenario}: {exc}", file=sys.stderr)
         return EXIT_READ_ERROR
     except ScenarioError as exc:
         print(f"error: invalid scenario: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    if args.seed is not None:
-        scenario = scenario.with_seed(args.seed)
     try:
         started = time.perf_counter()
         report = Simulation(scenario).run()
@@ -126,15 +130,13 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 def cmd_validate(args: argparse.Namespace) -> int:
     try:
-        scenario = load_scenario(args.scenario)
+        scenario = _load(args)
     except OSError as exc:
         print(f"error: cannot read {args.scenario}: {exc}", file=sys.stderr)
         return EXIT_READ_ERROR
     except ScenarioError as exc:
         print(f"error: invalid scenario: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    if args.seed is not None:
-        scenario = scenario.with_seed(args.seed)
     # The model takes one report period and jitter for every sender.
     reporters = [d for d in scenario.devices if d.rp_period_us is not None]
     differing = [d.id for d in reporters

@@ -17,7 +17,7 @@ import re
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from functools import partial
 from pathlib import Path
-from typing import Any, Callable, NamedTuple
+from typing import Any, Callable, Mapping, NamedTuple
 
 import yaml
 
@@ -398,7 +398,7 @@ class Scenario:
     triggers: tuple[TriggerSpec, ...] = _field("alarms", _TRIGGERS, ())
     capture: CaptureSpec = _field("capture", _spec(CaptureSpec), CaptureSpec())
     sensor: SensorProfile = _field("sensor", _SENSOR, SensorProfile())
-    seed: int = _field("seed", _INT, 0, lo=0)
+    seed: int = _field("seed", _INT, 0, lo=0, hi=2**63 - 1)
     dcp_payload_len: int = _field("dcp_payload", _INT, 37, **_PAYLOAD_BYTES)
     rp_subband: str = _field("rp_subband", _STR, "g1")
     up_subband: str = _field("up_subband", _STR, "g")
@@ -406,6 +406,11 @@ class Scenario:
                                      choices=_DUTY_POLICIES)
 
     def with_seed(self, seed: int) -> "Scenario":
+        """This scenario with another seed, held to the declared seed range."""
+        meta = next(f.metadata for f in fields(self) if f.name == "seed")
+        problem = _value_problem(meta, seed, "seed")
+        if problem is not None:
+            raise ScenarioError(problem)
         return replace(self, seed=seed)
 
     def device(self, device_id: str) -> DeviceSpec:
@@ -434,14 +439,22 @@ def _range_problems(spec: Any, path: str = "") -> list[str]:
             for item in value:
                 problems += _range_problems(item, f"{where}({item.id})")
         elif value is not None:
-            fmt, lo, hi = meta["kind"].format, meta.get("lo"), meta.get("hi")
-            if "choices" in meta and value not in meta["choices"]:
-                problems.append(f"{where}: {value!r} is not one of {list(meta['choices'])}")
-            elif hi is not None and not lo <= value <= hi:
-                problems.append(f"{where}: {fmt(value)} outside [{fmt(lo)}, {fmt(hi)}]")
-            elif lo is not None and value < lo:
-                problems.append(f"{where}: {fmt(value)} below {fmt(lo)}")
+            problem = _value_problem(meta, value, where)
+            if problem is not None:
+                problems.append(problem)
     return problems
+
+
+def _value_problem(meta: Mapping[str, Any], value: object, where: str) -> str | None:
+    """The declared ``lo``/``hi``/``choices`` violation of one field value, if any."""
+    fmt, lo, hi = meta["kind"].format, meta.get("lo"), meta.get("hi")
+    if "choices" in meta and value not in meta["choices"]:
+        return f"{where}: {value!r} is not one of {list(meta['choices'])}"
+    if hi is not None and not lo <= value <= hi:
+        return f"{where}: {fmt(value)} outside [{fmt(lo)}, {fmt(hi)}]"
+    if lo is not None and value < lo:
+        return f"{where}: {fmt(value)} below {fmt(lo)}"
+    return None
 
 
 def parse_scenario(data: object) -> Scenario:

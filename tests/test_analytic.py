@@ -58,6 +58,17 @@ class TestSurvivorIntegral:
         values = [survivor_integral(d, T, SIGMA) for d in (0.0, 0.1, 1.0, 35.0, 70.0, 90.0)]
         assert values == sorted(values)
 
+    def test_step_far_below_the_period_is_not_missed(self):
+        # sigma << T and delta > T: the integrand falls from 1 to 0 in a few
+        # microseconds around T, which plain adaptive quadrature stepped over.
+        period, sigma = 198.6718960990048, 0.00022167749799357665
+        assert abs(survivor_integral(297.1597233609419, period, sigma) - period) < 1e-9
+
+    def test_deep_lower_tail_is_exactly_delta(self):
+        delta = 10.0
+        assert (delta - T) / SIGMA < -40
+        assert survivor_integral(delta, T, SIGMA) == delta
+
     def test_invalid_inputs_rejected(self):
         with pytest.raises(ValueError):
             survivor_integral(-1.0, T, SIGMA)
@@ -65,6 +76,25 @@ class TestSurvivorIntegral:
             survivor_integral(1.0, 0.0, SIGMA)
         with pytest.raises(ValueError):
             survivor_integral(1.0, T, -0.1)
+
+
+def _quadrature(delta, period, sigma):
+    """I(delta) by adaptive quadrature, told where the integrand steps down."""
+    points = [p for p in (period - 8 * sigma, period, period + 8 * sigma) if 0.0 < p < delta]
+    value, _err = quad(lambda x: 0.5 * math.erfc((x - period) / (sigma * math.sqrt(2.0))),
+                       0.0, delta, points=points or None, epsabs=1e-13, limit=200)
+    return value
+
+
+@settings(max_examples=300, deadline=None)
+@given(period=st.floats(1.0, 300.0),
+       log_ratio=st.floats(-6.0, 0.0),
+       delta_over_period=st.floats(0.0, 3.0))
+def test_closed_form_matches_quadrature(period, log_ratio, delta_over_period):
+    sigma = period * 10.0 ** log_ratio
+    delta = period * delta_over_period
+    closed = survivor_integral(delta, period, sigma)
+    assert abs(closed - _quadrature(delta, period, sigma)) <= 1e-12 * max(1.0, delta)
 
 
 class TestExactProduct:

@@ -1,6 +1,10 @@
 """Command-line interface: subcommands, formats, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 import yaml
@@ -13,6 +17,7 @@ from loraguard.cli import (
     EXIT_RUNTIME,
     main,
 )
+import loraguard
 from loraguard.scenario import shipped_scenario_path
 
 DEMO = str(shipped_scenario_path("demo_small"))
@@ -201,3 +206,27 @@ def test_validate_rejects_reporters_with_different_period_or_jitter(tmp_path, ca
     assert main(["validate", write_doc(tmp_path, doc)]) == EXIT_INVALID
     err = capsys.readouterr().err
     assert "reporters ed2, ed3 differ from ed1" in err
+
+
+@pytest.mark.parametrize("command", ["run", "validate"])
+def test_out_of_range_seed_override_is_an_invalid_scenario(tiny_scenario, capsys, command):
+    assert main([command, tiny_scenario, "--seed", "-1"]) == EXIT_INVALID
+    assert "seed: -1 outside [0, 9223372036854775807]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run", "validate"])
+def test_seed_beyond_63_bits_in_the_file_is_rejected(tmp_path, capsys, command):
+    doc = two_device_doc()
+    doc["seed"] = 2**63
+    assert main([command, write_doc(tmp_path, doc)]) == EXIT_INVALID
+    assert "seed: 9223372036854775808 outside" in capsys.readouterr().err
+
+
+def test_cli_import_does_not_load_scipy():
+    # scipy is a test-only dependency; loading it would triple start-up cost.
+    src = str(Path(loraguard.__file__).resolve().parent.parent)
+    code = ("import sys, loraguard.cli; "
+            "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"

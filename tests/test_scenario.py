@@ -387,6 +387,7 @@ OUT_OF_RANGE = [
     ("devices", "rp_payload", 300, "devices(ed1).rp_payload: 300 outside [0, 255]"),
     ("devices", "up_payload", 256, "devices(ed1).up_payload: 256 outside [0, 255]"),
     (None, "dcp_payload", -3, "dcp_payload: -3 outside [0, 255]"),
+    (None, "seed", 2**63, "seed: 9223372036854775808 outside [0, 9223372036854775807]"),
     ("gateways", "backhaul", "-5 ms", "gateways(gw1).backhaul: -5 ms below 0 s"),
     ("devices", "receive_delay1", "-1 s", "devices(ed1).receive_delay1: -1 s below 0 s"),
     ("devices", "receive_delay2", "-2 s", "devices(ed1).receive_delay2: -2 s below 0 s"),
@@ -406,6 +407,14 @@ class TestFieldRanges:
         (doc[section][0] if section else doc)[key] = value
         with pytest.raises(ScenarioError, match=re.escape(message)):
             parse_scenario(doc)
+
+    def test_seed_override_is_held_to_the_declared_range(self):
+        scenario = parse_scenario(minimal_doc())
+        assert scenario.with_seed(2**63 - 1).seed == 2**63 - 1
+        for seed in (-1, 2**63):
+            with pytest.raises(ScenarioError,
+                               match=re.escape(f"seed: {seed} outside [0, 9223372036854775807]")):
+                scenario.with_seed(seed)
 
     def test_null_takes_the_default_except_where_null_is_a_value(self):
         doc = minimal_doc()
