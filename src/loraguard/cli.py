@@ -1,7 +1,9 @@
 """Command-line front end: run scenarios, query airtimes, evaluate the model.
 
 Exit codes: 0 success, 2 unreadable input, 3 invalid scenario, 4 runtime
-failure, 5 validation mismatch (``validate`` only).
+failure, 5 validation mismatch (``validate`` only).  ``validate`` also exits 0,
+without running, when the scenario has no reporting devices: the model then
+has no control downlinks to predict.
 """
 
 from __future__ import annotations
@@ -139,6 +141,11 @@ def cmd_validate(args: argparse.Namespace) -> int:
         return EXIT_INVALID
     # The model takes one report period and jitter for every sender.
     reporters = [d for d in scenario.devices if d.rp_period_us is not None]
+    if not reporters:
+        # Control downlinks answer reports: without reporters the
+        # downlink-load model has nothing to predict, so nothing is run.
+        print("validate: not applicable (no gateway sends control downlinks)")
+        return EXIT_OK
     differing = [d.id for d in reporters
                  if (d.rp_period_us, d.clock_sigma_us)
                  != (reporters[0].rp_period_us, reporters[0].clock_sigma_us)]
@@ -161,10 +168,6 @@ def cmd_validate(args: argparse.Namespace) -> int:
                         for d in (trig.devices or
                                   next(c.members for c in scenario.clusters
                                        if c.id == trig.cluster))})
-    if not reporters:
-        print("error: no reporting devices, the downlink-load model does not apply",
-              file=sys.stderr)
-        return EXIT_RUNTIME
     dcp_airtimes = [airtime_us(RadioParams(sf=dev.rp_sf), scenario.dcp_payload_len)
                     / US_PER_SECOND for dev in reporters]
     period = reporters[0].rp_period_us / US_PER_SECOND

@@ -45,9 +45,10 @@ class Gateway:
     tx_busy_until: SimTime = 0
     active: dict[int, Reception] = field(default_factory=dict)
     finished: dict[int, str] = field(default_factory=dict)  # early loss causes
-    # uid -> (sf, power, end_us) per channel for every frame on the air,
+    # uid -> (end_us, (sf, power)) per channel for every frame on the air,
     # whether or not it holds a demod path: dropped frames still radiate.
-    on_air: dict[int, dict[int, tuple[int, float, SimTime]]] = field(default_factory=dict)
+    on_air: dict[int, dict[int, tuple[SimTime, tuple[int, float]]]] = field(
+        default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.role not in ("full", "rx_only"):
@@ -60,25 +61,30 @@ class Gateway:
 
         The frame joins the channel's interference set and is stamped onto
         every overlapping reception regardless of whether it wins a
-        demodulation path itself.
+        demodulation path itself.  A busy channel is scanned once: frames
+        that ended by ``now`` are pruned and take no part, each live
+        reception is stamped with the newcomer, and the live frames, in
+        arrival order, become the newcomer's interferers.
         """
         channel = self.on_air.get(tx.freq_hz)
         if channel is None:
             channel = self.on_air[tx.freq_hz] = {}
-        sf = tx.params.sf
-        power = self.rx_power_dbm.get(tx.source, 0.0)
-        if channel:
-            ended = [uid for uid, (_sf, _p, end) in channel.items() if end <= now]
+        signal = (tx.params.sf, self.rx_power_dbm.get(tx.source, 0.0))
+        interferers_seen = []
+        if channel:  # empty is the common case: nothing else on the air
+            active = self.active
+            ended = []
+            for uid, (end, other) in channel.items():
+                if end <= now:
+                    ended.append(uid)
+                    continue
+                reception = active.get(uid)
+                if reception is not None:
+                    reception.interferers.append(signal)
+                interferers_seen.append(other)
             for uid in ended:
                 del channel[uid]
-            for uid in channel:
-                reception = self.active.get(uid)
-                if reception is not None:
-                    reception.interferers.append((sf, power))
-            interferers_seen = [(sf_i, p) for (sf_i, p, _end) in channel.values()]
-        else:
-            interferers_seen = []  # nothing else on the air: the common case
-        channel[tx.uid] = (sf, power, tx.end_us)
+        channel[tx.uid] = (tx.end_us, signal)
 
         if self.tx_busy_until > now:
             self.finished[tx.uid] = CAUSE_TX_BUSY

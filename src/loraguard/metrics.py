@@ -14,6 +14,7 @@ import io
 import json
 import math
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
 from .engine import SimTime
@@ -58,9 +59,18 @@ def plr(losses: int, total: int, z: float = WILSON_Z) -> tuple[float, tuple[floa
     return losses / total, wilson_interval(losses, total, z)
 
 
-@dataclass
+# The per-gateway view of an uplink that never reached the air.
+_NO_GATEWAYS: Mapping[str, str] = MappingProxyType({})
+
+
+@dataclass(slots=True)
 class PacketOutcome:
-    """Lifecycle record of one urgent uplink."""
+    """Lifecycle record of one urgent uplink.
+
+    ``per_gateway`` maps each gateway id to its loss cause, or ``"decoded"``.
+    It is read-only, so one mapping can serve every uplink with the same
+    per-gateway outcomes.
+    """
 
     uid: int
     device: str
@@ -70,7 +80,7 @@ class PacketOutcome:
     delivered: bool = False
     delivered_at_us: SimTime | None = None
     cause: str | None = None  # system-level loss cause when not delivered
-    per_gateway: dict[str, str] = field(default_factory=dict)
+    per_gateway: Mapping[str, str] = field(default_factory=lambda: _NO_GATEWAYS)
 
 
 def latency_of(outcome: PacketOutcome) -> SimTime:

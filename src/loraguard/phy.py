@@ -381,19 +381,13 @@ class TransmissionKind(str, Enum):
         return self.value
 
 
-_uid_counter = 0
-
-
-def _next_uid() -> int:
-    # Serves standalone construction; a Simulation numbers its own frames.
-    global _uid_counter
-    _uid_counter += 1
-    return _uid_counter
-
-
 @dataclass(slots=True)
 class Transmission:
-    """One frame on the air; ``end_us`` is fixed at construction."""
+    """One frame on the air; ``end_us`` is fixed at construction.
+
+    ``uid`` is given by whoever builds the frame: a ``Simulation`` numbers its
+    own frames, so no counter is shared between runs.
+    """
 
     source: str
     kind: TransmissionKind
@@ -402,8 +396,8 @@ class Transmission:
     start_us: SimTime
     airtime_us: SimTime
     payload_len: int
+    uid: int
     trigger_us: SimTime | None = None  # alarm instant for urgent uplinks
-    uid: int = field(default_factory=_next_uid)
     end_us: SimTime = field(init=False)
 
     def __post_init__(self) -> None:

@@ -16,7 +16,12 @@ Everything that depends only on the scenario is bound once per run: radio
 parameters and airtime per (SF, payload length), each reporter's sub-band,
 parameters and airtime per report channel, and each downlink's sub-band and
 airtime per (channel, SF).  Urgent-uplink resources are bound per assignment,
-since a control downlink may change it.
+since a control downlink may change it.  The urgent-uplink counters are bound
+when the first alarm triggers an uplink, so a run without urgent uplinks still
+reports no ``UP`` kind.  Each distinct tuple of per-gateway outcomes (in
+scenario gateway order) is resolved once into a shared read-only per-gateway
+map, the earliest backhaul delay among the decoding gateways and the
+system-level loss cause; every urgent uplink with that tuple reuses them.
 """
 
 from __future__ import annotations
@@ -25,7 +30,8 @@ import itertools
 import logging
 from dataclasses import dataclass, fields
 from functools import partial
-from typing import Callable
+from types import MappingProxyType
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -53,6 +59,12 @@ class _AlarmSource:
 
 # (sub-band, radio parameters, airtime) of one uplink resource.
 _Resource = tuple[SubBand, RadioParams, SimTime]
+
+# What one tuple of per-gateway outcomes means for an urgent uplink: its
+# read-only per-gateway map, the earliest backhaul delay among the gateways
+# that decoded it (None if none did) and its system-level loss cause (None
+# if delivered).
+_UpVerdict = tuple[Mapping[str, str], SimTime | None, str | None]
 
 
 @dataclass(slots=True)
@@ -89,6 +101,9 @@ class Simulation:
         self._up_resources: dict[tuple[int, int, int], _Resource] = {}
         self._dcp_resources: dict[tuple[int, int], tuple[SubBand, SimTime]] = {}
         self._rp_stats: KindStats | None = None
+        self._up_stats: KindStats | None = None
+        # per-gateway causes (None = decoded), in receiver order -> verdict
+        self._up_verdicts: dict[tuple[str | None, ...], _UpVerdict] = {}
 
         capture = self.scenario.capture
         self.capture = _from_spec(CaptureModel, capture,
@@ -245,11 +260,14 @@ class Simulation:
     def _trigger_up(self, device: EndDevice) -> None:
         now = self.engine.now
         self._ups_generated += 1
-        self.metrics.kind("UP").generated += 1
-        outcome = PacketOutcome(uid=0, device=device.id, trigger_us=now)
+        stats = self._up_stats
+        if stats is None:
+            stats = self._up_stats = self.metrics.kind("UP")
+        stats.generated += 1
+        outcome = PacketOutcome(0, device.id, now)
         if device.assignment is None:
             outcome.cause = CAUSE_UNASSIGNED
-            self.metrics.kind("UP").add_loss(CAUSE_UNASSIGNED)
+            stats.add_loss(CAUSE_UNASSIGNED)
             self._finalize_up(outcome)
             return
         self._attempt_up(device, outcome)
@@ -258,49 +276,59 @@ class Simulation:
         now = self.engine.now
         if not device.idle_at(now):
             # Half-duplex: wait out the device's own transmission.
-            self.metrics.kind("UP").deferrals += 1
+            self._up_stats.deferrals += 1
             self.engine.schedule(device.busy_until,
                                  partial(self._attempt_up, device, outcome), "up")
             return
-        freq_hz = device.assignment[0]
         band, params, air = self._up_resource(device)
         if self.ledger.check(device.id, band, now, air) > now:
             # An urgent alarm is stale by the time the band frees; count it lost.
             outcome.cause = CAUSE_DUTY_CYCLE
-            self.metrics.kind("UP").add_loss(CAUSE_DUTY_CYCLE)
+            self._up_stats.add_loss(CAUSE_DUTY_CYCLE)
             self._finalize_up(outcome)
             return
-        tx = Transmission(source=device.id, kind=TransmissionKind.UP,
-                          freq_hz=freq_hz, params=params, start_us=now,
-                          airtime_us=air, payload_len=device.up_payload_len,
-                          trigger_us=outcome.trigger_us, uid=next(self._uids))
-        outcome.uid = tx.uid
+        uid = next(self._uids)
+        tx = Transmission(device.id, TransmissionKind.UP, device.assignment[0], params,
+                          now, air, device.up_payload_len, uid, outcome.trigger_us)
+        outcome.uid = uid
         outcome.start_us = now
         outcome.end_us = tx.end_us
         self._start_uplink(device, tx, band)
-        self.engine.schedule(tx.end_us, partial(self._finish_up, device, tx, outcome),
-                             "up-end")
+        self.engine.schedule(tx.end_us, partial(self._finish_up, tx, outcome), "up-end")
 
-    def _finish_up(self, device: EndDevice, tx: Transmission,
-                   outcome: PacketOutcome) -> None:
+    def _finish_up(self, tx: Transmission, outcome: PacketOutcome) -> None:
         now = self.engine.now
-        causes = {gw_id: gw.on_uplink_end(tx, now, self.capture, rng)
-                  for gw_id, gw, rng in self._receivers}
-        for gw_id, cause in causes.items():
+        causes: tuple[str | None, ...] = ()
+        for gw_id, gw, rng in self._receivers:
+            cause = gw.on_uplink_end(tx, now, self.capture, rng)
             self.metrics.on_gateway_outcome("UP", gw_id, cause)
-        outcome.per_gateway = {gw: (c if c is not None else "decoded")
-                               for gw, c in causes.items()}
-        decoded = [gw for gw, c in causes.items() if c is None]
-        if decoded:
+            causes += (cause,)
+        verdict = self._up_verdicts.get(causes)
+        if verdict is None:
+            verdict = self._up_verdict(causes)
+        outcome.per_gateway, delay, cause = verdict
+        if cause is None:
             outcome.delivered = True
-            outcome.delivered_at_us = now + min(
-                self.gateways[gw].backhaul_delay_us for gw in decoded)
-            self.metrics.kind("UP").delivered += 1
+            outcome.delivered_at_us = now + delay
+            self._up_stats.delivered += 1
             self.metrics.on_up_delivered(outcome)
         else:
-            outcome.cause = system_cause(causes)
-            self.metrics.kind("UP").add_loss(outcome.cause)
+            outcome.cause = cause
+            self._up_stats.add_loss(cause)
         self._finalize_up(outcome)
+
+    def _up_verdict(self, causes: tuple[str | None, ...]) -> _UpVerdict:
+        """Resolve and intern what ``causes``, one per receiver, mean for an uplink."""
+        per_gateway = {}
+        delay = None
+        for (gw_id, gw, _rng), cause in zip(self._receivers, causes):
+            per_gateway[gw_id] = cause if cause is not None else "decoded"
+            if cause is None and (delay is None or gw.backhaul_delay_us < delay):
+                delay = gw.backhaul_delay_us
+        verdict = (MappingProxyType(per_gateway), delay,
+                   system_cause(per_gateway) if delay is None else None)
+        self._up_verdicts[causes] = verdict
+        return verdict
 
     def _finalize_up(self, outcome: PacketOutcome) -> None:
         self.up_outcomes.append(outcome)
@@ -322,10 +350,8 @@ class Simulation:
             self.metrics.kind("RP").deferrals += 1
             self.engine.schedule(clear_at, reporter.handler, "rp")
             return
-        tx = Transmission(source=device.id, kind=TransmissionKind.RP,
-                          freq_hz=freq_hz, params=params, start_us=now,
-                          airtime_us=air, payload_len=device.rp_payload_len,
-                          uid=next(self._uids))
+        tx = Transmission(device.id, TransmissionKind.RP, freq_hz, params, now, air,
+                          device.rp_payload_len, next(self._uids))
         self._start_uplink(device, tx, band)
         self.engine.schedule(tx.end_us, partial(self._finish_rp, device, tx), "rp-end")
         self.engine.schedule(device.next_rp_time(now, reporter.rng), reporter.handler, "rp")

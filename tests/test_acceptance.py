@@ -19,7 +19,7 @@ import pytest
 from loraguard.analytic import PlrModelParams, plr_approx, plr_exact_fixed, plr_marginal
 from loraguard.cli import main
 from loraguard.engine import US_PER_SECOND
-from loraguard.metrics import emit_report, wilson_interval
+from loraguard.metrics import CAUSE_PRIORITY, emit_report, wilson_interval
 from loraguard.phy import DutyCycleLedger, RadioParams, airtime_us, default_eu868_plan
 from loraguard.scenario import (
     load_scenario,
@@ -314,3 +314,40 @@ def test_shipped_report_matches_its_golden_digest(shipped_runs, name):
     _scenario, _sim, report, _elapsed = shipped_runs[name]
     digest = hashlib.sha256(emit_report(report).encode("utf-8")).hexdigest()
     assert digest == GOLDEN_REPORT_SHA256[name]
+
+
+@pytest.mark.parametrize("name", SHIPPED)
+def test_every_urgent_uplink_ends_with_exactly_one_outcome(shipped_runs, name):
+    scenario, sim, report, _elapsed = shipped_runs[name]
+    up = report["kinds"]["UP"]
+    outcomes = sim.up_outcomes
+    assert len(outcomes) == up["generated"]
+    gateway_ids = [g.id for g in scenario.gateways]
+    decoded = collections.Counter()
+    lost = collections.defaultdict(collections.Counter)
+    maps = {}
+    for outcome in outcomes:
+        if outcome.delivered:
+            assert outcome.cause is None
+            assert outcome.delivered_at_us >= outcome.end_us
+        else:
+            assert outcome.cause in CAUSE_PRIORITY
+        if outcome.start_us is None:  # lost before it reached the air
+            assert not outcome.per_gateway
+            continue
+        assert list(outcome.per_gateway) == gateway_ids
+        maps[id(outcome.per_gateway)] = outcome.per_gateway
+        for gw, verdict in outcome.per_gateway.items():
+            if verdict == "decoded":
+                decoded[gw] += 1
+            else:
+                lost[gw][verdict] += 1
+    causes = collections.Counter(o.cause for o in outcomes if not o.delivered)
+    assert causes == up["losses"]
+    for gw in gateway_ids:
+        entry = report["gateways"].get(gw, {"decoded": {}, "losses": {}})
+        assert entry["decoded"].get("UP", 0) == decoded[gw]
+        assert entry["losses"].get("UP", {}) == lost[gw]
+    for per_gateway in maps.values():
+        with pytest.raises(TypeError):
+            per_gateway[gateway_ids[0]] = "decoded"

@@ -8,7 +8,7 @@ for sigma > 0; they pin the implementation against regressions.
 import math
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy.integrate import quad
 
 from loraguard.analytic import (
@@ -79,17 +79,29 @@ class TestSurvivorIntegral:
 
 
 def _quadrature(delta, period, sigma):
-    """I(delta) by adaptive quadrature, told where the integrand steps down."""
-    points = [p for p in (period - 8 * sigma, period, period + 8 * sigma) if 0.0 < p < delta]
-    value, _err = quad(lambda x: 0.5 * math.erfc((x - period) / (sigma * math.sqrt(2.0))),
-                       0.0, delta, points=points or None, epsabs=1e-13, limit=200)
-    return value
+    """I(delta) by adaptive quadrature, told where the integrand steps down.
+
+    It integrates over u = x/delta in [0, 1] and scales back, so a subnormal
+    delta does not leave quad an interval too narrow for its roundoff checks.
+    ``epsabs`` is scaled with it: the target stays 1e-13 on I itself.
+    """
+    if delta == 0.0:
+        return 0.0
+    points = [p / delta for p in (period - 8 * sigma, period, period + 8 * sigma)
+              if 0.0 < p < delta]
+    scale = sigma * math.sqrt(2.0)
+    value, _err = quad(lambda u: 0.5 * math.erfc((delta * u - period) / scale),
+                       0.0, 1.0, points=points or None, epsabs=1e-13 / delta, limit=200)
+    return delta * value
 
 
+@pytest.mark.filterwarnings("error::scipy.integrate.IntegrationWarning")
 @settings(max_examples=300, deadline=None)
 @given(period=st.floats(1.0, 300.0),
        log_ratio=st.floats(-6.0, 0.0),
        delta_over_period=st.floats(0.0, 3.0))
+# A subnormal delta made quad over [0, delta] warn "extremely bad integrand".
+@example(period=100.6875, log_ratio=0.0, delta_over_period=2.225073858507203e-309)
 def test_closed_form_matches_quadrature(period, log_ratio, delta_over_period):
     sigma = period * 10.0 ** log_ratio
     delta = period * delta_over_period

@@ -1,5 +1,6 @@
 """Capture/collision model: calibrated survival table, both decode modes."""
 
+import itertools
 import math
 
 import numpy as np
@@ -24,10 +25,14 @@ class BoomRng:
         raise AssertionError("rng must not be consumed")
 
 
+_UIDS = itertools.count(1)
+
+
 def make_tx(source, sf, start=0, airtime=100_000):
     return Transmission(source=source, kind=TransmissionKind.UP,
                         freq_hz=867_100_000, params=RadioParams(sf=sf),
-                        start_us=start, airtime_us=airtime, payload_len=37)
+                        start_us=start, airtime_us=airtime, payload_len=37,
+                        uid=next(_UIDS))
 
 
 class TestCalibratedTable:

@@ -14,13 +14,13 @@ from loraguard.cli import (
     EXIT_MISMATCH,
     EXIT_OK,
     EXIT_READ_ERROR,
-    EXIT_RUNTIME,
     main,
 )
 import loraguard
 from loraguard.scenario import shipped_scenario_path
 
 DEMO = str(shipped_scenario_path("demo_small"))
+NOT_APPLICABLE = "validate: not applicable (no gateway sends control downlinks)\n"
 
 
 @pytest.fixture()
@@ -156,10 +156,21 @@ class TestValidate:
         assert main(["validate", DEMO, "--rel-tolerance", "1e-9"]) == EXIT_MISMATCH
         assert "validate: MISMATCH" in capsys.readouterr().out
 
-    def test_scenario_without_report_traffic_cannot_be_validated(
+    def test_scenario_without_report_traffic_is_not_applicable(
             self, tiny_scenario, capsys):
-        assert main(["validate", tiny_scenario]) == EXIT_RUNTIME
-        assert "downlink-load model" in capsys.readouterr().err
+        assert main(["validate", tiny_scenario]) == EXIT_OK
+        assert capsys.readouterr().out == NOT_APPLICABLE
+
+    @pytest.mark.parametrize("name", ["burst_cluster15", "calibration_pairs_sf7",
+                                      "calibration_pairs_sf7_sf8"])
+    def test_shipped_scenarios_without_reporters_are_not_simulated(
+            self, name, monkeypatch, capsys):
+        def no_run(*_args, **_kwargs):  # pragma: no cover - reaching this is the failure
+            raise AssertionError("validate must decide before it simulates")
+
+        monkeypatch.setattr(loraguard.cli, "Simulation", no_run)
+        assert main(["validate", str(shipped_scenario_path(name))]) == EXIT_OK
+        assert capsys.readouterr().out == NOT_APPLICABLE
 
 
 def test_no_subcommand_is_a_usage_error():

@@ -1,5 +1,7 @@
 """Gateway radio: demod-path limits, half-duplex preemption, collision calls."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -16,10 +18,13 @@ ALWAYS_COLLIDE = CaptureModel(survival={(7, 7): 0.0})
 RNG = np.random.default_rng(0)
 
 
+_UIDS = itertools.count(1)
+
+
 def make_tx(source, freq_hz, start, airtime=100, sf=7):
     return Transmission(source=source, kind=TransmissionKind.UP, freq_hz=freq_hz,
                         params=RadioParams(sf=sf), start_us=start,
-                        airtime_us=airtime, payload_len=37)
+                        airtime_us=airtime, payload_len=37, uid=next(_UIDS))
 
 
 class TestDemodPaths:
@@ -128,6 +133,50 @@ class TestCollisions:
         gw.on_uplink_start(b, 10)
         assert gw.on_uplink_end(a, 100, model, RNG) is None
         assert gw.on_uplink_end(b, 110, model, RNG) == CAUSE_COLLISION
+
+
+class TestBusyChannel:
+    CH = 867_100_000
+
+    def test_ended_frames_are_pruned_and_neither_stamp_nor_are_stamped(self):
+        gw = Gateway(id="gw", demod_paths=4, rx_power_dbm={"ed1": -1.0, "ed2": -2.0})
+        early = make_tx("ed1", self.CH, start=0, airtime=50, sf=7)
+        edge = make_tx("ed2", self.CH, start=0, airtime=100, sf=8)
+        gw.on_uplink_start(early, 0)
+        gw.on_uplink_start(edge, 0)
+        # Neither end has been processed yet when the newcomer arrives at 100.
+        newcomer = make_tx("ed3", self.CH, start=100, sf=9)
+        gw.on_uplink_start(newcomer, 100)
+        assert list(gw.on_air[self.CH]) == [newcomer.uid]
+        assert gw.active[newcomer.uid].interferers == []
+        assert gw.active[early.uid].interferers == [(8, -2.0)]
+        assert gw.active[edge.uid].interferers == [(7, -1.0)]
+
+    def test_each_live_reception_gains_one_entry_per_newcomer(self):
+        gw = Gateway(id="gw", demod_paths=8,
+                     rx_power_dbm={"ed1": -1.0, "ed2": -2.0, "ed3": -3.0})
+        a = make_tx("ed1", self.CH, start=0, sf=8)
+        b = make_tx("ed2", self.CH, start=10, sf=9)
+        c = make_tx("ed3", self.CH, start=20, sf=10)
+        for tx in (a, b, c):
+            gw.on_uplink_start(tx, tx.start_us)
+        assert gw.active[a.uid].interferers == [(9, -2.0), (10, -3.0)]
+        assert gw.active[b.uid].interferers == [(8, -1.0), (10, -3.0)]
+        assert gw.active[c.uid].interferers == [(8, -1.0), (9, -2.0)]
+
+    def test_newcomer_sees_the_live_frames_in_arrival_order(self):
+        gw = Gateway(id="gw", demod_paths=8,
+                     rx_power_dbm={"ed1": -1.0, "ed2": -2.0, "ed3": -3.0, "ed4": -4.0})
+        gone = make_tx("ed4", self.CH, start=0, airtime=5, sf=7)
+        a = make_tx("ed1", self.CH, start=0, sf=10)
+        b = make_tx("ed2", self.CH, start=10, sf=8)
+        c = make_tx("ed3", self.CH, start=20, sf=9)
+        for tx in (gone, a, b, c):
+            gw.on_uplink_start(tx, tx.start_us)
+        newcomer = make_tx("ed5", self.CH, start=30, sf=7)
+        gw.on_uplink_start(newcomer, 30)
+        assert gw.active[newcomer.uid].interferers == [(10, -1.0), (8, -2.0), (9, -3.0)]
+        assert list(gw.on_air[self.CH]) == [a.uid, b.uid, c.uid, newcomer.uid]
 
 
 class TestValidation:

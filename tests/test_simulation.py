@@ -166,7 +166,7 @@ def test_uid_sequences_do_not_depend_on_other_simulations():
     first.transmission_log, second.transmission_log = [], []
     first.run()
     Transmission(source="x", kind=TransmissionKind.UP, freq_hz=867_100_000,
-                 params=RadioParams(sf=7), start_us=0, airtime_us=1, payload_len=1)
+                 params=RadioParams(sf=7), start_us=0, airtime_us=1, payload_len=1, uid=1)
     second.run()
     uids = [tx.uid for tx in first.transmission_log]
     assert uids == list(range(1, len(uids) + 1))
