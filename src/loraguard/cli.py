@@ -17,7 +17,7 @@ from .analytic import PlrModelParams, plr_approx, plr_exact_fixed, plr_marginal
 from .engine import US_PER_SECOND
 from .metrics import emit_report, wilson_interval
 from .phy import RadioParams, airtime_us
-from .scenario import Scenario, ScenarioError, load_scenario
+from .scenario import Scenario, ScenarioError, load_scenario, urgent_resources
 from .simulation import Simulation
 
 EXIT_OK = 0
@@ -155,8 +155,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return EXIT_INVALID
 
-    sim = Simulation(scenario)
-    report = sim.run()
+    report = Simulation(scenario).run()
     up = report["kinds"].get("UP")
     if not up or up["generated"] == 0:
         print("error: scenario produced no urgent uplinks to validate", file=sys.stderr)
@@ -164,15 +163,13 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
     # Model inputs from the scenario: every reporting device contributes one
     # downlink stream; urgent airtime from the triggered devices' assignments.
-    triggered = sorted({d for trig in scenario.triggers
-                        for d in (trig.devices or
-                                  next(c.members for c in scenario.clusters
-                                       if c.id == trig.cluster))})
+    _channels, assignments = urgent_resources(scenario)
+    triggered = sorted({d for trig in scenario.triggers for d in scenario.alarm_scope(trig)})
     dcp_airtimes = [airtime_us(RadioParams(sf=dev.rp_sf), scenario.dcp_payload_len)
                     / US_PER_SECOND for dev in reporters]
     period = reporters[0].rp_period_us / US_PER_SECOND
     sigma = reporters[0].clock_sigma_us / US_PER_SECOND
-    up_airs = {airtime_us(RadioParams(sf=sim.server.assignments[d][1]),
+    up_airs = {airtime_us(RadioParams(sf=assignments[d][1]),
                           scenario.device(d).up_payload_len) / US_PER_SECOND
                for d in triggered}
     up_air = max(up_airs)

@@ -12,7 +12,7 @@ import logging
 from dataclasses import dataclass
 
 from .engine import SimTime, sample_gaussian
-from .phy import RadioParams, RX2_FREQ_HZ, RX2_SF
+from .phy import RX2_FREQ_HZ, RX2_SF
 from .scenario import DeviceSpec
 
 log = logging.getLogger(__name__)
@@ -89,14 +89,6 @@ class EndDevice:
         if not self.rp_channels:
             raise ValueError(f"{self.id}: no report channels configured")
         return self.rp_channels[int(rng.integers(len(self.rp_channels)))]
-
-    def rp_params(self) -> RadioParams:
-        return RadioParams(sf=self.rp_sf)
-
-    def up_params(self) -> RadioParams:
-        if self.assignment is None:
-            raise ValueError(f"{self.id}: no urgent-uplink assignment")
-        return RadioParams(sf=self.assignment[1])
 
     def open_rx_windows(self, uplink_end: SimTime, freq_hz: int, sf: int) -> ReceiveWindows:
         """Open the Class-A windows after an uplink; RX1 mirrors the uplink.

@@ -27,7 +27,7 @@ from .sensor import SensorProfile, TriggerSpec
 __all__ = [
     "ScenarioError", "StopSpec", "DeviceSpec", "GatewaySpec", "ClusterSpec",
     "CaptureSpec", "Scenario", "load_scenario", "parse_scenario",
-    "scenario_to_dict", "save_scenario", "scenario_digest",
+    "urgent_resources", "scenario_to_dict", "save_scenario", "scenario_digest",
     "shipped_scenario_path", "parse_duration", "parse_frequency",
 ]
 
@@ -419,6 +419,11 @@ class Scenario:
                 return dev
         raise KeyError(device_id)
 
+    def alarm_scope(self, trigger: TriggerSpec) -> tuple[str, ...]:
+        """The devices an alarm triggers: its ``devices``, else its cluster's members."""
+        return trigger.devices or next(c.members for c in self.clusters
+                                       if c.id == trigger.cluster)
+
 
 # -- range checks over the declarations -------------------------------------------
 
@@ -464,29 +469,57 @@ def parse_scenario(data: object) -> Scenario:
     return scenario
 
 
+def _urgent_channels(cluster: ClusterSpec, band_channels: tuple[int, ...]) -> tuple[int, ...]:
+    """A cluster's urgent channels: its ``up_channels``, else the urgent sub-band's."""
+    return cluster.up_channels if cluster.up_channels is not None else band_channels
+
+
+def _cluster_assignments(cluster: ClusterSpec, channels: tuple[int, ...],
+                         explicit: Mapping[str, tuple[int, int]]) -> dict[str, tuple[int, int]]:
+    """Each member's urgent (channel, SF): its explicit assignment, else the automatic one.
+
+    The automatic rule runs over the whole cluster, and only when some member
+    has no explicit assignment; it raises ValueError where it cannot assign.
+    """
+    from .server import assign_resources  # lazy: server imports device, which imports this
+
+    automatic = ({} if all(m in explicit for m in cluster.members)
+                 else assign_resources(cluster.members, channels))
+    return {m: explicit[m] if m in explicit else automatic[m] for m in cluster.members}
+
+
+def _explicit_assignments(scenario: Scenario) -> dict[str, tuple[int, int]]:
+    return {d.id: d.assignment for d in scenario.devices if d.assignment is not None}
+
+
+def urgent_resources(scenario: Scenario) -> tuple[dict[str, tuple[int, ...]],
+                                                  dict[str, tuple[int, int]]]:
+    """Each cluster's urgent channels, and each member's urgent (channel, SF)."""
+    from .phy import default_eu868_plan  # lazy: phy imports this module
+
+    band_channels = default_eu868_plan().subband(scenario.up_subband).channels
+    explicit = _explicit_assignments(scenario)
+    channels = {c.id: _urgent_channels(c, band_channels) for c in scenario.clusters}
+    assignments = {m: resource for c in scenario.clusters
+                   for m, resource in _cluster_assignments(c, channels[c.id], explicit).items()}
+    return channels, assignments
+
+
 def _assignment_collisions(cluster: ClusterSpec, channels: tuple[int, ...],
-                           scenario: Scenario) -> list[str]:
+                           explicit: Mapping[str, tuple[int, int]]) -> list[str]:
     """Automatic assignments that land on a (channel, SF) an explicit member holds.
 
     Explicit members may share a resource on purpose; an automatic one never
     should, or the cluster loses its collision-free urgent bursts.
     """
-    from .server import assign_resources  # lazy: server imports device, which imports this
-
-    explicit = {d.id: d.assignment for d in scenario.devices
-                if d.cluster == cluster.id and d.assignment is not None}
-    automatic = [m for m in cluster.members if m not in explicit]
-    if not explicit or not automatic:
-        return []
     try:
-        table = assign_resources(cluster.members, channels)
+        table = _cluster_assignments(cluster, channels, explicit)
     except ValueError:
         return []  # no channels, over capacity or a repeated member: reported elsewhere
     problems = []
-    for member in automatic:
-        holders = [d for d, held in explicit.items() if held == table[member]]
-        if holders:
-            freq, sf = table[member]
+    for member, (freq, sf) in table.items():
+        holders = [d for d, held in explicit.items() if held == (freq, sf) and d in table]
+        if member not in explicit and holders:
             problems.append(f"devices({member}).assignment: automatic "
                             f"({_fmt_hz(freq)}, SF{sf}) collides with {holders[0]}")
     return problems
@@ -526,12 +559,14 @@ def validate_scenario(scenario: Scenario) -> None:
     known_devices = set(device_ids)
     gateways_by_id = {g.id: g for g in scenario.gateways}
 
+    explicit = _explicit_assignments(scenario)
     member_cluster: dict[str, str] = {}
     cluster_channels: dict[str, tuple[int, ...]] = {}
     for cl in scenario.clusters:
         where = f"clusters({cl.id})"
-        channels = cl.up_channels if cl.up_channels is not None else up_default_channels
-        cluster_channels[cl.id] = channels
+        channels = cluster_channels[cl.id] = _urgent_channels(cl, up_default_channels)
+        if not cl.members:
+            problems.append(f"{where}.members: empty")
         if not channels:
             problems.append(f"{where}: no urgent-uplink channels available")
         if up_band is not None:
@@ -556,7 +591,7 @@ def validate_scenario(scenario: Scenario) -> None:
             problems.append(
                 f"{where}: {len(cl.members)} members exceed capacity "
                 f"{3 * len(channels)} ({len(channels)} channels x 3 SFs)")
-        problems += _assignment_collisions(cl, channels, scenario)
+        problems += _assignment_collisions(cl, channels, explicit)
 
     occupancy: dict[tuple[str, int], int] = {}
     for dev in scenario.devices:

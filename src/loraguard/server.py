@@ -1,10 +1,11 @@
-"""Network server: resource assignment and downlink control.
+"""Network server: the conflict-free assignment rule and control-downlink payloads.
 
 For every decoded periodic report the server schedules one control downlink
 (through the cluster's designated gateway) confirming the sender's urgent
 (channel, SF) assignment for the first receive window, falling back to the
-second.  Assignments are chosen so no two cluster members share a (channel,
-SF) pair, which keeps synchronized urgent bursts collision-free.
+second.  Automatic assignments are chosen so no two cluster members share a
+(channel, SF) pair, which keeps synchronized urgent bursts collision-free;
+``scenario.urgent_resources`` resolves the table the server holds.
 """
 
 from __future__ import annotations
@@ -51,49 +52,11 @@ def assign_resources(members: tuple[str, ...] | list[str],
 
 
 @dataclass
-class Cluster:
-    """A co-located group of devices served by one control gateway."""
-
-    id: str
-    members: tuple[str, ...]
-    dcp_gateway: str
-    up_channels: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if not self.members:
-            raise ValueError(f"cluster {self.id} has no members")
-        if len(set(self.members)) != len(self.members):
-            raise ValueError(f"cluster {self.id} lists a member twice")
-
-
-@dataclass
 class NetworkServer:
-    """Backhaul-side state: clusters and the assignment table."""
+    """Backhaul-side state: the urgent assignment table the control downlinks confirm."""
 
-    clusters: dict[str, Cluster] = field(default_factory=dict)
-    assignments: dict[str, tuple[int, int]] = field(default_factory=dict)
-    _cluster_of: dict[str, str] = field(default_factory=dict)
+    assignments: dict[str, tuple[int, int]]
     _commands: dict[str, DcpCommand] = field(default_factory=dict)
-
-    def add_cluster(self, cluster: Cluster,
-                    explicit: dict[str, tuple[int, int]] | None = None) -> None:
-        """Register a cluster, auto-assigning members not explicitly placed."""
-        self.clusters[cluster.id] = cluster
-        for member in cluster.members:
-            self._cluster_of[member] = cluster.id
-        if explicit:
-            unknown = set(explicit) - set(cluster.members)
-            if unknown:
-                raise ValueError(f"assignments for non-members: {sorted(unknown)}")
-            self.assignments.update(explicit)
-        missing = [m for m in cluster.members if m not in self.assignments]
-        if missing:
-            auto = assign_resources(cluster.members, cluster.up_channels)
-            for member in missing:
-                self.assignments[member] = auto[member]
-
-    def cluster_of(self, device: str) -> Cluster:
-        return self.clusters[self._cluster_of[device]]
 
     def dcp_for(self, device: str) -> DcpCommand:
         """Control payload confirming the device's current assignment.

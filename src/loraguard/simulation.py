@@ -10,7 +10,9 @@ at the gateway is dropped.  Starting any downlink aborts every reception in
 progress at that gateway, which is the loss mechanism urgent uplinks suffer.
 
 Urgent uplinks are triggered by gas alarms, use the device's confirmed
-(channel, SF) assignment, and are never retransmitted.
+(channel, SF) assignment, and are never retransmitted.  Each cluster's urgent
+channels and each member's commissioned assignment come from
+``scenario.urgent_resources``.
 
 Everything that depends only on the scenario is bound once per run: radio
 parameters and airtime per (SF, payload length), each reporter's sub-band,
@@ -40,12 +42,12 @@ from .engine import Engine, RandomStreams, SimTime
 from .gateway import Gateway
 from .metrics import (CAUSE_DUTY_CYCLE, CAUSE_UNASSIGNED, KindStats, MetricsCollector,
                       PacketOutcome, build_report, system_cause)
-from .phy import (CaptureModel, ChannelPlan, DEFAULT_SURVIVAL, DutyCycleLedger,
+from .phy import (CaptureModel, DEFAULT_SURVIVAL, DutyCycleLedger,
                   RadioParams, RX2_FREQ_HZ, RX2_SF, SubBand, Transmission,
                   TransmissionKind, airtime_us, default_eu868_plan)
-from .scenario import Scenario, scenario_digest
+from .scenario import Scenario, scenario_digest, urgent_resources
 from .sensor import GasEvent, alarm_check, generate_events
-from .server import Cluster, NetworkServer
+from .server import NetworkServer
 
 log = logging.getLogger(__name__)
 
@@ -87,10 +89,9 @@ def _from_spec(cls: type, spec: object, **resolved: object):
 class Simulation:
     """One runnable instance of a scenario."""
 
-    def __init__(self, scenario: Scenario, seed: int | None = None,
-                 plan: ChannelPlan | None = None) -> None:
+    def __init__(self, scenario: Scenario, seed: int | None = None) -> None:
         self.scenario = scenario if seed is None else scenario.with_seed(seed)
-        self.plan = plan or default_eu868_plan()
+        self.plan = default_eu868_plan()
         self.engine = Engine()
         self.streams = RandomStreams(self.scenario.seed)
         self.metrics = MetricsCollector()
@@ -110,7 +111,6 @@ class Simulation:
                                   survival={**DEFAULT_SURVIVAL, **dict(capture.survival)})
 
         self.rp_band = self.plan.subband(self.scenario.rp_subband)
-        self.up_band = self.plan.subband(self.scenario.up_subband)
 
         self.ledger = DutyCycleLedger(default_policy=self.scenario.device_duty_policy)
         self.gateways: dict[str, Gateway] = {}
@@ -118,26 +118,18 @@ class Simulation:
             self.gateways[spec.id] = _from_spec(Gateway, spec)
             self.ledger.set_policy(spec.id, spec.duty_policy)
 
-        self.server = NetworkServer()
-        cluster_channels: dict[str, tuple[int, ...]] = {}
-        for cspec in self.scenario.clusters:
-            channels = (cspec.up_channels if cspec.up_channels is not None
-                        else self.up_band.channels)
-            cluster_channels[cspec.id] = channels
-            explicit = {d.id: d.assignment for d in self.scenario.devices
-                        if d.cluster == cspec.id and d.assignment is not None}
-            self.server.add_cluster(_from_spec(Cluster, cspec, up_channels=channels),
-                                    explicit=explicit)
+        up_channels, assignments = urgent_resources(self.scenario)
+        self.server = NetworkServer(assignments)
 
         self.devices: dict[str, EndDevice] = {}
         for dspec in self.scenario.devices:
             device = _from_spec(
                 EndDevice, dspec,
                 rp_channels=dspec.rp_channels or self.rp_band.channels,
-                up_channels=cluster_channels[dspec.cluster],
+                up_channels=up_channels[dspec.cluster],
                 # Commissioning: the device powers up knowing its assignment;
                 # control downlinks re-confirm it for the rest of the run.
-                assignment=self.server.assignments[dspec.id],
+                assignment=assignments[dspec.id],
             )
             self.devices[dspec.id] = device
             for gw in self.gateways.values():
@@ -156,8 +148,8 @@ class Simulation:
         # (gateway id, gateway, its capture stream), in scenario order.
         self._receivers = [(g, gw, self.streams.stream(f"capture:{g}"))
                            for g, gw in self.gateways.items()]
-        self._dcp_gateway = {d: self.gateways[self.server.cluster_of(d).dcp_gateway]
-                             for d in self.devices}
+        self._dcp_gateway = {member: self.gateways[cspec.dcp_gateway]
+                             for cspec in self.scenario.clusters for member in cspec.members}
 
         self._ups_generated = 0
         self._ups_finalized = 0
@@ -166,10 +158,7 @@ class Simulation:
 
         self._alarm_sources: list[_AlarmSource] = []
         for i, trig in enumerate(self.scenario.triggers):
-            scope = trig.devices
-            if not scope and trig.cluster is not None:
-                scope = self.server.clusters[trig.cluster].members
-            source = _AlarmSource(index=i, devices=scope,
+            source = _AlarmSource(index=i, devices=self.scenario.alarm_scope(trig),
                                   events=generate_events(
                                       trig, self.streams.stream(f"alarm:{i}")))
             self._alarm_sources.append(source)

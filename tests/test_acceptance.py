@@ -24,6 +24,7 @@ from loraguard.phy import DutyCycleLedger, RadioParams, airtime_us, default_eu86
 from loraguard.scenario import (
     load_scenario,
     shipped_scenario_path,
+    urgent_resources,
     validate_scenario,
 )
 from loraguard.sensor import (
@@ -351,3 +352,11 @@ def test_every_urgent_uplink_ends_with_exactly_one_outcome(shipped_runs, name):
     for per_gateway in maps.values():
         with pytest.raises(TypeError):
             per_gateway[gateway_ids[0]] = "decoded"
+
+
+@pytest.mark.parametrize("name", SHIPPED)
+def test_resolved_assignments_are_the_reported_ones(shipped_runs, name):
+    scenario, _sim, report, _elapsed = shipped_runs[name]
+    _channels, assignments = urgent_resources(scenario)
+    assert report["assignments"] == {device: {"channel_hz": freq, "sf": sf}
+                                     for device, (freq, sf) in assignments.items()}

@@ -209,6 +209,14 @@ def test_run_rejects_an_invalid_scenario_before_simulating(tmp_path, capsys, dev
     assert "invalid scenario" in err and message in err
 
 
+@pytest.mark.parametrize("command", ["run", "validate"])
+def test_empty_cluster_is_an_invalid_scenario(tmp_path, capsys, command):
+    doc = two_device_doc()
+    doc["clusters"].append({"id": "c2", "members": [], "dcp_gateway": "gw1"})
+    assert main([command, write_doc(tmp_path, doc)]) == EXIT_INVALID
+    assert "clusters(c2).members: empty" in capsys.readouterr().err
+
+
 def test_validate_rejects_reporters_with_different_period_or_jitter(tmp_path, capsys):
     doc = two_device_doc()
     doc["devices"].append({"id": "ed3", "cluster": "c1", "clock_sigma": "10 ms"})

@@ -61,18 +61,6 @@ class TestReportTiming:
             dev.pick_rp_channel(RandomStreams(1).stream("hop"))
 
 
-class TestRadioParams:
-    def test_report_and_urgent_parameters(self):
-        dev = make_device()
-        assert dev.rp_params().sf == 7
-        assert dev.up_params().sf == 9
-
-    def test_urgent_without_assignment_rejected(self):
-        dev = make_device(assignment=None)
-        with pytest.raises(ValueError):
-            dev.up_params()
-
-
 class TestReceiveWindows:
     def test_rx1_mirrors_the_uplink_and_rx2_is_fixed(self):
         dev = make_device()

@@ -20,8 +20,11 @@ from loraguard.scenario import (
     scenario_digest,
     scenario_to_dict,
     shipped_scenario_path,
+    urgent_resources,
 )
+from loraguard.phy import default_eu868_plan
 from loraguard.sensor import SensorProfile
+from loraguard.server import NetworkServer, assign_resources
 from loraguard.simulation import Simulation
 
 SHIPPED = [
@@ -185,6 +188,17 @@ class TestDocumentValidation:
         doc = minimal_doc()
         doc["devices"][0]["cluster"] = "c9"
         with pytest.raises(ScenarioError, match="unknown cluster 'c9'"):
+            parse_scenario(doc)
+        doc = minimal_doc()
+        doc["clusters"][0]["members"] = ["ed1", "ed1"]
+        with pytest.raises(ScenarioError, match=re.escape(
+                "clusters(c1).members: 'ed1' already in 'c1'")):
+            parse_scenario(doc)
+
+    def test_empty_cluster_rejected(self):
+        doc = minimal_doc()
+        doc["clusters"].append({"id": "c2", "members": [], "dcp_gateway": "gw1"})
+        with pytest.raises(ScenarioError, match=re.escape("clusters(c2).members: empty")):
             parse_scenario(doc)
 
     def test_control_gateway_must_exist_and_transmit(self):
@@ -459,6 +473,77 @@ class TestAssignmentCollisions:
         doc = mixed_assignment_doc()
         doc["devices"][0]["assignment"] = {"channel": "867.1 MHz", "sf": 7}
         assert parse_scenario(doc)
+
+
+URGENT_CHANNELS = default_eu868_plan().subband("g").channels
+
+
+def cluster_doc(n):
+    """One cluster of ``n`` members, ed01.., with no explicit assignments."""
+    doc = minimal_doc()
+    ids = [f"ed{i:02d}" for i in range(1, n + 1)]
+    doc["clusters"][0]["members"] = ids
+    doc["devices"] = [{"id": m, "cluster": "c1"} for m in ids]
+    return doc
+
+
+class TestUrgentResources:
+    def test_without_explicit_assignments_the_table_is_the_automatic_rule(self):
+        channels, table = urgent_resources(parse_scenario(cluster_doc(6)))
+        assert channels == {"c1": URGENT_CHANNELS}
+        assert table == assign_resources([f"ed{i:02d}" for i in range(1, 7)], URGENT_CHANNELS)
+
+    def test_listed_up_channels_replace_the_urgent_subband(self):
+        doc = cluster_doc(3)
+        doc["clusters"][0]["up_channels"] = ["867.5 MHz", "867.9 MHz"]
+        channels, table = urgent_resources(parse_scenario(doc))
+        assert channels == {"c1": (867_500_000, 867_900_000)}
+        assert table == assign_resources(("ed01", "ed02", "ed03"), channels["c1"])
+
+    def test_explicit_assignments_are_kept_and_the_others_filled_in(self):
+        doc = cluster_doc(3)
+        doc["devices"][0]["assignment"] = {"channel": "867.9 MHz", "sf": 10}
+        _channels, table = urgent_resources(parse_scenario(doc))
+        automatic = assign_resources(("ed01", "ed02", "ed03"), URGENT_CHANNELS)
+        assert table == {"ed01": (867_900_000, 10),
+                         "ed02": automatic["ed02"], "ed03": automatic["ed03"]}
+
+    def test_automatic_rule_runs_only_when_a_member_lacks_an_assignment(self, monkeypatch):
+        doc = cluster_doc(2)
+        doc["devices"][0]["assignment"] = {"channel": "867.9 MHz", "sf": 10}
+        doc["devices"][1]["assignment"] = {"channel": "867.9 MHz", "sf": 9}
+        scenario = parse_scenario(doc)
+
+        def refuse(*_args):
+            raise AssertionError("automatic rule called")
+
+        monkeypatch.setattr("loraguard.server.assign_resources", refuse)
+        assert urgent_resources(scenario)[1] == {"ed01": (867_900_000, 10),
+                                                 "ed02": (867_900_000, 9)}
+
+    def test_control_payload_confirms_the_table_and_is_reused(self):
+        _channels, table = urgent_resources(parse_scenario(cluster_doc(6)))
+        server = NetworkServer(table)
+        command = server.dcp_for("ed01")
+        assert command.target == "ed01"
+        assert (command.up_freq_hz, command.up_sf) == table["ed01"]
+        assert server.dcp_for("ed01") is command
+        server.assignments["ed01"] = (URGENT_CHANNELS[4], 10)
+        moved = server.dcp_for("ed01")
+        assert (moved.up_freq_hz, moved.up_sf) == (URGENT_CHANNELS[4], 10)
+        assert server.dcp_for("ed01") is moved
+
+    def test_alarm_scope_is_its_devices_else_its_clusters_members(self):
+        doc = cluster_doc(3)
+        doc["alarms"] = [
+            {"kind": "script", "species": "methane", "level": "1.2 %vol",
+             "devices": ["ed02"], "times": ["10 s"]},
+            {"kind": "script", "species": "methane", "level": "1.2 %vol",
+             "cluster": "c1", "times": ["10 s"]},
+        ]
+        scenario = parse_scenario(doc)
+        assert [scenario.alarm_scope(t) for t in scenario.triggers] == [
+            ("ed02",), ("ed01", "ed02", "ed03")]
 
 
 DOC_TABLES = {

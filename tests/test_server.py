@@ -1,4 +1,4 @@
-"""Resource assignment and server-side uplink handling."""
+"""The conflict-free urgent (channel, SF) assignment rule."""
 
 import collections
 
@@ -9,8 +9,6 @@ from loraguard.server import (
     MAX_PER_CHANNEL,
     SF_SINGLE,
     SF_STACKED,
-    Cluster,
-    NetworkServer,
     assign_resources,
 )
 
@@ -80,53 +78,3 @@ class TestAssignResources:
                 assert sfs == [SF_SINGLE]
             else:
                 assert sfs == list(SF_STACKED)[:len(sfs)]
-
-
-def make_cluster(n=6, cluster_id="c1"):
-    return Cluster(id=cluster_id, members=members(n), dcp_gateway="gw1",
-                   up_channels=CHANNELS)
-
-
-class TestNetworkServer:
-    def test_add_cluster_autofills_assignments(self):
-        server = NetworkServer()
-        server.add_cluster(make_cluster(6))
-        assert server.assignments == assign_resources(members(6), CHANNELS)
-
-    def test_explicit_assignments_are_kept(self):
-        server = NetworkServer()
-        explicit = {"ed01": (867_900_000, 10)}
-        server.add_cluster(make_cluster(3), explicit=explicit)
-        assert server.assignments["ed01"] == (867_900_000, 10)
-        for m in ("ed02", "ed03"):
-            assert m in server.assignments
-
-    def test_explicit_assignment_for_non_member_rejected(self):
-        server = NetworkServer()
-        with pytest.raises(ValueError, match="non-members"):
-            server.add_cluster(make_cluster(3), explicit={"ghost": (CHANNELS[0], 7)})
-
-    def test_cluster_lookup_and_control_payload(self):
-        server = NetworkServer()
-        server.add_cluster(make_cluster(6))
-        assert server.cluster_of("ed04").id == "c1"
-        cmd = server.dcp_for("ed01")
-        assert cmd.target == "ed01"
-        assert (cmd.up_freq_hz, cmd.up_sf) == server.assignments["ed01"]
-
-    def test_control_payload_is_reused_until_the_assignment_changes(self):
-        server = NetworkServer()
-        server.add_cluster(make_cluster(6))
-        first = server.dcp_for("ed01")
-        assert server.dcp_for("ed01") is first
-        server.assignments["ed01"] = (CHANNELS[4], 10)
-        moved = server.dcp_for("ed01")
-        assert (moved.up_freq_hz, moved.up_sf) == (CHANNELS[4], 10)
-        assert server.dcp_for("ed01") is moved
-
-    def test_cluster_validation(self):
-        with pytest.raises(ValueError):
-            Cluster(id="c1", members=(), dcp_gateway="gw1", up_channels=CHANNELS)
-        with pytest.raises(ValueError):
-            Cluster(id="c1", members=("a", "a"), dcp_gateway="gw1",
-                    up_channels=CHANNELS)
