@@ -24,7 +24,7 @@ from loraguard.scenario import (
 )
 from loraguard.phy import default_eu868_plan
 from loraguard.sensor import SensorProfile
-from loraguard.server import NetworkServer, assign_resources
+from loraguard.server import assign_resources
 from loraguard.simulation import Simulation
 
 SHIPPED = [
@@ -520,18 +520,6 @@ class TestUrgentResources:
         monkeypatch.setattr("loraguard.server.assign_resources", refuse)
         assert urgent_resources(scenario)[1] == {"ed01": (867_900_000, 10),
                                                  "ed02": (867_900_000, 9)}
-
-    def test_control_payload_confirms_the_table_and_is_reused(self):
-        _channels, table = urgent_resources(parse_scenario(cluster_doc(6)))
-        server = NetworkServer(table)
-        command = server.dcp_for("ed01")
-        assert command.target == "ed01"
-        assert (command.up_freq_hz, command.up_sf) == table["ed01"]
-        assert server.dcp_for("ed01") is command
-        server.assignments["ed01"] = (URGENT_CHANNELS[4], 10)
-        moved = server.dcp_for("ed01")
-        assert (moved.up_freq_hz, moved.up_sf) == (URGENT_CHANNELS[4], 10)
-        assert server.dcp_for("ed01") is moved
 
     def test_alarm_scope_is_its_devices_else_its_clusters_members(self):
         doc = cluster_doc(3)

@@ -1,4 +1,4 @@
-"""The conflict-free urgent (channel, SF) assignment rule."""
+"""The conflict-free urgent (channel, SF) assignment rule and the control payloads."""
 
 import collections
 
@@ -9,6 +9,7 @@ from loraguard.server import (
     MAX_PER_CHANNEL,
     SF_SINGLE,
     SF_STACKED,
+    NetworkServer,
     assign_resources,
 )
 
@@ -78,3 +79,20 @@ class TestAssignResources:
                 assert sfs == [SF_SINGLE]
             else:
                 assert sfs == list(SF_STACKED)[:len(sfs)]
+
+
+class TestNetworkServer:
+    def test_cluster_lookup_and_control_payload(self):
+        server = NetworkServer(assign_resources(members(6), CHANNELS))
+        cmd = server.dcp_for("ed01")
+        assert cmd.target == "ed01"
+        assert (cmd.up_freq_hz, cmd.up_sf) == server.assignments["ed01"]
+
+    def test_control_payload_is_reused_until_the_assignment_changes(self):
+        server = NetworkServer(assign_resources(members(6), CHANNELS))
+        first = server.dcp_for("ed01")
+        assert server.dcp_for("ed01") is first
+        server.assignments["ed01"] = (CHANNELS[4], 10)
+        moved = server.dcp_for("ed01")
+        assert (moved.up_freq_hz, moved.up_sf) == (CHANNELS[4], 10)
+        assert server.dcp_for("ed01") is moved
