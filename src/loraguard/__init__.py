@@ -13,14 +13,13 @@ from .device import DcpCommand, EndDevice
 from .gateway import Gateway
 from .metrics import MetricsCollector, PacketOutcome, emit_report, plr, wilson_interval
 from .phy import (CaptureModel, ChannelPlan, DutyCycleLedger, RadioParams, SubBand,
-                  Transmission, TransmissionKind, airtime, airtime_us,
-                  default_eu868_plan, resolve_receptions)
+                  Transmission, TransmissionKind, airtime_us, default_eu868_plan)
 from .scenario import (Scenario, ScenarioError, load_scenario, parse_scenario,
                        save_scenario, scenario_digest)
 from .sensor import (GasEvent, SensorProfile, TriggerSpec, alarm_check,
                      bridge_voltage, generate_events, lel_voltage)
 from .server import NetworkServer, assign_resources
-from .simulation import Simulation, run_scenario
+from .simulation import Simulation
 
 __version__ = "0.1.0"
 
@@ -30,10 +29,9 @@ __all__ = [
     "PacketOutcome", "PlrModelParams", "PlrResult", "RadioParams", "RandomStreams",
     "Scenario", "ScenarioError", "SensorProfile", "SimTime", "SubBand",
     "Simulation", "Transmission", "TransmissionKind", "TriggerSpec",
-    "airtime", "airtime_us", "alarm_check", "assign_resources", "bridge_voltage",
+    "airtime_us", "alarm_check", "assign_resources", "bridge_voltage",
     "default_eu868_plan", "emit_report", "generate_events", "lel_voltage",
     "load_scenario", "parse_scenario", "plr", "plr_approx", "plr_exact_fixed",
-    "plr_marginal", "residual_density", "resolve_receptions", "run_scenario",
-    "sample_gaussian", "save_scenario", "scenario_digest", "survivor_integral",
-    "wilson_interval",
+    "plr_marginal", "residual_density", "sample_gaussian", "save_scenario",
+    "scenario_digest", "survivor_integral", "wilson_interval",
 ]

@@ -106,10 +106,12 @@ def _parse_dist(text: str, label: str) -> tuple[tuple[float, float], ...]:
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     try:
-        dcp_dist = _parse_dist(args.dcp_s, "dcp")
-        up_dist = _parse_dist(args.up_s, "up")
-        mean_dcp = sum(v * p for v, p in dcp_dist)
-        mean_up = sum(v * p for v, p in up_dist)
+        # Built first, so that every method rejects a mixture that does not sum to 1.
+        params = PlrModelParams(
+            n_senders=args.senders, period_s=args.period_s, sigma_s=args.sigma_s,
+            dcp_airtimes=_parse_dist(args.dcp_s, "dcp"), up_airtimes=_parse_dist(args.up_s, "up"))
+        mean_dcp = sum(v * p for v, p in params.dcp_airtimes)
+        mean_up = sum(v * p for v, p in params.up_airtimes)
         results = []
         if args.method in ("approx", "all"):
             results.append(plr_approx(args.senders, mean_dcp, mean_up, args.period_s))
@@ -117,9 +119,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             results.append(plr_exact_fixed([mean_dcp] * args.senders, mean_up,
                                            args.period_s, args.sigma_s))
         if args.method in ("marginal", "all"):
-            results.append(plr_marginal(PlrModelParams(
-                n_senders=args.senders, period_s=args.period_s, sigma_s=args.sigma_s,
-                dcp_airtimes=dcp_dist, up_airtimes=up_dist)))
+            results.append(plr_marginal(params))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

@@ -71,8 +71,9 @@ class EndDevice:
             raise ValueError(f"{self.id}: rp_period_us must be > 0")
         if self.clock_sigma_us < 0:
             raise ValueError(f"{self.id}: clock_sigma_us must be >= 0")
-        if self.assignment is not None:
-            _check_up_sf(self.assignment[1], self.id)
+        if self.assignment is not None and not UP_SF_MIN <= self.assignment[1] <= UP_SF_MAX:
+            raise ValueError(f"{self.id}: urgent uplinks must use SF in "
+                             f"[{UP_SF_MIN}, {UP_SF_MAX}], got {self.assignment[1]}")
 
     def next_rp_time(self, now: SimTime, rng) -> SimTime:
         """Next report instant: now + period + Gaussian jitter, floored.
@@ -153,9 +154,3 @@ class EndDevice:
         # True when the device keyed up inside [start, end): it cannot have
         # been listening to a downlink spanning that interval.
         return start <= self.last_tx_start < end
-
-
-def _check_up_sf(sf: int, device_id: str) -> None:
-    if not UP_SF_MIN <= sf <= UP_SF_MAX:
-        raise ValueError(
-            f"{device_id}: urgent uplinks must use SF in [{UP_SF_MIN}, {UP_SF_MAX}], got {sf}")

@@ -17,7 +17,6 @@ import numpy as np
 
 SimTime = int
 
-US_PER_MS = 1_000
 US_PER_SECOND = 1_000_000
 
 
@@ -46,15 +45,6 @@ class Engine:
         if at < self.now:
             raise SchedulingError(f"cannot schedule {kind or 'event'} at {at} (now={self.now})")
         heapq.heappush(self._queue, (at, next(self._seq), kind, action))
-
-    def step(self) -> bool:
-        """Run the next event; return False if the queue is empty."""
-        if not self._queue:
-            return False
-        at, _seq, _kind, action = heapq.heappop(self._queue)
-        self.now = at
-        action()
-        return True
 
     def run_until(self, end: SimTime) -> None:
         """Process every event with timestamp <= ``end``, then set now = end."""

@@ -34,17 +34,18 @@ CAUSE_PRIORITY = (CAUSE_UNASSIGNED, CAUSE_DUTY_CYCLE, CAUSE_COLLISION,
 WILSON_Z = 1.96  # two-sided 95%
 
 
-def wilson_interval(losses: int, total: int, z: float = WILSON_Z) -> tuple[float, float]:
+def wilson_interval(losses: int, total: int) -> tuple[float, float]:
     """Wilson score interval for a loss proportion.
 
     Well-behaved at zero observed losses, where the upper bound is
-    z^2 / (n + z^2).
+    z^2 / (n + z^2), with z = ``WILSON_Z``.
     """
     if total <= 0:
         raise ValueError(f"total must be > 0, got {total}")
     if not 0 <= losses <= total:
         raise ValueError(f"losses {losses} out of range [0, {total}]")
     p = losses / total
+    z = WILSON_Z
     z2 = z * z
     denom = 1.0 + z2 / total
     center = (p + z2 / (2 * total)) / denom
@@ -52,11 +53,11 @@ def wilson_interval(losses: int, total: int, z: float = WILSON_Z) -> tuple[float
     return (max(0.0, center - half), min(1.0, center + half))
 
 
-def plr(losses: int, total: int, z: float = WILSON_Z) -> tuple[float, tuple[float, float]]:
+def plr(losses: int, total: int) -> tuple[float, tuple[float, float]]:
     """Point estimate and 95% Wilson interval of the packet loss ratio."""
     if total <= 0:
         raise ValueError(f"total must be > 0, got {total}")
-    return losses / total, wilson_interval(losses, total, z)
+    return losses / total, wilson_interval(losses, total)
 
 
 # The per-gateway view of an uplink that never reached the air.
@@ -173,8 +174,7 @@ class MetricsCollector:
 
 def build_report(collector: MetricsCollector, *, scenario_name: str, seed: int,
                  scenario_digest: str, ended_at_us: SimTime,
-                 assignments: Mapping[str, tuple[int, int]],
-                 extras: Mapping[str, object] | None = None) -> dict:
+                 assignments: Mapping[str, tuple[int, int]]) -> dict:
     """Assemble the JSON-serializable run report."""
     kinds = {}
     for name, stats in sorted(collector.kinds.items()):
@@ -201,7 +201,7 @@ def build_report(collector: MetricsCollector, *, scenario_name: str, seed: int,
                        for k, v in sorted(collector.per_gateway_losses.get(gw, {}).items())},
         }
 
-    report: dict[str, object] = {
+    return {
         "scenario": scenario_name,
         "scenario_digest": scenario_digest,
         "seed": seed,
@@ -212,9 +212,6 @@ def build_report(collector: MetricsCollector, *, scenario_name: str, seed: int,
         "assignments": {dev: {"channel_hz": ch, "sf": sf}
                         for dev, (ch, sf) in sorted(assignments.items())},
     }
-    if extras:
-        report.update(extras)
-    return report
 
 
 def emit_report(report: Mapping[str, object], fmt: str = "json") -> str:

@@ -14,12 +14,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 from .engine import SimTime, US_PER_SECOND
 from .scenario import CaptureSpec
 
 VALID_BANDWIDTHS_HZ = (125_000, 250_000, 500_000)
+MAX_PAYLOAD_LEN = 255  # the LoRa PHY payload limit, in bytes
 
 # Low-data-rate optimisation is switched on automatically above this symbol time.
 LDRO_SYMBOL_TIME_US = 16_000
@@ -69,8 +70,8 @@ class RadioParams:
 
 def payload_symbols(params: RadioParams, payload_len: int) -> int:
     """Number of payload symbols for a PHY payload of ``payload_len`` bytes."""
-    if payload_len < 0:
-        raise ValueError(f"payload_len must be >= 0, got {payload_len}")
+    if not 0 <= payload_len <= MAX_PAYLOAD_LEN:
+        raise ValueError(f"payload_len must be in [0, {MAX_PAYLOAD_LEN}], got {payload_len}")
     de = 2 if params.ldro else 0
     header = 0 if params.explicit_header else 1
     numerator = 8 * payload_len - 4 * params.sf + 28 + 16 - 20 * header
@@ -87,11 +88,6 @@ def airtime_us(params: RadioParams, payload_len: int) -> SimTime:
     """
     quarter_symbols = 4 * (params.preamble_symbols + payload_symbols(params, payload_len)) + 17
     return params.symbol_time_us * quarter_symbols // 4
-
-
-def airtime(params: RadioParams, payload_len: int) -> float:
-    """Time-on-air in seconds."""
-    return airtime_us(params, payload_len) / US_PER_SECOND
 
 
 @dataclass(frozen=True)
@@ -112,10 +108,6 @@ class SubBand:
         for ch in self.channels:
             if not self.low_hz <= ch < self.high_hz:
                 raise ValueError(f"sub-band {self.name}: channel {ch} Hz outside range")
-
-    @property
-    def duty_cycle(self) -> float:
-        return 1.0 / self.duty_one_in
 
     def contains(self, freq_hz: int) -> bool:
         return self.low_hz <= freq_hz < self.high_hz
@@ -183,7 +175,7 @@ class LedgerError(RuntimeError):
     """A transmission was recorded that the duty-cycle rules do not permit."""
 
 
-WINDOW_US_DEFAULT = 3_600 * US_PER_SECOND  # the hourly budget window
+WINDOW_US = 3_600 * US_PER_SECOND  # the hourly budget window
 
 
 class OfftimeBudget:
@@ -216,19 +208,17 @@ class WindowBudget:
     """Sliding-window rule for one (transmitter, sub-band).
 
     A transmission is permitted while the airtime whose end lies inside the
-    trailing window stays within ``window_us // duty_one_in``.  ``history``
+    trailing window stays within ``WINDOW_US // duty_one_in``.  ``history``
     holds ``(end, airtime)`` of every recorded frame; entries before
     ``start`` have slid out of the window and ``used`` sums the rest.
     """
 
-    __slots__ = ("transmitter", "band", "window_us", "limit_us", "history", "start",
-                 "used", "_checked")
+    __slots__ = ("transmitter", "band", "limit_us", "history", "start", "used", "_checked")
 
-    def __init__(self, transmitter: str, band: SubBand, window_us: SimTime) -> None:
+    def __init__(self, transmitter: str, band: SubBand) -> None:
         self.transmitter = transmitter
         self.band = band
-        self.window_us = window_us
-        self.limit_us = window_us // band.duty_one_in
+        self.limit_us = WINDOW_US // band.duty_one_in
         self.history: list[tuple[SimTime, SimTime]] = []
         self.start = 0
         self.used: SimTime = 0
@@ -246,7 +236,7 @@ class WindowBudget:
         i = self.start
         used = self.used
         if i < len(history):
-            horizon = now - self.window_us
+            horizon = now - WINDOW_US
             while i < len(history) and history[i][0] <= horizon:
                 used -= history[i][1]
                 i += 1
@@ -265,7 +255,7 @@ class WindowBudget:
                 used -= spent_i
                 i += 1
                 if used + airtime_us <= limit:
-                    clear = end_i + self.window_us
+                    clear = end_i + WINDOW_US
                     break
         self._checked = (now, airtime_us, clear)
         return clear
@@ -320,12 +310,10 @@ class DutyCycleLedger:
 
     POLICIES = ("offtime", "window")
 
-    def __init__(self, default_policy: str = "offtime",
-                 window_us: SimTime = WINDOW_US_DEFAULT) -> None:
+    def __init__(self, default_policy: str = "offtime") -> None:
         if default_policy not in self.POLICIES:
             raise ValueError(f"unknown duty-cycle policy {default_policy!r}")
         self.default_policy = default_policy
-        self.window_us = window_us
         self._policy: dict[str, str] = {}
         self._budgets: dict[tuple[str, str], OfftimeBudget | WindowBudget] = {}
 
@@ -337,17 +325,14 @@ class DutyCycleLedger:
                              "set its policy before it transmits")
         self._policy[transmitter] = policy
 
-    def policy_of(self, transmitter: str) -> str:
-        return self._policy.get(transmitter, self.default_policy)
-
     def budget(self, transmitter: str, band: SubBand) -> OfftimeBudget | WindowBudget:
         """The budget of ``transmitter`` on ``band``, bound on first use."""
         budget = self._budgets.get((transmitter, band.name))
         if budget is None:
-            if self.policy_of(transmitter) == "offtime":
+            if self._policy.get(transmitter, self.default_policy) == "offtime":
                 budget = OfftimeBudget(transmitter, band)
             else:
-                budget = WindowBudget(transmitter, band, self.window_us)
+                budget = WindowBudget(transmitter, band)
             self._budgets[(transmitter, band.name)] = budget
         return budget
 
@@ -355,10 +340,6 @@ class DutyCycleLedger:
               airtime_us: SimTime = 0) -> SimTime:
         """Earliest time >= ``now`` at which a frame of ``airtime_us`` may start."""
         return self.budget(transmitter, band).clearance(now, airtime_us)
-
-    def permitted(self, transmitter: str, band: SubBand, now: SimTime,
-                  airtime_us: SimTime = 0) -> bool:
-        return self.check(transmitter, band, now, airtime_us) <= now
 
     def record(self, transmitter: str, band: SubBand, start: SimTime,
                airtime_us: SimTime) -> None:
@@ -373,9 +354,8 @@ class DutyCycleLedger:
 
 
 class TransmissionKind(str, Enum):
-    RP = "RP"    # periodic report uplink
-    UP = "UP"    # urgent alarm uplink
-    DCP = "DCP"  # downlink control packet
+    RP = "RP"  # periodic report uplink
+    UP = "UP"  # urgent alarm uplink
 
     def __str__(self) -> str:  # pragma: no cover
         return self.value
@@ -395,9 +375,7 @@ class Transmission:
     params: RadioParams
     start_us: SimTime
     airtime_us: SimTime
-    payload_len: int
     uid: int
-    trigger_us: SimTime | None = None  # alarm instant for urgent uplinks
     end_us: SimTime = field(init=False)
 
     def __post_init__(self) -> None:
@@ -481,21 +459,3 @@ def decodes_against(model: CaptureModel, own_sf: int, own_power_dbm: float,
         if rng.random() >= p:
             return False
     return True
-
-
-def resolve_receptions(transmissions: Sequence[Transmission], model: CaptureModel,
-                       rng, rx_power_dbm: Mapping[str, float] | None = None,
-                       ) -> dict[int, bool]:
-    """Decode outcomes for mutually overlapping co-channel frames at one gateway.
-
-    Returns {transmission uid: decoded}.  Every frame is tested against every
-    other; a frame with no interferers always decodes.
-    """
-    powers = rx_power_dbm or {}
-    outcomes: dict[int, bool] = {}
-    for tx in transmissions:
-        others = [(o.params.sf, powers.get(o.source, 0.0))
-                  for o in transmissions if o.uid != tx.uid]
-        outcomes[tx.uid] = decodes_against(
-            model, tx.params.sf, powers.get(tx.source, 0.0), others, rng)
-    return outcomes

@@ -5,6 +5,11 @@ proportional to concentration: methane reads 2 %vol per volt, propane and
 butane 3 %vol per volt (a 1.5x concentration scale).  The alarm trips at
 0.5 V, which for every supported gas sits strictly below its lower explosive
 limit.  CO and O2 channels are simple quantized threshold detectors.
+
+The bridge scale, the combustible trip voltage and the CO/O2 ranges and
+resolutions are calibration constants of the sensor head, fixed below.  The
+CO and O2 trip points are site configuration and live in ``SensorProfile``,
+which a scenario's ``sensor`` section sets.
 """
 
 from __future__ import annotations
@@ -22,63 +27,56 @@ COMBUSTIBLE_GASES = ("methane", "propane", "butane")
 # Lower explosive limits in %vol, for the safety-margin checks.
 LEL_PCT_VOL = {"methane": 5.0, "propane": 2.1, "butane": 1.8}
 
+# Calibration of the sensor head.
+METHANE_PCT_PER_VOLT = 2.0
+PROPANE_BUTANE_SCALE = 1.5  # %vol-per-volt multiplier vs methane
+COMBUSTIBLE_ALARM_VOLTS = 0.5
+CO_RANGE_PPM = (0.0, 500.0)
+CO_RESOLUTION_PPM = 2.0
+O2_RANGE_PCT = (15.0, 21.0)
+O2_RESOLUTION_PCT = 0.5
+
 
 @dataclass(frozen=True)
 class SensorProfile:
-    """Detection characteristics of one sensor head.
+    """The site's CO and O2 trip points.
 
-    CO and O2 trip points are site configuration, not calibration constants;
-    the defaults below are conventional occupational limits.
+    They are site configuration, not calibration constants; the defaults are
+    conventional occupational limits.
     """
 
-    methane_pct_per_volt: float = 2.0
-    propane_butane_scale: float = 1.5  # %vol-per-volt multiplier vs methane
-    combustible_alarm_volts: float = 0.5
-    co_range_ppm: tuple[float, float] = (0.0, 500.0)
-    co_resolution_ppm: float = 2.0
     co_alarm_ppm: float = 100.0
-    o2_range_pct: tuple[float, float] = (15.0, 21.0)
-    o2_resolution_pct: float = 0.5
     o2_deficiency_pct: float = 19.0
-
-    def __post_init__(self) -> None:
-        if self.methane_pct_per_volt <= 0:
-            raise ValueError("methane_pct_per_volt must be > 0")
-        if self.propane_butane_scale <= 0:
-            raise ValueError("propane_butane_scale must be > 0")
-        if self.combustible_alarm_volts <= 0:
-            raise ValueError("combustible_alarm_volts must be > 0")
 
 
 @dataclass(frozen=True)
 class GasEvent:
-    """A gas exposure hitting one device or a whole cluster at a given time.
+    """A gas exposure at a given time.
 
-    ``level`` is %vol for combustible gases, ppm for CO, %O2 for oxygen.
+    ``level`` is %vol for combustible gases, ppm for CO, %O2 for oxygen.  The
+    devices it reaches are its trigger's scope (``Scenario.alarm_scope``).
     """
 
     at_us: SimTime
     species: str
     level: float
-    devices: tuple[str, ...] = ()
-    cluster: str | None = None
 
 
-def bridge_voltage(profile: SensorProfile, species: str, concentration_pct_vol: float) -> float:
+def bridge_voltage(species: str, concentration_pct_vol: float) -> float:
     """Catalytic-bridge output for a combustible-gas concentration in %vol."""
     if species not in COMBUSTIBLE_GASES:
         raise ValueError(f"{species!r} is not a combustible gas {COMBUSTIBLE_GASES}")
     if concentration_pct_vol < 0:
         raise ValueError(f"concentration must be >= 0, got {concentration_pct_vol}")
-    pct_per_volt = profile.methane_pct_per_volt
+    pct_per_volt = METHANE_PCT_PER_VOLT
     if species in ("propane", "butane"):
-        pct_per_volt *= profile.propane_butane_scale
+        pct_per_volt *= PROPANE_BUTANE_SCALE
     return concentration_pct_vol / pct_per_volt
 
 
-def lel_voltage(profile: SensorProfile, species: str) -> float:
+def lel_voltage(species: str) -> float:
     """Bridge voltage at the gas's lower explosive limit."""
-    return bridge_voltage(profile, species, LEL_PCT_VOL[species])
+    return bridge_voltage(species, LEL_PCT_VOL[species])
 
 
 def quantize(value: float, resolution: float, lo: float, hi: float) -> tuple[float, bool]:
@@ -101,16 +99,14 @@ def alarm_check(profile: SensorProfile, event: GasEvent) -> bool:
     readings are clamped (logged, still evaluated).
     """
     if event.species in COMBUSTIBLE_GASES:
-        return bridge_voltage(profile, event.species, event.level) >= profile.combustible_alarm_volts
+        return bridge_voltage(event.species, event.level) >= COMBUSTIBLE_ALARM_VOLTS
     if event.species == "co":
-        reading, clamped = quantize(event.level, profile.co_resolution_ppm,
-                                    *profile.co_range_ppm)
+        reading, clamped = quantize(event.level, CO_RESOLUTION_PPM, *CO_RANGE_PPM)
         if clamped:
             log.warning("CO reading %.1f ppm clamped to %.1f", event.level, reading)
         return reading >= profile.co_alarm_ppm
     if event.species == "o2":
-        reading, clamped = quantize(event.level, profile.o2_resolution_pct,
-                                    *profile.o2_range_pct)
+        reading, clamped = quantize(event.level, O2_RESOLUTION_PCT, *O2_RANGE_PCT)
         if clamped:
             log.warning("O2 reading %.1f%% clamped to %.1f%%", event.level, reading)
         return reading <= profile.o2_deficiency_pct
@@ -152,9 +148,9 @@ def generate_events(spec: TriggerSpec, rng) -> Iterator[GasEvent]:
     """
     if spec.kind == "script":
         for at in sorted(spec.times_us):
-            yield GasEvent(at, spec.species, spec.level, spec.devices, spec.cluster)
+            yield GasEvent(at, spec.species, spec.level)
         return
     at: SimTime = 0
     while True:
         at += int(rng.integers(spec.interarrival_min_us, spec.interarrival_max_us + 1))
-        yield GasEvent(at, spec.species, spec.level, spec.devices, spec.cluster)
+        yield GasEvent(at, spec.species, spec.level)

@@ -53,20 +53,19 @@ def assign_resources(members: tuple[str, ...] | list[str],
 
 @dataclass
 class NetworkServer:
-    """Backhaul-side state: the urgent assignment table the control downlinks confirm."""
+    """Backhaul-side state: the urgent assignment table the control downlinks confirm.
+
+    The table is fixed once the server is built, so each device's control
+    payload is built once with it and shared by every downlink.
+    """
 
     assignments: dict[str, tuple[int, int]]
-    _commands: dict[str, DcpCommand] = field(default_factory=dict)
+    _commands: dict[str, DcpCommand] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self._commands = {device: DcpCommand(device, freq_hz, sf)
+                          for device, (freq_hz, sf) in self.assignments.items()}
 
     def dcp_for(self, device: str) -> DcpCommand:
-        """Control payload confirming the device's current assignment.
-
-        Commands are immutable, so one is shared per device until the
-        assignment changes.
-        """
-        freq_hz, sf = self.assignments[device]
-        command = self._commands.get(device)
-        if command is None or command.up_freq_hz != freq_hz or command.up_sf != sf:
-            command = self._commands[device] = DcpCommand(target=device, up_freq_hz=freq_hz,
-                                                          up_sf=sf)
-        return command
+        """Control payload confirming the device's assignment."""
+        return self._commands[device]

@@ -89,8 +89,8 @@ def _from_spec(cls: type, spec: object, **resolved: object):
 class Simulation:
     """One runnable instance of a scenario."""
 
-    def __init__(self, scenario: Scenario, seed: int | None = None) -> None:
-        self.scenario = scenario if seed is None else scenario.with_seed(seed)
+    def __init__(self, scenario: Scenario) -> None:
+        self.scenario = scenario
         self.plan = default_eu868_plan()
         self.engine = Engine()
         self.streams = RandomStreams(self.scenario.seed)
@@ -278,7 +278,7 @@ class Simulation:
             return
         uid = next(self._uids)
         tx = Transmission(device.id, TransmissionKind.UP, device.assignment[0], params,
-                          now, air, device.up_payload_len, uid, outcome.trigger_us)
+                          now, air, uid)
         outcome.uid = uid
         outcome.start_us = now
         outcome.end_us = tx.end_us
@@ -340,7 +340,7 @@ class Simulation:
             self.engine.schedule(clear_at, reporter.handler, "rp")
             return
         tx = Transmission(device.id, TransmissionKind.RP, freq_hz, params, now, air,
-                          device.rp_payload_len, next(self._uids))
+                          next(self._uids))
         self._start_uplink(device, tx, band)
         self.engine.schedule(tx.end_us, partial(self._finish_rp, device, tx), "rp-end")
         self.engine.schedule(device.next_rp_time(now, reporter.rng), reporter.handler, "rp")
@@ -447,8 +447,3 @@ class Simulation:
             self.metrics.dcp["received"] += 1
         else:
             self.metrics.dcp["missed_window"] += 1
-
-
-def run_scenario(scenario: Scenario, seed: int | None = None) -> dict:
-    """Convenience one-shot: build, run, and report."""
-    return Simulation(scenario, seed=seed).run()

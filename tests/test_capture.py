@@ -1,6 +1,5 @@
 """Capture/collision model: calibrated survival table, both decode modes."""
 
-import itertools
 import math
 
 import numpy as np
@@ -14,7 +13,6 @@ from loraguard.phy import (
     Transmission,
     TransmissionKind,
     decodes_against,
-    resolve_receptions,
 )
 
 
@@ -23,16 +21,6 @@ class BoomRng:
 
     def random(self):  # pragma: no cover - reaching this is the failure
         raise AssertionError("rng must not be consumed")
-
-
-_UIDS = itertools.count(1)
-
-
-def make_tx(source, sf, start=0, airtime=100_000):
-    return Transmission(source=source, kind=TransmissionKind.UP,
-                        freq_hz=867_100_000, params=RadioParams(sf=sf),
-                        start_us=start, airtime_us=airtime, payload_len=37,
-                        uid=next(_UIDS))
 
 
 class TestCalibratedTable:
@@ -83,10 +71,9 @@ class TestThresholdMode:
         assert decodes_against(self.MODEL, 7, -120.0, [(8, 20.0)], BoomRng())
 
     def test_power_asymmetry_resolves_a_pairwise_overlap(self):
-        strong, weak = make_tx("strong", 7), make_tx("weak", 7)
-        out = resolve_receptions([strong, weak], self.MODEL, BoomRng(),
-                                 rx_power_dbm={"strong": 10.0, "weak": 0.0})
-        assert out == {strong.uid: True, weak.uid: False}
+        # A 10 dBm frame and a 0 dBm frame at SF7, each against the other.
+        assert decodes_against(self.MODEL, 7, 10.0, [(7, 0.0)], BoomRng())
+        assert not decodes_against(self.MODEL, 7, 0.0, [(7, 10.0)], BoomRng())
 
 
 class TestEmpiricalMode:
@@ -97,8 +84,7 @@ class TestEmpiricalMode:
 
     def test_no_interferers_always_decodes(self):
         assert decodes_against(CaptureModel(), 7, 0.0, [], BoomRng())
-        tx = make_tx("solo", 12)
-        assert resolve_receptions([tx], CaptureModel(), BoomRng()) == {tx.uid: True}
+        assert decodes_against(CaptureModel(), 12, 0.0, [], BoomRng())
 
     def test_zero_survival_is_deterministic_loss(self):
         model = CaptureModel(survival={(7, 7): 0.0})
@@ -112,11 +98,12 @@ class TestEmpiricalMode:
     def test_monte_carlo_joint_loss_matches_calibration(self, sf_a, sf_b, joint_loss):
         model = CaptureModel()
         rng = np.random.default_rng(424242)
-        a, b = make_tx("a", sf_a), make_tx("b", sf_b)
         trials, both_lost = 20_000, 0
         for _ in range(trials):
-            out = resolve_receptions([a, b], model, rng)
-            if not out[a.uid] and not out[b.uid]:
+            # Each party of a same-start pair against the other, a first.
+            a_decoded = decodes_against(model, sf_a, 0.0, [(sf_b, 0.0)], rng)
+            b_decoded = decodes_against(model, sf_b, 0.0, [(sf_a, 0.0)], rng)
+            if not a_decoded and not b_decoded:
                 both_lost += 1
         lo, hi = wilson_interval(both_lost, trials)
         assert lo <= joint_loss <= hi
@@ -124,14 +111,15 @@ class TestEmpiricalMode:
     def test_higher_sf_party_never_loses_across_the_boundary(self):
         model = CaptureModel()
         rng = np.random.default_rng(7)
-        a, b = make_tx("a", 9), make_tx("b", 10)
         for _ in range(2_000):
-            out = resolve_receptions([a, b], model, rng)
-            assert out[a.uid] and out[b.uid]
+            assert decodes_against(model, 9, 0.0, [(10, 0.0)], rng)
+            assert decodes_against(model, 10, 0.0, [(9, 0.0)], rng)
 
 
 class TestTransmission:
     def test_end_time_and_unique_ids(self):
         # uid numbering belongs to the simulation and is tested there
         # (test_uid_sequences_do_not_depend_on_other_simulations).
-        assert make_tx("x", 7, start=5_000, airtime=25_856).end_us == 30_856
+        tx = Transmission(source="x", kind=TransmissionKind.UP, freq_hz=867_100_000,
+                          params=RadioParams(sf=7), start_us=5_000, airtime_us=25_856, uid=1)
+        assert tx.end_us == 30_856

@@ -87,6 +87,13 @@ class TestAnalyze:
         assert main(args) == EXIT_OK
         assert "marginal" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("method", ["approx", "exact", "marginal"])
+    def test_mixture_probabilities_must_sum_to_one(self, method, capsys):
+        assert main(["analyze", "--senders", "8", "--period-s", "70",
+                     "--dcp-s", "0.0822:0.5", "--up-s", "0.2673",
+                     "--method", method]) == EXIT_INVALID
+        assert "dcp probabilities sum to 0.5" in capsys.readouterr().err
+
     def test_bad_distribution_syntax(self, capsys):
         assert main(["analyze", "--senders", "8", "--period-s", "70",
                      "--dcp-s", "abc", "--up-s", "0.2673"]) == EXIT_INVALID

@@ -36,14 +36,14 @@ class TestOffTimePolicy:
     def test_subbands_are_independent(self):
         ledger = DutyCycleLedger("offtime")
         ledger.record("ed1", G, 0, 500_000)
-        assert not ledger.permitted("ed1", G, 600_000)
-        assert ledger.permitted("ed1", G1, 600_000)
+        assert ledger.check("ed1", G, 600_000) > 600_000
+        assert ledger.check("ed1", G1, 600_000) == 600_000
         ledger.record("ed1", G1, 600_000, 500_000)  # must not raise
 
     def test_transmitters_are_independent(self):
         ledger = DutyCycleLedger("offtime")
         ledger.record("ed1", G, 0, 500_000)
-        assert ledger.permitted("ed2", G, 500_000)
+        assert ledger.check("ed2", G, 500_000) == 500_000
 
     def test_check_never_returns_the_past(self):
         ledger = DutyCycleLedger("offtime")
@@ -90,7 +90,7 @@ class TestWindowPolicy:
         air = 36 * US_PER_SECOND
         ledger.record("gw1", G, 0, air)
         assert ledger.check("gw1", G, air, 1_000) == air + HOUR_US
-        assert ledger.permitted("gw1", G, air + HOUR_US, 1_000)
+        assert ledger.check("gw1", G, air + HOUR_US, 1_000) == air + HOUR_US
 
     def test_frame_larger_than_the_budget_is_impossible(self):
         ledger = DutyCycleLedger("window")
@@ -104,7 +104,7 @@ class TestWindowPolicy:
         air = 82_176
         for k in range(1_000):
             now = k * 8_750_000  # one 82 ms frame every 8.75 s -> 0.94% busy
-            assert ledger.permitted("gw1", G1, now, air)
+            assert ledger.check("gw1", G1, now, air) == now
             ledger.record("gw1", G1, now, air)
 
     def test_window_overdraw_raises(self):
@@ -133,10 +133,10 @@ class TestWindowPolicy:
 
 class TestPolicySelection:
     def test_policy_registry(self):
-        ledger = DutyCycleLedger("offtime")
-        ledger.set_policy("gw1", "window")
-        assert ledger.policy_of("gw1") == "window"
-        assert ledger.policy_of("ed1") == "offtime"
+        ledger = DutyCycleLedger("window")
+        ledger.set_policy("ed1", "offtime")
+        assert isinstance(ledger.budget("ed1", G), OfftimeBudget)
+        assert isinstance(ledger.budget("gw1", G), WindowBudget)  # the default
 
     @pytest.mark.parametrize("bad", ["hourly", "", "OFFTIME"])
     def test_unknown_policies_are_rejected(self, bad):

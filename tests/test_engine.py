@@ -14,8 +14,7 @@ class TestEngine:
         eng.schedule(30, lambda: seen.append("c"))
         eng.schedule(10, lambda: seen.append("a"))
         eng.schedule(20, lambda: seen.append("b"))
-        while eng.step():
-            pass
+        eng.run_while(lambda: True)
         assert seen == ["a", "b", "c"]
         assert eng.now == 30
 
@@ -24,14 +23,13 @@ class TestEngine:
         seen = []
         for tag in "abcdef":
             eng.schedule(5, lambda t=tag: seen.append(t))
-        while eng.step():
-            pass
+        eng.run_while(lambda: True)
         assert seen == list("abcdef")
 
     def test_scheduling_in_the_past_raises(self):
         eng = Engine()
         eng.schedule(10, lambda: None)
-        eng.step()
+        eng.run_until(10)
         with pytest.raises(SchedulingError):
             eng.schedule(9, lambda: None)
 
@@ -39,8 +37,7 @@ class TestEngine:
         eng = Engine()
         seen = []
         eng.schedule(10, lambda: eng.schedule(10, lambda: seen.append("nested")))
-        while eng.step():
-            pass
+        eng.run_while(lambda: True)
         assert seen == ["nested"]
 
     def test_run_until_processes_due_events_and_advances_clock(self):
@@ -68,10 +65,11 @@ class TestEngine:
         eng.run_while(lambda: len(seen) < 4)
         assert seen == [0, 1, 2, 3]
 
-    def test_step_on_empty_queue_returns_false(self):
+    def test_run_while_stops_when_the_queue_empties(self):
         eng = Engine()
-        assert eng.step() is False
-        assert eng.now == 0
+        eng.schedule(7, lambda: None)
+        eng.run_while(lambda: True)
+        assert eng.now == 7 and len(eng) == 0
 
 
 class TestRandomStreams:

@@ -24,7 +24,7 @@ _UIDS = itertools.count(1)
 def make_tx(source, freq_hz, start, airtime=100, sf=7):
     return Transmission(source=source, kind=TransmissionKind.UP, freq_hz=freq_hz,
                         params=RadioParams(sf=sf), start_us=start,
-                        airtime_us=airtime, payload_len=37, uid=next(_UIDS))
+                        airtime_us=airtime, uid=next(_UIDS))
 
 
 class TestDemodPaths:

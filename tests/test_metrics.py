@@ -151,12 +151,10 @@ def make_collector():
     return coll
 
 
-def make_report(**overrides):
-    kwargs = dict(scenario_name="unit", seed=5, scenario_digest="0123456789abcdef",
-                  ended_at_us=1_000_000,
-                  assignments={"ed1": (868_100_000, 7), "ed2": (867_100_000, 8)})
-    kwargs.update(overrides)
-    return build_report(make_collector(), **kwargs)
+def make_report():
+    return build_report(make_collector(), scenario_name="unit", seed=5,
+                        scenario_digest="0123456789abcdef", ended_at_us=1_000_000,
+                        assignments={"ed1": (868_100_000, 7), "ed2": (867_100_000, 8)})
 
 
 class TestReport:
@@ -174,10 +172,6 @@ class TestReport:
         assert report["assignments"]["ed1"] == {"channel_hz": 868_100_000, "sf": 7}
         assert report["gateways"]["gw1"]["decoded"] == {"UP": 1}
         assert report["gateways"]["gw1"]["losses"] == {"UP": {CAUSE_COLLISION: 1}}
-
-    def test_extras_merge_at_top_level(self):
-        report = make_report(extras={"note": "calibration"})
-        assert report["note"] == "calibration"
 
     def test_matches_published_schema(self, docs_dir):
         schema = json.loads((docs_dir / "report.schema.json").read_text())

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from loraguard.engine import US_PER_SECOND
-from loraguard.phy import RadioParams, airtime, airtime_us, payload_symbols
+from loraguard.phy import RadioParams, airtime_us, payload_symbols
 
 # Hand-frozen oracle values (37-byte PHY payload, CR 4/5, 8-symbol preamble,
 # explicit header, 125 kHz, automatic low-data-rate rule), microseconds.
@@ -41,10 +41,6 @@ def test_frozen_oracle_values_for_the_37_byte_frame():
 
 def test_empty_payload_at_sf7():
     assert airtime_us(RadioParams(sf=7), 0) == 25_856
-
-
-def test_airtime_seconds_matches_microseconds():
-    assert airtime(RadioParams(sf=9), 37) == pytest.approx(0.267264, abs=1e-12)
 
 
 def test_reference_agreement_over_a_dense_grid():
@@ -102,8 +98,10 @@ def test_invalid_radio_params_are_rejected(kwargs):
 
 
 def test_negative_payload_is_rejected():
-    with pytest.raises(ValueError):
-        airtime_us(RadioParams(sf=9), -1)
+    # Over the 255-byte LoRa PHY limit is rejected too.
+    for payload_len in (-1, 256):
+        with pytest.raises(ValueError):
+            airtime_us(RadioParams(sf=9), payload_len)
 
 
 @given(sf=st.integers(7, 12), cr=st.integers(1, 4),

@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 
 from loraguard.engine import US_PER_SECOND, RandomStreams
 from loraguard.sensor import (
+    COMBUSTIBLE_ALARM_VOLTS,
     COMBUSTIBLE_GASES,
     LEL_PCT_VOL,
     GasEvent,
@@ -28,12 +29,12 @@ class TestCombustibleBridge:
         ("methane", 2.5), ("propane", 0.7), ("butane", 0.6),
     ])
     def test_voltage_at_the_explosive_limit(self, species, volts):
-        assert abs(lel_voltage(PROFILE, species) - volts) < 1e-12
+        assert abs(lel_voltage(species) - volts) < 1e-12
 
     def test_alarm_fires_strictly_below_every_explosive_limit(self):
         for species in COMBUSTIBLE_GASES:
             pct_per_volt = 2.0 * (1.5 if species != "methane" else 1.0)
-            alarm_conc = PROFILE.combustible_alarm_volts * pct_per_volt
+            alarm_conc = COMBUSTIBLE_ALARM_VOLTS * pct_per_volt
             assert alarm_conc < LEL_PCT_VOL[species]
             assert alarm_check(PROFILE, GasEvent(0, species, alarm_conc))
 
@@ -43,22 +44,21 @@ class TestCombustibleBridge:
 
     def test_propane_reads_at_two_thirds_the_methane_voltage(self):
         c = 1.2
-        assert abs(bridge_voltage(PROFILE, "propane", c)
-                   - bridge_voltage(PROFILE, "methane", c) / 1.5) < 1e-12
+        assert abs(bridge_voltage("propane", c) - bridge_voltage("methane", c) / 1.5) < 1e-12
 
     def test_non_combustible_species_rejected(self):
         with pytest.raises(ValueError):
-            bridge_voltage(PROFILE, "co", 1.0)
+            bridge_voltage("co", 1.0)
 
     def test_negative_concentration_rejected(self):
         with pytest.raises(ValueError):
-            bridge_voltage(PROFILE, "methane", -0.1)
+            bridge_voltage("methane", -0.1)
 
     @given(st.sampled_from(COMBUSTIBLE_GASES),
            st.floats(0.0, 10.0), st.floats(0.0, 10.0))
     def test_voltage_is_monotone_in_concentration(self, species, c1, c2):
         lo, hi = sorted((c1, c2))
-        assert bridge_voltage(PROFILE, species, lo) <= bridge_voltage(PROFILE, species, hi)
+        assert bridge_voltage(species, lo) <= bridge_voltage(species, hi)
 
 
 class TestQuantizedChannels:
@@ -95,17 +95,6 @@ class TestQuantizedChannels:
         assert clamped == (value < 0.0 or value > 500.0)
 
 
-class TestSensorProfileValidation:
-    @pytest.mark.parametrize("kwargs", [
-        {"methane_pct_per_volt": 0.0},
-        {"propane_butane_scale": -1.0},
-        {"combustible_alarm_volts": 0.0},
-    ])
-    def test_invalid_profiles_rejected(self, kwargs):
-        with pytest.raises(ValueError):
-            SensorProfile(**kwargs)
-
-
 class TestTriggers:
     def test_scripted_events_come_back_sorted(self):
         spec = TriggerSpec(kind="script", species="methane", level=1.2,
@@ -122,11 +111,6 @@ class TestTriggers:
         assert gaps.min() >= 120 * US_PER_SECOND
         assert gaps.max() <= 130 * US_PER_SECOND
         assert abs(gaps.mean() / US_PER_SECOND - 125.0) < 0.2
-
-    def test_random_events_carry_the_cluster_tag(self):
-        spec = TriggerSpec(kind="random", species="methane", level=1.5, cluster="c9")
-        event = next(generate_events(spec, RandomStreams(1).stream("alarms")))
-        assert event.cluster == "c9" and event.devices == ()
 
     @pytest.mark.parametrize("kwargs", [
         {"kind": "poisson"},

@@ -88,11 +88,10 @@ class TestNetworkServer:
         assert cmd.target == "ed01"
         assert (cmd.up_freq_hz, cmd.up_sf) == server.assignments["ed01"]
 
-    def test_control_payload_is_reused_until_the_assignment_changes(self):
+    def test_one_control_payload_per_device_is_reused_on_every_call(self):
         server = NetworkServer(assign_resources(members(6), CHANNELS))
-        first = server.dcp_for("ed01")
-        assert server.dcp_for("ed01") is first
-        server.assignments["ed01"] = (CHANNELS[4], 10)
-        moved = server.dcp_for("ed01")
-        assert (moved.up_freq_hz, moved.up_sf) == (CHANNELS[4], 10)
-        assert server.dcp_for("ed01") is moved
+        first = {dev: server.dcp_for(dev) for dev in members(6)}
+        for dev in members(6):
+            assert server.dcp_for(dev) is first[dev]
+            assert first[dev].target == dev
+            assert (first[dev].up_freq_hz, first[dev].up_sf) == server.assignments[dev]

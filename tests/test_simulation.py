@@ -8,7 +8,7 @@ import pytest
 from loraguard.metrics import CAUSE_DUTY_CYCLE, emit_report, latency_of
 from loraguard.phy import RadioParams, Transmission, TransmissionKind, default_eu868_plan
 from loraguard.scenario import load_scenario, parse_scenario, shipped_scenario_path
-from loraguard.simulation import Simulation, run_scenario
+from loraguard.simulation import Simulation
 
 
 def scripted_scenario(times, **top_level):
@@ -71,14 +71,14 @@ class TestScriptedRuns:
                         "level": "0.9 %vol", "devices": ["ed1"],
                         "times": ["10 s", "20 s"]}],
         })
-        report = run_scenario(scenario)
+        report = Simulation(scenario).run()
         assert "UP" not in report["kinds"]
         assert report["kinds"]["RP"]["generated"] >= 5
         assert report["ended_at_us"] == 60_000_000
 
     def test_stop_duration_is_exact(self):
         scenario = scripted_scenario(["10 s"], stop={"duration": "45 s"})
-        report = run_scenario(scenario)
+        report = Simulation(scenario).run()
         assert report["ended_at_us"] == 45_000_000
         assert report["kinds"]["UP"]["generated"] == 1
 
@@ -146,11 +146,11 @@ class TestDemoRun:
 
     def test_replays_are_identical(self, demo_run):
         scenario, _sim, report = demo_run
-        assert run_scenario(scenario) == report
+        assert Simulation(scenario).run() == report
 
     def test_seed_override_changes_the_trajectory(self, demo_run):
         scenario, _sim, report = demo_run
-        other = Simulation(scenario, seed=99).run()
+        other = Simulation(scenario.with_seed(99)).run()
         assert other["seed"] == 99
         skip = {"seed", "scenario_digest"}  # the digest hashes the seed too
         trimmed = {k: v for k, v in report.items() if k not in skip}
@@ -166,7 +166,7 @@ def test_uid_sequences_do_not_depend_on_other_simulations():
     first.transmission_log, second.transmission_log = [], []
     first.run()
     Transmission(source="x", kind=TransmissionKind.UP, freq_hz=867_100_000,
-                 params=RadioParams(sf=7), start_us=0, airtime_us=1, payload_len=1, uid=1)
+                 params=RadioParams(sf=7), start_us=0, airtime_us=1, uid=1)
     second.run()
     uids = [tx.uid for tx in first.transmission_log]
     assert uids == list(range(1, len(uids) + 1))
@@ -186,7 +186,7 @@ def test_each_decoded_report_requests_one_downlink():
         "alarms": [{"kind": "script", "species": "methane", "level": "1.2 %vol",
                     "devices": ["ed1"], "times": ["100 s"]}],
     })
-    report = run_scenario(scenario)
+    report = Simulation(scenario).run()
     delivered = report["kinds"]["RP"]["delivered"]
     decoded_copies = sum(report["gateways"][gw]["decoded"].get("RP", 0)
                          for gw in ("gw1", "gw2"))
