@@ -9,7 +9,7 @@ traffic those downlinks destroy.
 from .analytic import (PlrModelParams, PlrResult, plr_approx, plr_exact_fixed,
                        plr_marginal, residual_density, survivor_integral)
 from .engine import Engine, RandomStreams, SimTime, sample_gaussian
-from .device import DcpCommand, EndDevice
+from .device import EndDevice
 from .gateway import Gateway
 from .metrics import MetricsCollector, PacketOutcome, emit_report, plr, wilson_interval
 from .phy import (CaptureModel, ChannelPlan, DutyCycleLedger, RadioParams, SubBand,
@@ -24,7 +24,7 @@ from .simulation import Simulation
 __version__ = "0.1.0"
 
 __all__ = [
-    "CaptureModel", "ChannelPlan", "DcpCommand", "DutyCycleLedger", "EndDevice",
+    "CaptureModel", "ChannelPlan", "DutyCycleLedger", "EndDevice",
     "Engine", "GasEvent", "Gateway", "MetricsCollector", "NetworkServer",
     "PacketOutcome", "PlrModelParams", "PlrResult", "RadioParams", "RandomStreams",
     "Scenario", "ScenarioError", "SensorProfile", "SimTime", "SubBand",

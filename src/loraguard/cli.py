@@ -34,21 +34,27 @@ def _say(args: argparse.Namespace, text: str) -> None:
         print(text)
 
 
-def _load(args: argparse.Namespace) -> Scenario:
-    """The scenario file with the ``--seed`` override applied and checked."""
-    scenario = load_scenario(args.scenario)
-    return scenario if args.seed is None else scenario.with_seed(args.seed)
+def _load(args: argparse.Namespace) -> Scenario | int:
+    """The scenario file with the ``--seed`` override applied and checked.
 
-
-def cmd_run(args: argparse.Namespace) -> int:
+    If it cannot be loaded, the reason goes to stderr and the exit code is
+    returned instead.
+    """
     try:
-        scenario = _load(args)
+        scenario = load_scenario(args.scenario)
+        return scenario if args.seed is None else scenario.with_seed(args.seed)
     except OSError as exc:
         print(f"error: cannot read {args.scenario}: {exc}", file=sys.stderr)
         return EXIT_READ_ERROR
     except ScenarioError as exc:
         print(f"error: invalid scenario: {exc}", file=sys.stderr)
         return EXIT_INVALID
+
+
+def cmd_run(args: argparse.Namespace) -> int:
+    scenario = _load(args)
+    if isinstance(scenario, int):
+        return scenario
     try:
         started = time.perf_counter()
         report = Simulation(scenario).run()
@@ -131,14 +137,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    try:
-        scenario = _load(args)
-    except OSError as exc:
-        print(f"error: cannot read {args.scenario}: {exc}", file=sys.stderr)
-        return EXIT_READ_ERROR
-    except ScenarioError as exc:
-        print(f"error: invalid scenario: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+    scenario = _load(args)
+    if isinstance(scenario, int):
+        return scenario
     # The model takes one report period and jitter for every sender.
     reporters = [d for d in scenario.devices if d.rp_period_us is not None]
     if not reporters:
@@ -163,7 +164,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
     # Model inputs from the scenario: every reporting device contributes one
     # downlink stream; urgent airtime from the triggered devices' assignments.
-    _channels, assignments = urgent_resources(scenario)
+    assignments = urgent_resources(scenario)
     triggered = sorted({d for trig in scenario.triggers for d in scenario.alarm_scope(trig)})
     dcp_airtimes = [airtime_us(RadioParams(sf=dev.rp_sf), scenario.dcp_payload_len)
                     / US_PER_SECOND for dev in reporters]

@@ -1,33 +1,21 @@
-"""End-device behavior: report timing, receive windows, control-downlink handling.
+"""End-device behavior: report timing, receive windows, half-duplex state.
 
 Devices are half-duplex Class A nodes sending unconfirmed frames only; there
 are no retransmissions anywhere in the system.  Periodic reports hop randomly
 over the report channels; urgent uplinks use the single (channel, SF)
-assignment the network last confirmed via a control downlink.
+assignment the device was commissioned with.
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 from .engine import SimTime, sample_gaussian
 from .phy import RX2_FREQ_HZ, RX2_SF
 from .scenario import DeviceSpec
 
-log = logging.getLogger(__name__)
-
 UP_SF_MIN = 7
 UP_SF_MAX = 10  # keeps the urgent airtime under the 500 ms latency budget
-
-
-@dataclass(frozen=True)
-class DcpCommand:
-    """Control downlink payload: the target's confirmed urgent-uplink resource."""
-
-    target: str
-    up_freq_hz: int
-    up_sf: int
 
 
 @dataclass(slots=True)
@@ -54,7 +42,6 @@ class EndDevice:
     rp_payload_len: int = DeviceSpec.rp_payload_len
     rp_channels: tuple[int, ...] = ()
     up_payload_len: int = DeviceSpec.up_payload_len
-    up_channels: tuple[int, ...] = ()  # channels DCP assignments may use
     rx_power_dbm: float = DeviceSpec.rx_power_dbm
     receive_delay1_us: SimTime = DeviceSpec.receive_delay1_us
     receive_delay2_us: SimTime = DeviceSpec.receive_delay2_us
@@ -120,28 +107,6 @@ class EndDevice:
         if at == w.rx1_at and freq_hz == w.rx1_freq_hz and sf == w.rx1_sf:
             return True
         return at == w.rx2_at and freq_hz == w.rx2_freq_hz and sf == w.rx2_sf
-
-    def apply_dcp(self, command: DcpCommand) -> bool:
-        """Accept a control downlink, updating the urgent-uplink assignment.
-
-        Last writer wins.  Malformed commands (foreign target, SF outside the
-        urgent range, channel outside the urgent sub-band set) are rejected
-        and logged, leaving the current assignment in place.
-        """
-        if command.target != self.id:
-            log.warning("%s: dropping control downlink addressed to %s",
-                        self.id, command.target)
-            return False
-        if not UP_SF_MIN <= command.up_sf <= UP_SF_MAX:
-            log.warning("%s: rejecting assignment with SF%d outside [%d, %d]",
-                        self.id, command.up_sf, UP_SF_MIN, UP_SF_MAX)
-            return False
-        if self.up_channels and command.up_freq_hz not in self.up_channels:
-            log.warning("%s: rejecting assignment on %d Hz outside the urgent channels",
-                        self.id, command.up_freq_hz)
-            return False
-        self.assignment = (command.up_freq_hz, command.up_sf)
-        return True
 
     def mark_transmitting(self, start: SimTime, end: SimTime) -> None:
         self.last_tx_start = start

@@ -3,8 +3,8 @@
 A packet decoded by several gateways counts once toward delivery; per-gateway
 outcomes are kept separately so multi-gateway analyses can attribute losses
 at each radio.  The system-level loss histogram assigns one cause per lost
-packet using a fixed priority (device-side causes first, then collision >
-no-demod-path > tx-busy > gw-preempted).
+packet using a fixed priority (the device-side duty-cycle first, then
+collision > no-demod-path > tx-busy > gw-preempted).
 """
 
 from __future__ import annotations
@@ -19,8 +19,7 @@ from typing import Mapping, Sequence
 
 from .engine import SimTime
 
-# Device-side causes: the packet never reached the air.
-CAUSE_UNASSIGNED = "unassigned"
+# Device-side cause: the packet never reached the air.
 CAUSE_DUTY_CYCLE = "duty-cycle"
 # Gateway-side causes, one per (packet, gateway).
 CAUSE_COLLISION = "collision"
@@ -28,8 +27,8 @@ CAUSE_NO_DEMOD_PATH = "no-demod-path"
 CAUSE_TX_BUSY = "tx-busy"
 CAUSE_GW_PREEMPTED = "gw-preempted"
 
-CAUSE_PRIORITY = (CAUSE_UNASSIGNED, CAUSE_DUTY_CYCLE, CAUSE_COLLISION,
-                  CAUSE_NO_DEMOD_PATH, CAUSE_TX_BUSY, CAUSE_GW_PREEMPTED)
+CAUSE_PRIORITY = (CAUSE_DUTY_CYCLE, CAUSE_COLLISION, CAUSE_NO_DEMOD_PATH,
+                  CAUSE_TX_BUSY, CAUSE_GW_PREEMPTED)
 
 WILSON_Z = 1.96  # two-sided 95%
 

@@ -23,6 +23,7 @@ import yaml
 
 from .engine import SimTime, US_PER_SECOND
 from .sensor import SensorProfile, TriggerSpec
+from .server import assign_resources
 
 __all__ = [
     "ScenarioError", "StopSpec", "DeviceSpec", "GatewaySpec", "ClusterSpec",
@@ -481,8 +482,6 @@ def _cluster_assignments(cluster: ClusterSpec, channels: tuple[int, ...],
     The automatic rule runs over the whole cluster, and only when some member
     has no explicit assignment; it raises ValueError where it cannot assign.
     """
-    from .server import assign_resources  # lazy: server imports device, which imports this
-
     automatic = ({} if all(m in explicit for m in cluster.members)
                  else assign_resources(cluster.members, channels))
     return {m: explicit[m] if m in explicit else automatic[m] for m in cluster.members}
@@ -492,17 +491,15 @@ def _explicit_assignments(scenario: Scenario) -> dict[str, tuple[int, int]]:
     return {d.id: d.assignment for d in scenario.devices if d.assignment is not None}
 
 
-def urgent_resources(scenario: Scenario) -> tuple[dict[str, tuple[int, ...]],
-                                                  dict[str, tuple[int, int]]]:
-    """Each cluster's urgent channels, and each member's urgent (channel, SF)."""
+def urgent_resources(scenario: Scenario) -> dict[str, tuple[int, int]]:
+    """Each cluster member's urgent (channel, SF)."""
     from .phy import default_eu868_plan  # lazy: phy imports this module
 
     band_channels = default_eu868_plan().subband(scenario.up_subband).channels
     explicit = _explicit_assignments(scenario)
-    channels = {c.id: _urgent_channels(c, band_channels) for c in scenario.clusters}
-    assignments = {m: resource for c in scenario.clusters
-                   for m, resource in _cluster_assignments(c, channels[c.id], explicit).items()}
-    return channels, assignments
+    return {m: resource for c in scenario.clusters
+            for m, resource in _cluster_assignments(
+                c, _urgent_channels(c, band_channels), explicit).items()}
 
 
 def _assignment_collisions(cluster: ClusterSpec, channels: tuple[int, ...],

@@ -1,18 +1,16 @@
-"""Network server: the conflict-free assignment rule and control-downlink payloads.
+"""Network server: the conflict-free assignment rule and the assignment table.
 
 For every decoded periodic report the server schedules one control downlink
-(through the cluster's designated gateway) confirming the sender's urgent
-(channel, SF) assignment for the first receive window, falling back to the
-second.  Automatic assignments are chosen so no two cluster members share a
+(through the cluster's designated gateway) into the sender's first receive
+window, falling back to the second; what it costs is the gateway's airtime.
+Automatic assignments are chosen so no two cluster members share a
 (channel, SF) pair, which keeps synchronized urgent bursts collision-free;
 ``scenario.urgent_resources`` resolves the table the server holds.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from .device import DcpCommand
+from dataclasses import dataclass
 
 SF_SINGLE = 7            # sole occupant of a channel
 SF_STACKED = (8, 9, 10)  # co-channel occupants, kept mutually distinct
@@ -53,19 +51,6 @@ def assign_resources(members: tuple[str, ...] | list[str],
 
 @dataclass
 class NetworkServer:
-    """Backhaul-side state: the urgent assignment table the control downlinks confirm.
-
-    The table is fixed once the server is built, so each device's control
-    payload is built once with it and shared by every downlink.
-    """
+    """Backhaul-side state: each device's urgent (channel, SF), fixed for the run."""
 
     assignments: dict[str, tuple[int, int]]
-    _commands: dict[str, DcpCommand] = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        self._commands = {device: DcpCommand(device, freq_hz, sf)
-                          for device, (freq_hz, sf) in self.assignments.items()}
-
-    def dcp_for(self, device: str) -> DcpCommand:
-        """Control payload confirming the device's assignment."""
-        return self._commands[device]

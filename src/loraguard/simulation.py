@@ -8,19 +8,20 @@ window-1 downlink blocked by the duty-cycle budget falls back to window 2 on
 the high-duty band; one that would overlap a transmission already programmed
 at the gateway is dropped.  Starting any downlink aborts every reception in
 progress at that gateway, which is the loss mechanism urgent uplinks suffer.
+A control downlink is modelled by its airtime and by whether the device
+receives it; its payload would only repeat the device's assignment.
 
-Urgent uplinks are triggered by gas alarms, use the device's confirmed
-(channel, SF) assignment, and are never retransmitted.  Each cluster's urgent
-channels and each member's commissioned assignment come from
-``scenario.urgent_resources``.
+Urgent uplinks are triggered by gas alarms, use the (channel, SF) assignment
+the device was commissioned with, and are never retransmitted.  Each member's
+assignment comes from ``scenario.urgent_resources`` and holds for the run.
 
 Everything that depends only on the scenario is bound once per run: radio
-parameters and airtime per (SF, payload length), each reporter's sub-band,
-parameters and airtime per report channel, and each downlink's sub-band and
-airtime per (channel, SF).  Urgent-uplink resources are bound per assignment,
-since a control downlink may change it.  The urgent-uplink counters are bound
-when the first alarm triggers an uplink, so a run without urgent uplinks still
-reports no ``UP`` kind.  Each distinct tuple of per-gateway outcomes (in
+parameters and airtime per (SF, payload length), each device's urgent-uplink
+sub-band, parameters and airtime, each reporter's sub-band, parameters and
+airtime per report channel, and each downlink's sub-band and airtime per
+(channel, SF).  The urgent-uplink counters are bound when the first alarm
+triggers an uplink, so a run without urgent uplinks still reports no ``UP``
+kind.  Each distinct tuple of per-gateway outcomes (in
 scenario gateway order) is resolved once into a shared read-only per-gateway
 map, the earliest backhaul delay among the decoding gateways and the
 system-level loss cause; every urgent uplink with that tuple reuses them.
@@ -29,7 +30,6 @@ system-level loss cause; every urgent uplink with that tuple reuses them.
 from __future__ import annotations
 
 import itertools
-import logging
 from dataclasses import dataclass, fields
 from functools import partial
 from types import MappingProxyType
@@ -37,11 +37,11 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .device import DcpCommand, EndDevice
+from .device import EndDevice
 from .engine import Engine, RandomStreams, SimTime
 from .gateway import Gateway
-from .metrics import (CAUSE_DUTY_CYCLE, CAUSE_UNASSIGNED, KindStats, MetricsCollector,
-                      PacketOutcome, build_report, system_cause)
+from .metrics import (CAUSE_DUTY_CYCLE, KindStats, MetricsCollector, PacketOutcome,
+                      build_report, system_cause)
 from .phy import (CaptureModel, DEFAULT_SURVIVAL, DutyCycleLedger,
                   RadioParams, RX2_FREQ_HZ, RX2_SF, SubBand, Transmission,
                   TransmissionKind, airtime_us, default_eu868_plan)
@@ -49,12 +49,9 @@ from .scenario import Scenario, scenario_digest, urgent_resources
 from .sensor import GasEvent, alarm_check, generate_events
 from .server import NetworkServer
 
-log = logging.getLogger(__name__)
-
 
 @dataclass
 class _AlarmSource:
-    index: int
     devices: tuple[str, ...]
     events: object  # iterator of GasEvent
 
@@ -99,7 +96,7 @@ class Simulation:
         self.transmission_log: list[Transmission] | None = None  # enable for tests
         self._uids = itertools.count(1)
         self._radio: dict[tuple[int, int], tuple[RadioParams, SimTime]] = {}
-        self._up_resources: dict[tuple[int, int, int], _Resource] = {}
+        self._up_resources: dict[str, _Resource] = {}  # device id -> urgent resource
         self._dcp_resources: dict[tuple[int, int], tuple[SubBand, SimTime]] = {}
         self._rp_stats: KindStats | None = None
         self._up_stats: KindStats | None = None
@@ -118,20 +115,19 @@ class Simulation:
             self.gateways[spec.id] = _from_spec(Gateway, spec)
             self.ledger.set_policy(spec.id, spec.duty_policy)
 
-        up_channels, assignments = urgent_resources(self.scenario)
-        self.server = NetworkServer(assignments)
+        self.server = NetworkServer(urgent_resources(self.scenario))
 
         self.devices: dict[str, EndDevice] = {}
         for dspec in self.scenario.devices:
-            device = _from_spec(
-                EndDevice, dspec,
-                rp_channels=dspec.rp_channels or self.rp_band.channels,
-                up_channels=up_channels[dspec.cluster],
-                # Commissioning: the device powers up knowing its assignment;
-                # control downlinks re-confirm it for the rest of the run.
-                assignment=assignments[dspec.id],
-            )
+            # Commissioning: the device powers up knowing its assignment,
+            # which holds for the rest of the run.
+            device = _from_spec(EndDevice, dspec,
+                                rp_channels=dspec.rp_channels or self.rp_band.channels,
+                                assignment=self.server.assignments[dspec.id])
             self.devices[dspec.id] = device
+            freq_hz, sf = device.assignment
+            self._up_resources[dspec.id] = (
+                self.plan.subband_of(freq_hz), *self._radio_for(sf, device.up_payload_len))
             for gw in self.gateways.values():
                 gw.rx_power_dbm[dspec.id] = dspec.rx_power_dbm
 
@@ -158,7 +154,7 @@ class Simulation:
 
         self._alarm_sources: list[_AlarmSource] = []
         for i, trig in enumerate(self.scenario.triggers):
-            source = _AlarmSource(index=i, devices=self.scenario.alarm_scope(trig),
+            source = _AlarmSource(devices=self.scenario.alarm_scope(trig),
                                   events=generate_events(
                                       trig, self.streams.stream(f"alarm:{i}")))
             self._alarm_sources.append(source)
@@ -170,15 +166,6 @@ class Simulation:
             params = RadioParams(sf=sf)
             radio = self._radio[(sf, payload_len)] = (params, airtime_us(params, payload_len))
         return radio
-
-    def _up_resource(self, device: EndDevice) -> _Resource:
-        freq_hz, sf = device.assignment
-        key = (freq_hz, sf, device.up_payload_len)
-        resource = self._up_resources.get(key)
-        if resource is None:
-            resource = self._up_resources[key] = (
-                self.plan.subband_of(freq_hz), *self._radio_for(sf, device.up_payload_len))
-        return resource
 
     def _dcp_resource(self, freq_hz: int, sf: int) -> tuple[SubBand, SimTime]:
         resource = self._dcp_resources.get((freq_hz, sf))
@@ -247,19 +234,12 @@ class Simulation:
     # -- urgent uplinks -----------------------------------------------------------
 
     def _trigger_up(self, device: EndDevice) -> None:
-        now = self.engine.now
         self._ups_generated += 1
         stats = self._up_stats
         if stats is None:
             stats = self._up_stats = self.metrics.kind("UP")
         stats.generated += 1
-        outcome = PacketOutcome(0, device.id, now)
-        if device.assignment is None:
-            outcome.cause = CAUSE_UNASSIGNED
-            stats.add_loss(CAUSE_UNASSIGNED)
-            self._finalize_up(outcome)
-            return
-        self._attempt_up(device, outcome)
+        self._attempt_up(device, PacketOutcome(0, device.id, self.engine.now))
 
     def _attempt_up(self, device: EndDevice, outcome: PacketOutcome) -> None:
         now = self.engine.now
@@ -269,7 +249,7 @@ class Simulation:
             self.engine.schedule(device.busy_until,
                                  partial(self._attempt_up, device, outcome), "up")
             return
-        band, params, air = self._up_resource(device)
+        band, params, air = self._up_resources[device.id]
         if self.ledger.check(device.id, band, now, air) > now:
             # An urgent alarm is stale by the time the band frees; count it lost.
             outcome.cause = CAUSE_DUTY_CYCLE
@@ -383,7 +363,6 @@ class Simulation:
 
     def _request_dcp(self, device: EndDevice, rp: Transmission) -> None:
         gw = self._dcp_gateway[device.id]
-        command = self.server.dcp_for(device.id)
         self.metrics.dcp["requested"] += 1
         rx1_at = rp.end_us + device.receive_delay1_us
         rx2_at = rp.end_us + device.receive_delay2_us
@@ -392,16 +371,16 @@ class Simulation:
         ready_at = self.engine.now + 2 * gw.backhaul_delay_us
         if ready_at <= rx1_at:
             self.engine.schedule(
-                rx1_at, partial(self._attempt_dcp, device, command, gw, rp, 1), "dl")
+                rx1_at, partial(self._attempt_dcp, device, gw, rp, 1), "dl")
         elif ready_at <= rx2_at:
             self.metrics.dcp["skipped_too_late"] += 1
             self.engine.schedule(
-                rx2_at, partial(self._attempt_dcp, device, command, gw, rp, 2), "dl")
+                rx2_at, partial(self._attempt_dcp, device, gw, rp, 2), "dl")
         else:
             self.metrics.dcp["skipped_too_late"] += 1
 
-    def _attempt_dcp(self, device: EndDevice, command: DcpCommand, gw: Gateway,
-                     rp: Transmission, window: int) -> None:
+    def _attempt_dcp(self, device: EndDevice, gw: Gateway, rp: Transmission,
+                     window: int) -> None:
         now = self.engine.now
         if gw.role != "full":
             self.metrics.dcp["skipped_rx_only"] += 1
@@ -422,7 +401,7 @@ class Simulation:
                 # which lives on the high-duty band.
                 rx2_at = rp.end_us + device.receive_delay2_us
                 self.engine.schedule(
-                    rx2_at, partial(self._attempt_dcp, device, command, gw, rp, 2), "dl")
+                    rx2_at, partial(self._attempt_dcp, device, gw, rp, 2), "dl")
             else:
                 self.metrics.dcp["skipped_duty_cycle"] += 1
             return
@@ -432,10 +411,9 @@ class Simulation:
         self.ledger.record(gw.id, band, now, air)
         self.metrics.dcp["sent_rx1" if window == 1 else "sent_rx2"] += 1
         self.engine.schedule(
-            now + air, partial(self._finish_dcp, device, command, now, listening), "dl-end")
+            now + air, partial(self._finish_dcp, device, now, listening), "dl-end")
 
-    def _finish_dcp(self, device: EndDevice, command: DcpCommand,
-                    started_at: SimTime, listening: bool) -> None:
+    def _finish_dcp(self, device: EndDevice, started_at: SimTime, listening: bool) -> None:
         now = self.engine.now
         if not listening:
             self.metrics.dcp["missed_window"] += 1
@@ -443,7 +421,4 @@ class Simulation:
         if device.transmitted_during(started_at, now):
             self.metrics.dcp["missed_device_busy"] += 1
             return
-        if device.apply_dcp(command):
-            self.metrics.dcp["received"] += 1
-        else:
-            self.metrics.dcp["missed_window"] += 1
+        self.metrics.dcp["received"] += 1

@@ -360,6 +360,6 @@ def test_every_urgent_uplink_ends_with_exactly_one_outcome(shipped_runs, name):
 @pytest.mark.parametrize("name", SHIPPED)
 def test_resolved_assignments_are_the_reported_ones(shipped_runs, name):
     scenario, _sim, report, _elapsed = shipped_runs[name]
-    _channels, assignments = urgent_resources(scenario)
+    assignments = urgent_resources(scenario)
     assert report["assignments"] == {device: {"channel_hz": freq, "sf": sf}
                                      for device, (freq, sf) in assignments.items()}

@@ -1,20 +1,18 @@
-"""End-device behavior: report timing, receive windows, control downlinks."""
+"""End-device behavior: report timing, receive windows, half-duplex state."""
 
 import numpy as np
 import pytest
 
-from loraguard.device import DcpCommand, EndDevice
+from loraguard.device import EndDevice
 from loraguard.engine import US_PER_SECOND, RandomStreams
 from loraguard.phy import RX2_FREQ_HZ, RX2_SF
 
 G1_CHANNELS = (868_100_000, 868_300_000, 868_500_000)
-UP_CHANNELS = (867_100_000, 867_300_000, 867_500_000, 867_700_000, 867_900_000)
 
 
 def make_device(**overrides):
     kwargs = dict(id="ed1", cluster="c1", rp_period_us=70 * US_PER_SECOND,
-                  rp_channels=G1_CHANNELS, up_channels=UP_CHANNELS,
-                  assignment=(867_100_000, 9))
+                  rp_channels=G1_CHANNELS, assignment=(867_100_000, 9))
     kwargs.update(overrides)
     return EndDevice(**kwargs)
 
@@ -87,36 +85,6 @@ class TestReceiveWindows:
                           receive_delay2_us=6 * US_PER_SECOND)
         w = dev.open_rx_windows(1_000_000, 868_100_000, 7)
         assert (w.rx1_at, w.rx2_at) == (6_000_000, 7_000_000)
-
-
-class TestControlDownlink:
-    def test_valid_command_updates_the_assignment(self):
-        dev = make_device()
-        assert dev.apply_dcp(DcpCommand("ed1", 867_300_000, 8))
-        assert dev.assignment == (867_300_000, 8)
-
-    def test_last_writer_wins(self):
-        dev = make_device()
-        dev.apply_dcp(DcpCommand("ed1", 867_300_000, 8))
-        dev.apply_dcp(DcpCommand("ed1", 867_900_000, 10))
-        assert dev.assignment == (867_900_000, 10)
-
-    @pytest.mark.parametrize("command", [
-        DcpCommand("ed2", 867_300_000, 8),      # foreign target
-        DcpCommand("ed1", 867_300_000, 11),     # SF above the urgent range
-        DcpCommand("ed1", 867_300_000, 6),      # SF below the radio range
-        DcpCommand("ed1", 868_100_000, 8),      # channel outside the urgent set
-    ])
-    def test_malformed_commands_leave_state_unchanged(self, command):
-        dev = make_device()
-        before = dev.assignment
-        assert not dev.apply_dcp(command)
-        assert dev.assignment == before
-
-    def test_empty_channel_list_accepts_any_channel(self):
-        dev = make_device(up_channels=())
-        assert dev.apply_dcp(DcpCommand("ed1", 869_525_000, 10))
-        assert dev.assignment == (869_525_000, 10)
 
 
 class TestHalfDuplexState:

@@ -10,8 +10,8 @@ from loraguard.metrics import (
     CAUSE_DUTY_CYCLE,
     CAUSE_GW_PREEMPTED,
     CAUSE_NO_DEMOD_PATH,
+    CAUSE_PRIORITY,
     CAUSE_TX_BUSY,
-    CAUSE_UNASSIGNED,
     WILSON_Z,
     KindStats,
     MetricsCollector,
@@ -23,6 +23,7 @@ from loraguard.metrics import (
     system_cause,
     wilson_interval,
 )
+from loraguard.phy import TransmissionKind
 
 
 class TestWilsonInterval:
@@ -81,7 +82,7 @@ class TestOutcomes:
         ({"gw1": CAUSE_COLLISION, "gw2": CAUSE_TX_BUSY}, CAUSE_COLLISION),
         ({"gw1": CAUSE_GW_PREEMPTED, "gw2": CAUSE_TX_BUSY}, CAUSE_TX_BUSY),
         ({"gw1": CAUSE_NO_DEMOD_PATH, "gw2": CAUSE_COLLISION}, CAUSE_COLLISION),
-        ({"gw1": CAUSE_UNASSIGNED, "gw2": CAUSE_COLLISION}, CAUSE_UNASSIGNED),
+        ({"gw1": CAUSE_DUTY_CYCLE, "gw2": CAUSE_COLLISION}, CAUSE_DUTY_CYCLE),
         ({"gw1": CAUSE_DUTY_CYCLE}, CAUSE_DUTY_CYCLE),
         ({"gw1": CAUSE_GW_PREEMPTED}, CAUSE_GW_PREEMPTED),
     ])
@@ -187,6 +188,13 @@ class TestReport:
         del bad["dcp"]["requested"]
         with pytest.raises(jsonschema.ValidationError):
             jsonschema.validate(bad, schema)
+
+    def test_schema_lists_exactly_the_causes_and_kinds_a_run_counts(self, docs_dir):
+        schema = json.loads((docs_dir / "report.schema.json").read_text())
+        causes = schema["definitions"]["cause_histogram"]["propertyNames"]["enum"]
+        kinds = schema["properties"]["kinds"]["propertyNames"]["enum"]
+        assert sorted(causes) == sorted(CAUSE_PRIORITY)
+        assert sorted(kinds) == sorted(kind.value for kind in TransmissionKind)
 
     def test_json_emission_is_deterministic(self):
         report = make_report()

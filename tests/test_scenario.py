@@ -489,21 +489,19 @@ def cluster_doc(n):
 
 class TestUrgentResources:
     def test_without_explicit_assignments_the_table_is_the_automatic_rule(self):
-        channels, table = urgent_resources(parse_scenario(cluster_doc(6)))
-        assert channels == {"c1": URGENT_CHANNELS}
+        table = urgent_resources(parse_scenario(cluster_doc(6)))
         assert table == assign_resources([f"ed{i:02d}" for i in range(1, 7)], URGENT_CHANNELS)
 
     def test_listed_up_channels_replace_the_urgent_subband(self):
         doc = cluster_doc(3)
         doc["clusters"][0]["up_channels"] = ["867.5 MHz", "867.9 MHz"]
-        channels, table = urgent_resources(parse_scenario(doc))
-        assert channels == {"c1": (867_500_000, 867_900_000)}
-        assert table == assign_resources(("ed01", "ed02", "ed03"), channels["c1"])
+        table = urgent_resources(parse_scenario(doc))
+        assert table == assign_resources(("ed01", "ed02", "ed03"), (867_500_000, 867_900_000))
 
     def test_explicit_assignments_are_kept_and_the_others_filled_in(self):
         doc = cluster_doc(3)
         doc["devices"][0]["assignment"] = {"channel": "867.9 MHz", "sf": 10}
-        _channels, table = urgent_resources(parse_scenario(doc))
+        table = urgent_resources(parse_scenario(doc))
         automatic = assign_resources(("ed01", "ed02", "ed03"), URGENT_CHANNELS)
         assert table == {"ed01": (867_900_000, 10),
                          "ed02": automatic["ed02"], "ed03": automatic["ed03"]}
@@ -517,8 +515,8 @@ class TestUrgentResources:
         def refuse(*_args):
             raise AssertionError("automatic rule called")
 
-        monkeypatch.setattr("loraguard.server.assign_resources", refuse)
-        assert urgent_resources(scenario)[1] == {"ed01": (867_900_000, 10),
+        monkeypatch.setattr("loraguard.scenario.assign_resources", refuse)
+        assert urgent_resources(scenario) == {"ed01": (867_900_000, 10),
                                                  "ed02": (867_900_000, 9)}
 
     def test_alarm_scope_is_its_devices_else_its_clusters_members(self):

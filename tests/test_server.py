@@ -1,4 +1,4 @@
-"""The conflict-free urgent (channel, SF) assignment rule and the control payloads."""
+"""The conflict-free urgent (channel, SF) assignment rule."""
 
 import collections
 
@@ -9,7 +9,6 @@ from loraguard.server import (
     MAX_PER_CHANNEL,
     SF_SINGLE,
     SF_STACKED,
-    NetworkServer,
     assign_resources,
 )
 
@@ -79,19 +78,3 @@ class TestAssignResources:
                 assert sfs == [SF_SINGLE]
             else:
                 assert sfs == list(SF_STACKED)[:len(sfs)]
-
-
-class TestNetworkServer:
-    def test_cluster_lookup_and_control_payload(self):
-        server = NetworkServer(assign_resources(members(6), CHANNELS))
-        cmd = server.dcp_for("ed01")
-        assert cmd.target == "ed01"
-        assert (cmd.up_freq_hz, cmd.up_sf) == server.assignments["ed01"]
-
-    def test_one_control_payload_per_device_is_reused_on_every_call(self):
-        server = NetworkServer(assign_resources(members(6), CHANNELS))
-        first = {dev: server.dcp_for(dev) for dev in members(6)}
-        for dev in members(6):
-            assert server.dcp_for(dev) is first[dev]
-            assert first[dev].target == dev
-            assert (first[dev].up_freq_hz, first[dev].up_sf) == server.assignments[dev]

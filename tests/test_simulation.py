@@ -7,7 +7,8 @@ import pytest
 
 from loraguard.metrics import CAUSE_DUTY_CYCLE, emit_report, latency_of
 from loraguard.phy import RadioParams, Transmission, TransmissionKind, default_eu868_plan
-from loraguard.scenario import load_scenario, parse_scenario, shipped_scenario_path
+from loraguard.scenario import (load_scenario, parse_scenario, shipped_scenario_path,
+                                urgent_resources)
 from loraguard.simulation import Simulation
 
 
@@ -126,6 +127,7 @@ class TestDemoRun:
         plan = default_eu868_plan()
         rp_channels = set(plan.subband(scenario.rp_subband).channels)
         up_channels = set(plan.subband(scenario.up_subband).channels)
+        assignments = urgent_resources(scenario)
         assert sim.transmission_log
         kinds_seen = set()
         for tx in sim.transmission_log:
@@ -137,6 +139,8 @@ class TestDemoRun:
             elif tx.kind == TransmissionKind.UP:
                 assert tx.freq_hz in up_channels
                 assert 7 <= tx.params.sf <= 10
+                # Every urgent frame uses its sender's commissioned resource.
+                assert (tx.freq_hz, tx.params.sf) == assignments[tx.source]
         assert kinds_seen == {TransmissionKind.RP, TransmissionKind.UP}
 
     def test_report_matches_the_published_schema(self, demo_run, docs_dir):
