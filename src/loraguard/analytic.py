@@ -23,6 +23,13 @@ g' = Phi, so the antiderivative of 1 - Phi is u - g(u) and
 Phi is evaluated as erfc(-u/sqrt 2)/2, which keeps full relative precision in
 the lower tail; for sigma = 0 the integral is exactly min(delta, T).
 
+g(u0) depends only on (T, sigma), so each call computes it once.  Senders
+with the same airtime have the same blocking interval, so the exact product
+evaluates one survival term per distinct airtime; it still multiplies one
+factor per sender, in sender order, so the result is the same to the last
+bit as one term per sender.  A mixture lists distinct airtimes already, so
+the marginal evaluator makes one term per (tau, D) pair.
+
 Three evaluators are provided: exact per-sender airtimes, independent
 discrete mixtures of airtimes, and the small-loss linear approximation
 PLR = N (E[tau] + E[D]) / T.
@@ -32,7 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 #: Results are flagged out-of-regime when tau + D comes within this many
 #: sigmas of the period, where the residual-density truncation at 0 matters.
@@ -73,16 +80,28 @@ def survivor_integral(delta_s: float, period_s: float, sigma_s: float) -> float:
     integral (1 - Phi) du = u - g(u).
     """
     _validate_process(period_s, sigma_s)
-    if delta_s < 0:
-        raise ValueError(f"delta must be >= 0, got {delta_s}")
-    return _survivor_integral(delta_s, period_s, sigma_s)
+    _check_airtime(delta_s, "delta")
+    return _integral(delta_s, period_s, sigma_s, _g0(period_s, sigma_s))
 
 
-def _survivor_integral(delta_s: float, period_s: float, sigma_s: float) -> float:
-    """``survivor_integral`` without input checks, for callers that made them."""
+def _g0(period_s: float, sigma_s: float) -> float:
+    """g(u0), u0 = -T/sigma: the part of I that does not depend on delta."""
+    return _g(-period_s / sigma_s) if sigma_s else 0.0
+
+
+def _integral(delta_s: float, period_s: float, sigma_s: float, g0: float) -> float:
+    """I(delta) given g0 = ``_g0(period_s, sigma_s)``, without input checks."""
     if sigma_s == 0.0:
         return min(delta_s, period_s)
-    return delta_s - sigma_s * (_g((delta_s - period_s) / sigma_s) - _g(-period_s / sigma_s))
+    return delta_s - sigma_s * (_g((delta_s - period_s) / sigma_s) - g0)
+
+
+def _survival(block_s: float, period_s: float, sigma_s: float, g0: float) -> float:
+    """Survival factor 1 - I(tau + D)/T of one sender; raises if it is not > 0."""
+    factor = 1.0 - _integral(block_s, period_s, sigma_s, g0) / period_s
+    if factor <= 0.0:
+        raise ValueError(f"blocking interval {block_s} s saturates the period {period_s} s")
+    return factor
 
 
 def _validate_process(period_s: float, sigma_s: float) -> None:
@@ -90,14 +109,22 @@ def _validate_process(period_s: float, sigma_s: float) -> None:
         raise ValueError(f"period must be > 0, got {period_s}")
     if sigma_s < 0:
         raise ValueError(f"sigma must be >= 0, got {sigma_s}")
+    if not math.isfinite(period_s + sigma_s):
+        raise ValueError(f"period and sigma must be finite, got {period_s} and {sigma_s}")
+
+
+def _check_airtime(value: float, label: str) -> None:
+    if value < 0:
+        raise ValueError(f"{label} must be >= 0, got {value}")
+    if not math.isfinite(value):
+        raise ValueError(f"{label} must be finite, got {value}")
 
 
 def _in_regime(max_block_s: float, period_s: float, sigma_s: float) -> bool:
     return max_block_s < period_s - REGIME_SIGMAS * sigma_s
 
 
-@dataclass(frozen=True)
-class PlrResult:
+class PlrResult(NamedTuple):
     """Loss estimate for one urgent uplink against N downlink senders.
 
     ``in_regime`` is False when the blocking interval approaches the renewal
@@ -135,10 +162,9 @@ class PlrModelParams:
             if not dist:
                 raise ValueError(f"{label} airtime distribution is empty")
             for value, prob in dist:
-                if value < 0:
-                    raise ValueError(f"{label} airtime {value} must be >= 0")
-                if prob < 0:
-                    raise ValueError(f"{label} probability {prob} must be >= 0")
+                _check_airtime(value, f"{label} airtime")
+                if not 0.0 <= prob < math.inf:
+                    raise ValueError(f"{label} probability {prob} must be finite and >= 0")
             total = math.fsum(p for _v, p in dist)
             if abs(total - 1.0) > 1e-9:
                 raise ValueError(f"{label} probabilities sum to {total}, expected 1")
@@ -146,25 +172,30 @@ class PlrModelParams:
 
 def plr_exact_fixed(dcp_airtimes_s: Sequence[float], up_airtime_s: float,
                     period_s: float, sigma_s: float) -> PlrResult:
-    """Collision-free product with one fixed downlink airtime per sender."""
+    """Collision-free product with one fixed downlink airtime per sender.
+
+    Senders that share an airtime share one survival factor; the factors are
+    still multiplied once per sender, in sender order.
+    """
     _validate_process(period_s, sigma_s)
-    if up_airtime_s < 0:
-        raise ValueError(f"up airtime must be >= 0, got {up_airtime_s}")
+    _check_airtime(up_airtime_s, "up airtime")
+    g0 = _g0(period_s, sigma_s)
+    # An airtime is checked and evaluated at its first sender, so the first
+    # bad sender raises, as it would with one term per sender.
+    factor_of: dict[float, float] = {}
     factors = []
     max_block = 0.0
     for tau in dcp_airtimes_s:
-        if tau < 0:
-            raise ValueError(f"dcp airtime must be >= 0, got {tau}")
-        block = tau + up_airtime_s
-        max_block = max(max_block, block)
-        factor = 1.0 - _survivor_integral(block, period_s, sigma_s) / period_s
-        if factor <= 0.0:
-            raise ValueError(
-                f"blocking interval {block} s saturates the period {period_s} s")
+        factor = factor_of.get(tau)
+        if factor is None:
+            _check_airtime(tau, "dcp airtime")
+            block = tau + up_airtime_s
+            if block > max_block:
+                max_block = block
+            factor = factor_of[tau] = _survival(block, period_s, sigma_s, g0)
         factors.append(factor)
     p_free = math.prod(factors)
-    return PlrResult(plr=1.0 - p_free, collision_free_probability=p_free,
-                     method="exact", in_regime=_in_regime(max_block, period_s, sigma_s))
+    return PlrResult(1.0 - p_free, p_free, "exact", _in_regime(max_block, period_s, sigma_s))
 
 
 def plr_marginal(params: PlrModelParams) -> PlrResult:
@@ -173,24 +204,18 @@ def plr_marginal(params: PlrModelParams) -> PlrResult:
     Senders are interchangeable: the per-sender survival is the mixture
     average of (1 - I(tau + D)/T), raised to the N-th power.
     """
+    period_s, sigma_s = params.period_s, params.sigma_s
+    g0 = _g0(period_s, sigma_s)
     terms = []
     max_block = 0.0
     for tau, p_tau in params.dcp_airtimes:
         for d, p_d in params.up_airtimes:
             block = tau + d
-            max_block = max(max_block, block)
-            factor = 1.0 - _survivor_integral(block, params.period_s,
-                                              params.sigma_s) / params.period_s
-            if factor <= 0.0:
-                raise ValueError(
-                    f"blocking interval {block} s saturates the period "
-                    f"{params.period_s} s")
-            terms.append(p_tau * p_d * factor)
-    per_sender = math.fsum(terms)
-    p_free = per_sender ** params.n_senders
-    return PlrResult(plr=1.0 - p_free, collision_free_probability=p_free,
-                     method="marginal",
-                     in_regime=_in_regime(max_block, params.period_s, params.sigma_s))
+            if block > max_block:
+                max_block = block
+            terms.append(p_tau * p_d * _survival(block, period_s, sigma_s, g0))
+    p_free = math.fsum(terms) ** params.n_senders
+    return PlrResult(1.0 - p_free, p_free, "marginal", _in_regime(max_block, period_s, sigma_s))
 
 
 def plr_approx(n_senders: int, mean_dcp_s: float, mean_up_s: float,
@@ -203,12 +228,11 @@ def plr_approx(n_senders: int, mean_dcp_s: float, mean_up_s: float,
     if n_senders < 0:
         raise ValueError(f"n_senders must be >= 0, got {n_senders}")
     _validate_process(period_s, 0.0)
-    if mean_dcp_s < 0 or mean_up_s < 0:
-        raise ValueError("mean airtimes must be >= 0")
+    _check_airtime(mean_dcp_s, "mean dcp airtime")
+    _check_airtime(mean_up_s, "mean up airtime")
     block = mean_dcp_s + mean_up_s
     if block >= period_s:
         raise ValueError(f"blocking interval {block} s saturates the period {period_s} s")
     plr = min(1.0, n_senders * block / period_s)
     p_free = (1.0 - block / period_s) ** n_senders
-    return PlrResult(plr=plr, collision_free_probability=p_free, method="approx",
-                     in_regime=n_senders * block / period_s <= 0.02)
+    return PlrResult(plr, p_free, "approx", n_senders * block / period_s <= 0.02)

@@ -5,7 +5,9 @@ arithmetic for the sigma=0 case and cross-checked against adaptive quadrature
 for sigma > 0; they pin the implementation against regressions.
 """
 
+import hashlib
 import math
+import random
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -14,12 +16,14 @@ from scipy.integrate import quad
 from loraguard.analytic import (
     REGIME_SIGMAS,
     PlrModelParams,
+    PlrResult,
     plr_approx,
     plr_exact_fixed,
     plr_marginal,
     residual_density,
     survivor_integral,
 )
+from loraguard.phy import RadioParams, airtime_us
 
 # Nominal operating point: 8 stacked senders, 70 s period, SF8 downlink
 # (82.176 ms), SF9 urgent uplink (267.264 ms), 50 ms clock jitter.
@@ -249,3 +253,177 @@ def test_linearization_stays_within_one_percent_in_regime(n, tau, up, period):
     assert abs(approx.plr - exact.plr) / exact.plr < 0.01
     # The union bound overestimates (up to rounding noise at n=1).
     assert approx.plr >= exact.plr - 1e-12
+
+
+# -- bit-identity against one survival term per sender ----------------------------
+
+# Downlink/uplink airtimes of a 37-byte frame at SF7-SF10, in seconds.
+GRID_AIRTIMES = tuple(airtime_us(RadioParams(sf=sf), 37) / 1e6 for sf in (7, 8, 9, 10))
+
+# sha256 of _grid_rows(), recorded with the evaluators that computed one
+# survival term per sender and g(u0) once per term.
+GRID_ROWS_SHA256 = "b6b43671c37c275653c2fb433da2117398f597137fbca2741c30591a8e238547"
+
+
+def _identity_grid(points=300):
+    """Seeded operating points; shape i % 5 cycles through:
+
+    0 inside the regime, 1 one airtime shared by every sender (a one-point
+    mixture), 2 near saturation (blocking interval 67-95% of the period),
+    3 out of regime (sigma large against the gap between blocking interval
+    and period), 4 sigma = 0.  Shapes 0 and 3 give the mixture one entry per
+    sender, so its values repeat; a third of the points mix two uplink airtimes.
+    """
+    rng = random.Random(20261018)
+    grid = []
+    for i in range(points):
+        shape = i % 5
+        n = rng.randint(1, 15)
+        if shape == 1:
+            dcp = [rng.choice(GRID_AIRTIMES)] * n
+        else:
+            dcp = [rng.choice(GRID_AIRTIMES) for _ in range(n)]
+        ups = rng.sample(GRID_AIRTIMES, 2 if i % 3 == 0 else 1)
+        block = max(dcp) + max(ups)
+        if shape in (0, 1):
+            period, sigma = rng.uniform(20.0, 300.0), rng.uniform(0.001, 1.0)
+        elif shape == 2:
+            period = block * rng.uniform(1.05, 1.5)
+            sigma = period * rng.uniform(0.01, 0.1)
+        elif shape == 3:
+            period = block * rng.uniform(2.0, 10.0)
+            sigma = (period - block) / 5.0 * rng.uniform(1.2, 4.0)
+        else:
+            period, sigma = block * rng.uniform(1.05, 100.0), 0.0
+        if shape in (0, 3):
+            dcp_mix = tuple((tau, 1.0 / n) for tau in dcp)
+        else:
+            dcp_mix = tuple((tau, dcp.count(tau) / n) for tau in sorted(set(dcp)))
+        p_up = rng.uniform(0.05, 0.95)
+        up_mix = ((ups[0], p_up), (ups[1], 1.0 - p_up)) if len(ups) == 2 else ((ups[0], 1.0),)
+        grid.append((dcp, ups[0], period, sigma,
+                     PlrModelParams(n, period, sigma, dcp_mix, up_mix)))
+    return grid
+
+
+def _evaluate(point):
+    dcp, up, period, sigma, params = point
+    return (plr_exact_fixed(dcp, up, period, sigma), plr_marginal(params),
+            plr_approx(len(dcp), sum(dcp) / len(dcp), up, period))
+
+
+def _survival(delta, period, sigma):
+    return 1.0 - survivor_integral(delta, period, sigma) / period
+
+
+def _reference(point):
+    """(P_free, in_regime) of each evaluator, one survival term per sender or pair."""
+    dcp, up, period, sigma, params = point
+    regime_edge = period - REGIME_SIGMAS * sigma
+    exact = math.prod([_survival(tau + up, period, sigma) for tau in dcp])
+    pairs = [(tau + d, p_tau * p_d) for tau, p_tau in params.dcp_airtimes
+             for d, p_d in params.up_airtimes]
+    marginal = math.fsum(p * _survival(block, period, sigma)
+                         for block, p in pairs) ** params.n_senders
+    n, block = len(dcp), sum(dcp) / len(dcp) + up
+    return ((1.0 - exact, exact, max(dcp) + up < regime_edge),
+            (1.0 - marginal, marginal, max(b for b, _p in pairs) < regime_edge),
+            (min(1.0, n * block / period), (1.0 - block / period) ** n,
+             n * block / period <= 0.02))
+
+
+def _grid_rows():
+    rows = []
+    for point in _identity_grid():
+        rows.append(repr(tuple((r.plr, r.collision_free_probability, r.method, r.in_regime)
+                               for r in _evaluate(point))))
+    return rows
+
+
+class TestBitIdentity:
+    def test_every_shape_is_on_the_grid(self):
+        grid = _identity_grid()
+        assert len(grid) == 300
+        regimes = [plr_exact_fixed(*point[:4]).in_regime for point in grid]
+        assert any(regimes) and not all(regimes)
+        assert any(point[3] == 0.0 for point in grid)
+        assert any(len(point[4].up_airtimes) == 2 for point in grid)
+
+    def test_evaluators_equal_one_term_per_sender(self):
+        for point in _identity_grid():
+            got = [(r.plr, r.collision_free_probability, r.in_regime)
+                   for r in _evaluate(point)]
+            assert got == list(_reference(point)), point
+
+    def test_rows_match_the_recorded_digest(self):
+        text = "".join(row + "\n" for row in _grid_rows())
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == GRID_ROWS_SHA256
+
+
+class TestDuplicatesAndErrorOrder:
+    def test_negative_airtime_after_duplicates_raises(self):
+        with pytest.raises(ValueError, match=r"^dcp airtime must be >= 0, got -0\.2$"):
+            plr_exact_fixed([0.1, 0.1, -0.2, 0.1], UP, T, SIGMA)
+
+    def test_first_bad_sender_decides_the_message(self):
+        with pytest.raises(ValueError, match="saturates"):
+            plr_exact_fixed([0.1, 0.8, -0.2, 0.8], 0.2, 1.0, 0.0)
+        with pytest.raises(ValueError, match="must be >= 0"):
+            plr_exact_fixed([0.1, -0.2, 0.8, -0.2], 0.2, 1.0, 0.0)
+
+    @pytest.mark.parametrize("n", [1, 2, 15])
+    def test_repeated_saturating_airtime_raises_one_message(self, n):
+        with pytest.raises(ValueError) as info:
+            plr_exact_fixed([0.8] * n, 0.2, 1.0, 0.0)
+        assert str(info.value) == "blocking interval 1.0 s saturates the period 1.0 s"
+
+    @pytest.mark.parametrize("n", range(1, 16))
+    def test_identical_senders_match_the_one_point_mixture(self, n):
+        for tau, period, sigma in ((TAU, T, SIGMA), (0.1439, 1.0, 0.1), (0.3, 0.7, 0.0)):
+            exact = plr_exact_fixed([tau] * n, UP, period, sigma)
+            one = plr_marginal(PlrModelParams(1, period, sigma, ((tau, 1.0),), ((UP, 1.0),)))
+            mixed = plr_marginal(PlrModelParams(n, period, sigma, ((tau, 1.0),), ((UP, 1.0),)))
+            # The exact product multiplies the one-sender factor n times ...
+            assert exact.collision_free_probability == math.prod(
+                [one.collision_free_probability] * n)
+            assert exact.plr == 1.0 - exact.collision_free_probability
+            # ... while the mixture raises it to the n-th power, which may
+            # round differently in the last bits.
+            assert (abs(exact.collision_free_probability - mixed.collision_free_probability)
+                    <= n * math.ulp(mixed.collision_free_probability))
+
+    def test_result_is_an_immutable_record(self):
+        res = plr_exact_fixed([TAU] * N, UP, T, SIGMA)
+        assert PlrResult._fields == ("plr", "collision_free_probability", "method", "in_regime")
+        assert res.method == "exact"
+        with pytest.raises(AttributeError):
+            res.plr = 0.5
+
+
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize("period, sigma", [
+        (math.nan, SIGMA), (math.inf, SIGMA), (T, math.nan), (T, math.inf)])
+    def test_process_must_be_finite(self, period, sigma):
+        with pytest.raises(ValueError, match="finite"):
+            plr_exact_fixed([TAU], UP, period, sigma)
+        with pytest.raises(ValueError, match="finite"):
+            survivor_integral(0.3, period, sigma)
+        with pytest.raises(ValueError, match="finite"):
+            PlrModelParams(N, period, sigma, ((TAU, 1.0),), ((UP, 1.0),))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_airtimes_must_be_finite(self, bad):
+        with pytest.raises(ValueError, match="must be finite"):
+            plr_exact_fixed([TAU, bad, TAU], UP, T, SIGMA)
+        with pytest.raises(ValueError, match="must be finite"):
+            plr_exact_fixed([TAU], bad, T, SIGMA)
+        with pytest.raises(ValueError, match="must be finite"):
+            plr_approx(N, bad, UP, T)
+        with pytest.raises(ValueError, match="must be finite"):
+            survivor_integral(bad, T, SIGMA)
+        with pytest.raises(ValueError, match="must be finite"):
+            PlrModelParams(N, T, SIGMA, ((bad, 1.0),), ((UP, 1.0),))
+
+    def test_mixture_probabilities_must_be_finite(self):
+        with pytest.raises(ValueError, match="must be finite"):
+            PlrModelParams(N, T, SIGMA, ((0.1, math.nan),), ((UP, 1.0),))

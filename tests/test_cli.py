@@ -99,6 +99,20 @@ class TestAnalyze:
                      "--dcp-s", "abc", "--up-s", "0.2673"]) == EXIT_INVALID
         assert "bad dcp entry" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--period-s", "nan"), ("--period-s", "inf"), ("--sigma-s", "nan"),
+        ("--sigma-s", "inf"), ("--up-s", "nan"), ("--up-s", "inf"), ("--dcp-s", "nan"),
+        ("--dcp-s", "inf"), ("--dcp-s", "0.1:nan"), ("--up-s", "0.2:inf"),
+    ])
+    @pytest.mark.parametrize("method", ["approx", "exact", "marginal", "all"])
+    def test_non_finite_inputs_are_rejected(self, flag, value, method, capsys):
+        args = {"--senders": "7", "--period-s": "70", "--sigma-s": "0.05",
+                "--dcp-s": "0.0875", "--up-s": "0.2", flag: value}
+        argv = ["analyze", "--method", method] + [x for pair in args.items() for x in pair]
+        assert main(argv) == EXIT_INVALID
+        out, err = capsys.readouterr()
+        assert out == "" and "finite" in err
+
     def test_saturating_inputs(self, capsys):
         assert main(["analyze", "--senders", "8", "--period-s", "0.1",
                      "--dcp-s", "0.0822", "--up-s", "0.2673"]) == EXIT_INVALID
