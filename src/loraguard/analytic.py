@@ -65,7 +65,7 @@ def _g(u: float) -> float:
 def residual_density(x: float, period_s: float, sigma_s: float) -> float:
     """Density w(x) of the residual time to the next renewal."""
     _validate_process(period_s, sigma_s)
-    if x < 0:
+    if not x >= 0:
         raise ValueError(f"residual time must be >= 0, got {x}")
     if sigma_s == 0.0:
         return 0.0 if x >= period_s else 1.0 / period_s

@@ -48,6 +48,10 @@ class TestResidualDensity:
         with pytest.raises(ValueError):
             residual_density(-0.1, T, SIGMA)
 
+    def test_nan_residual_rejected(self):
+        with pytest.raises(ValueError):
+            residual_density(math.nan, T, SIGMA)
+
 
 class TestSurvivorIntegral:
     def test_sigma_zero_closed_form(self):
