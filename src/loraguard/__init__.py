@@ -8,7 +8,7 @@ traffic those downlinks destroy.
 
 from .analytic import (PlrModelParams, PlrResult, plr_approx, plr_exact_fixed,
                        plr_marginal, residual_density, survivor_integral)
-from .engine import Engine, RandomStreams, SimTime, sample_gaussian
+from .engine import Engine, RandomStreams, SimTime, Stream, sample_gaussian
 from .device import EndDevice
 from .gateway import Gateway
 from .metrics import MetricsCollector, PacketOutcome, emit_report, plr, wilson_interval
@@ -28,7 +28,7 @@ __all__ = [
     "Engine", "GasEvent", "Gateway", "MetricsCollector", "NetworkServer",
     "PacketOutcome", "PlrModelParams", "PlrResult", "RadioParams", "RandomStreams",
     "Scenario", "ScenarioError", "SensorProfile", "SimTime", "SubBand",
-    "Simulation", "Transmission", "TransmissionKind", "TriggerSpec",
+    "Simulation", "Stream", "Transmission", "TransmissionKind", "TriggerSpec",
     "airtime_us", "alarm_check", "assign_resources", "bridge_voltage",
     "default_eu868_plan", "emit_report", "generate_events", "lel_voltage",
     "load_scenario", "parse_scenario", "plr", "plr_approx", "plr_exact_fixed",

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .engine import SimTime, sample_gaussian
+from .engine import SimTime, Stream, sample_gaussian
 from .phy import RX2_FREQ_HZ, RX2_SF
 from .scenario import DeviceSpec
 
@@ -58,11 +58,13 @@ class EndDevice:
             raise ValueError(f"{self.id}: rp_period_us must be > 0")
         if self.clock_sigma_us < 0:
             raise ValueError(f"{self.id}: clock_sigma_us must be >= 0")
+        if self.rp_period_us is not None and not self.rp_channels:
+            raise ValueError(f"{self.id}: no report channels configured")
         if self.assignment is not None and not UP_SF_MIN <= self.assignment[1] <= UP_SF_MAX:
             raise ValueError(f"{self.id}: urgent uplinks must use SF in "
                              f"[{UP_SF_MIN}, {UP_SF_MAX}], got {self.assignment[1]}")
 
-    def next_rp_time(self, now: SimTime, rng) -> SimTime:
+    def next_rp_time(self, now: SimTime, rng: Stream) -> SimTime:
         """Next report instant: now + period + Gaussian jitter, floored.
 
         The floor keeps a pathological jitter draw from scheduling into the
@@ -72,11 +74,9 @@ class EndDevice:
         jittered = sample_gaussian(rng, self.rp_period_us, self.clock_sigma_us)
         return now + max(self.rp_floor_us, jittered)
 
-    def pick_rp_channel(self, rng) -> int:
+    def pick_rp_channel(self, rng: Stream) -> int:
         """Uniform random hop over the report channels."""
-        if not self.rp_channels:
-            raise ValueError(f"{self.id}: no report channels configured")
-        return self.rp_channels[int(rng.integers(len(self.rp_channels)))]
+        return self.rp_channels[rng.below(len(self.rp_channels))]
 
     def open_rx_windows(self, uplink_end: SimTime, freq_hz: int, sf: int) -> ReceiveWindows:
         """Open the Class-A windows after an uplink; RX1 mirrors the uplink.

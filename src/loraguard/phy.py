@@ -300,7 +300,8 @@ class DutyCycleLedger:
     The ledger is a façade over one budget object per (transmitter,
     sub-band), an ``OfftimeBudget`` or a ``WindowBudget`` after the
     transmitter's policy.  ``budget`` binds it on first use; ``check`` and
-    ``record`` are one dictionary lookup plus the budget's own work.
+    ``record`` look it up inline and call ``budget`` only on a miss, so each
+    is one dictionary lookup plus the budget's own work.
     ``record`` re-validates in O(1): the off-time rule is one comparison, and
     the window rule reuses the clearance its last ``check`` computed at the
     same ``(start, airtime)``, re-checking otherwise.
@@ -339,7 +340,10 @@ class DutyCycleLedger:
     def check(self, transmitter: str, band: SubBand, now: SimTime,
               airtime_us: SimTime = 0) -> SimTime:
         """Earliest time >= ``now`` at which a frame of ``airtime_us`` may start."""
-        return self.budget(transmitter, band).clearance(now, airtime_us)
+        budget = self._budgets.get((transmitter, band.name))
+        if budget is None:
+            budget = self.budget(transmitter, band)
+        return budget.clearance(now, airtime_us)
 
     def record(self, transmitter: str, band: SubBand, start: SimTime,
                airtime_us: SimTime) -> None:
@@ -350,7 +354,10 @@ class DutyCycleLedger:
         """
         if airtime_us <= 0:
             raise ValueError(f"airtime_us must be > 0, got {airtime_us}")
-        self.budget(transmitter, band).record(start, airtime_us)
+        budget = self._budgets.get((transmitter, band.name))
+        if budget is None:
+            budget = self.budget(transmitter, band)
+        budget.record(start, airtime_us)
 
 
 class TransmissionKind(str, Enum):

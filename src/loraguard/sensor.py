@@ -18,7 +18,7 @@ import logging
 from dataclasses import dataclass
 from typing import Iterator
 
-from .engine import SimTime, US_PER_SECOND
+from .engine import SimTime, Stream, US_PER_SECOND
 
 log = logging.getLogger(__name__)
 
@@ -140,7 +140,7 @@ class TriggerSpec:
             raise ValueError("interarrival bounds must satisfy 0 < min <= max")
 
 
-def generate_events(spec: TriggerSpec, rng) -> Iterator[GasEvent]:
+def generate_events(spec: TriggerSpec, rng: Stream | None) -> Iterator[GasEvent]:
     """Yield the gas events of one trigger source in time order.
 
     Scripted sources are finite; random sources are endless (the caller stops
@@ -150,7 +150,8 @@ def generate_events(spec: TriggerSpec, rng) -> Iterator[GasEvent]:
         for at in sorted(spec.times_us):
             yield GasEvent(at, spec.species, spec.level)
         return
+    lo, hi = spec.interarrival_min_us, spec.interarrival_max_us
     at: SimTime = 0
     while True:
-        at += int(rng.integers(spec.interarrival_min_us, spec.interarrival_max_us + 1))
+        at += lo + rng.below(hi + 1 - lo)
         yield GasEvent(at, spec.species, spec.level)

@@ -35,10 +35,8 @@ from functools import partial
 from types import MappingProxyType
 from typing import Callable, Mapping
 
-import numpy as np
-
 from .device import EndDevice
-from .engine import Engine, RandomStreams, SimTime
+from .engine import Engine, RandomStreams, SimTime, Stream
 from .gateway import Gateway
 from .metrics import (CAUSE_DUTY_CYCLE, KindStats, MetricsCollector, PacketOutcome,
                       build_report, system_cause)
@@ -71,7 +69,7 @@ class _Reporter:
     """Periodic-report state of one device, bound once per run."""
 
     device: EndDevice
-    rng: np.random.Generator
+    rng: Stream
     channels: dict[int, _Resource]  # report channel -> resource
     handler: Callable[[], None] | None = None  # the device's one "rp" action
 
@@ -181,7 +179,7 @@ class Simulation:
         for reporter in self._reporters:
             # Stationary start: each sender begins at a uniform random phase
             # of its report period.
-            phase = int(reporter.rng.integers(reporter.device.rp_period_us))
+            phase = reporter.rng.below(reporter.device.rp_period_us)
             self.engine.schedule(phase, reporter.handler, "rp")
         for source in self._alarm_sources:
             self._schedule_next_alarm(source)
@@ -189,18 +187,22 @@ class Simulation:
         if self._end_at is not None:
             self.engine.run_until(self._end_at)
         else:
-            self.engine.run_while(self._keep_going)
+            self._stop_if_done()
+            self.engine.run_while()
         return self.report()
 
-    def _keep_going(self) -> bool:
-        assert self._up_target is not None
-        if self._ups_finalized < self._ups_generated:
-            return True
-        if self._ups_generated >= self._up_target:
-            return False
-        # Below target with everything finalized: only a live alarm source
-        # can still produce uplinks.
-        return self._live_alarm_sources > 0
+    def _stop_if_done(self) -> None:
+        """Stop the engine once every UP is finalized and no more can come.
+
+        Called when the last UP in flight is finalized, when an alarm source
+        runs dry and once before the run, which are the only moments the
+        answer can turn to "done".
+        """
+        if (self._up_target is not None
+                and self._ups_finalized == self._ups_generated
+                and (self._ups_generated >= self._up_target
+                     or self._live_alarm_sources == 0)):
+            self.engine.stop()
 
     def report(self) -> dict:
         return build_report(
@@ -224,9 +226,13 @@ class Simulation:
                                  "alarm")
             return
         self._live_alarm_sources -= 1  # generator exhausted
+        self._stop_if_done()
 
     def _fire_alarm(self, source: _AlarmSource, event: GasEvent) -> None:
         if alarm_check(self.scenario.sensor, event):
+            # Count the whole burst first: an uplink lost at once to the duty
+            # cycle must not look like the last one in flight and stop the run.
+            self._ups_generated += len(source.devices)
             for dev_id in source.devices:
                 self._trigger_up(self.devices[dev_id])
         self._schedule_next_alarm(source)
@@ -234,7 +240,6 @@ class Simulation:
     # -- urgent uplinks -----------------------------------------------------------
 
     def _trigger_up(self, device: EndDevice) -> None:
-        self._ups_generated += 1
         stats = self._up_stats
         if stats is None:
             stats = self._up_stats = self.metrics.kind("UP")
@@ -302,6 +307,8 @@ class Simulation:
     def _finalize_up(self, outcome: PacketOutcome) -> None:
         self.up_outcomes.append(outcome)
         self._ups_finalized += 1
+        if self._ups_finalized == self._ups_generated:
+            self._stop_if_done()
 
     # -- periodic reports -----------------------------------------------------------
 

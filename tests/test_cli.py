@@ -270,3 +270,16 @@ def test_cli_import_does_not_load_scipy():
     proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
                           capture_output=True, text=True, check=True)
     assert proc.stdout.strip() == "[]"
+
+
+def test_cli_import_and_analyze_do_not_load_numpy():
+    # numpy is the simulator's bit source, loaded by the first random stream;
+    # the model and the command line never draw, so they must not pay for it.
+    src = str(Path(loraguard.__file__).resolve().parent.parent)
+    code = ("import sys, loraguard.cli as cli; "
+            "imported = 'numpy' in sys.modules; "
+            "status = cli.main(" + repr(TestAnalyze.ARGS) + "); "
+            "print(imported, 'numpy' in sys.modules, status)")
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.splitlines()[-1] == f"False False {EXIT_OK}"

@@ -18,12 +18,12 @@ def make_device(**overrides):
 
 
 class FixedNormalRng:
-    """Stands in for a Generator whose next normal draw is predetermined."""
+    """Stands in for a Stream whose next standard normal draw is predetermined."""
 
     def __init__(self, value):
         self.value = value
 
-    def normal(self, loc, scale):
+    def standard_normal(self):
         return self.value
 
 
@@ -52,11 +52,6 @@ class TestReportTiming:
         assert set(counts) == set(G1_CHANNELS)
         for n in counts.values():
             assert abs(n - 2_000) < 200
-
-    def test_no_report_channels_rejected(self):
-        dev = make_device(rp_channels=())
-        with pytest.raises(ValueError):
-            dev.pick_rp_channel(RandomStreams(1).stream("hop"))
 
 
 class TestReceiveWindows:
@@ -112,3 +107,8 @@ class TestValidation:
         with pytest.raises(ValueError):
             make_device(assignment=(867_100_000, 11))
         make_device(rp_period_us=None)  # reports disabled is fine
+
+    def test_no_report_channels_rejected(self):
+        with pytest.raises(ValueError, match="no report channels"):
+            make_device(rp_channels=())
+        make_device(rp_channels=(), rp_period_us=None)  # a non-reporter hops nowhere

@@ -1,5 +1,8 @@
 """Event loop ordering, time semantics, and seeded substream statistics."""
 
+import hashlib
+import random
+
 import numpy as np
 import pytest
 
@@ -14,7 +17,7 @@ class TestEngine:
         eng.schedule(30, lambda: seen.append("c"))
         eng.schedule(10, lambda: seen.append("a"))
         eng.schedule(20, lambda: seen.append("b"))
-        eng.run_while(lambda: True)
+        eng.run_while()
         assert seen == ["a", "b", "c"]
         assert eng.now == 30
 
@@ -23,7 +26,7 @@ class TestEngine:
         seen = []
         for tag in "abcdef":
             eng.schedule(5, lambda t=tag: seen.append(t))
-        eng.run_while(lambda: True)
+        eng.run_while()
         assert seen == list("abcdef")
 
     def test_scheduling_in_the_past_raises(self):
@@ -37,7 +40,7 @@ class TestEngine:
         eng = Engine()
         seen = []
         eng.schedule(10, lambda: eng.schedule(10, lambda: seen.append("nested")))
-        eng.run_while(lambda: True)
+        eng.run_while()
         assert seen == ["nested"]
 
     def test_run_until_processes_due_events_and_advances_clock(self):
@@ -57,18 +60,37 @@ class TestEngine:
         with pytest.raises(SchedulingError):
             eng.run_until(99)
 
-    def test_run_while_stops_when_predicate_turns_false(self):
+    def test_run_while_stops_after_the_action_that_calls_stop(self):
         eng = Engine()
         seen = []
+
+        def action(t):
+            if t == 3:
+                eng.stop()
+            # Queued at the current time, after the stop: it never runs.
+            eng.schedule(t, lambda: seen.append(f"after {t}"))
+            seen.append(t)
+
         for t in range(10):
-            eng.schedule(t, lambda t=t: seen.append(t))
-        eng.run_while(lambda: len(seen) < 4)
-        assert seen == [0, 1, 2, 3]
+            eng.schedule(t, lambda t=t: action(t))
+        eng.run_while()
+        assert seen == [0, "after 0", 1, "after 1", 2, "after 2", 3]
+        assert eng.now == 3 and len(eng) == 7
+        eng.run_while()  # a stopped engine does not resume
+        assert len(seen) == 7 and len(eng) == 7
+
+    def test_stop_before_running_runs_nothing(self):
+        eng = Engine()
+        seen = []
+        eng.schedule(0, lambda: seen.append(0))
+        eng.stop()
+        eng.run_while()
+        assert seen == [] and eng.now == 0 and len(eng) == 1
 
     def test_run_while_stops_when_the_queue_empties(self):
         eng = Engine()
         eng.schedule(7, lambda: None)
-        eng.run_while(lambda: True)
+        eng.run_while()
         assert eng.now == 7 and len(eng) == 0
 
 
@@ -76,25 +98,27 @@ class TestRandomStreams:
     def test_same_seed_and_name_reproduce_the_sequence(self):
         a = RandomStreams(42).stream("rp:ed1")
         b = RandomStreams(42).stream("rp:ed1")
-        assert np.array_equal(a.integers(0, 2**31, 64), b.integers(0, 2**31, 64))
+        assert [a.below(2**31) for _ in range(64)] == [b.below(2**31) for _ in range(64)]
 
     def test_streams_are_independent_per_name(self):
         streams = RandomStreams(42)
-        a = streams.stream("rp:ed1").integers(0, 2**31, 64)
-        b = streams.stream("rp:ed2").integers(0, 2**31, 64)
-        assert not np.array_equal(a, b)
+        a = streams.stream("rp:ed1")
+        b = streams.stream("rp:ed2")
+        assert [a.below(2**31) for _ in range(64)] != [b.below(2**31) for _ in range(64)]
 
     def test_adding_a_consumer_does_not_perturb_others(self):
-        draws_alone = RandomStreams(7).stream("capture:gw1").random(16)
+        alone = RandomStreams(7).stream("capture:gw1")
+        draws_alone = [alone.random() for _ in range(16)]
         streams = RandomStreams(7)
-        streams.stream("alarm:0").random(16)  # unrelated consumer
-        draws_with_neighbor = streams.stream("capture:gw1").random(16)
-        assert np.array_equal(draws_alone, draws_with_neighbor)
+        neighbor = streams.stream("alarm:0")  # unrelated consumer
+        [neighbor.random() for _ in range(16)]
+        with_neighbor = streams.stream("capture:gw1")
+        assert [with_neighbor.random() for _ in range(16)] == draws_alone
 
     def test_different_seeds_differ(self):
-        a = RandomStreams(1).stream("x").random(16)
-        b = RandomStreams(2).stream("x").random(16)
-        assert not np.array_equal(a, b)
+        a = RandomStreams(1).stream("x")
+        b = RandomStreams(2).stream("x")
+        assert [a.random() for _ in range(16)] != [b.random() for _ in range(16)]
 
     @pytest.mark.parametrize("bad", [-1, 2**63])
     def test_seed_range_is_enforced(self, bad):
@@ -105,10 +129,10 @@ class TestRandomStreams:
 class TestSampleGaussian:
     def test_sigma_zero_returns_the_mean_without_consuming_draws(self):
         stream = RandomStreams(3).stream("jitter")
-        reference = RandomStreams(3).stream("jitter").normal(0, 1)
+        reference = RandomStreams(3).stream("jitter").standard_normal()
         assert sample_gaussian(stream, 70_000_000, 0) == 70_000_000
         # The next draw matches an untouched stream: sigma=0 consumed nothing.
-        assert stream.normal(0, 1) == reference
+        assert stream.standard_normal() == reference
 
     def test_negative_sigma_raises(self):
         stream = RandomStreams(3).stream("jitter")
@@ -130,3 +154,62 @@ class TestSampleGaussian:
                           for _ in range(100_000)], dtype=float)
         lag1 = np.corrcoef(draws[:-1], draws[1:])[0, 1]
         assert abs(lag1) < 0.01
+
+
+def _numpy_generator(seed, name):
+    """The numpy generator ``RandomStreams(seed).stream(name)`` is documented to match."""
+    key = int.from_bytes(hashlib.sha256(name.encode("utf-8")).digest()[:8], "little")
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, key])))
+
+
+class TestStreamContract:
+    """``Stream`` returns what numpy's ``Generator`` returns for the same bits."""
+
+    # The edges of both Lemire branches, the raw-word case, and two bounds
+    # (3e9 and 3 * 2**61) that reject about a quarter of their draws.
+    BOUNDS = (1, 2, 3, 70_000_000, 2**32 - 1, 2**32, 2**32 + 1, 2**40 + 3,
+              3_000_000_000, 3 * 2**61, 2**63)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**63 - 1])
+    def test_interleaved_draws_equal_a_numpy_generator(self, seed):
+        stream = RandomStreams(seed).stream("contract")
+        reference = _numpy_generator(seed, "contract")
+        pick = random.Random(seed)
+        for _ in range(4_000):
+            op = pick.randrange(4)
+            if op == 0:
+                n = pick.choice(self.BOUNDS)
+                assert stream.below(n) == reference.integers(n), n
+            elif op == 1:
+                lo = pick.randrange(1, 10**9)
+                hi = lo + pick.choice((0, 9, 10_000_000, 2**33))
+                assert lo + stream.below(hi + 1 - lo) == reference.integers(lo, hi + 1)
+            elif op == 2:
+                mean, sigma = pick.randrange(10**8), pick.randrange(1, 10**6)
+                assert sample_gaussian(stream, mean, sigma) == round(reference.normal(mean, sigma))
+            else:
+                assert stream.random() == reference.random()
+        assert stream._generator.bit_generator.state == reference.bit_generator.state
+
+    @pytest.mark.parametrize("n", [0, -3, 2**63 + 1])
+    def test_bounds_numpy_rejects_are_rejected(self, n):
+        with pytest.raises(ValueError):
+            _numpy_generator(5, "contract").integers(n)
+        with pytest.raises(ValueError):
+            RandomStreams(5).stream("contract").below(n)
+
+    def test_first_draws_of_named_streams_are_pinned(self):
+        # A numpy release that changed PCG64, SeedSequence or the ziggurat
+        # would change every simulated trajectory; this fails first.
+        streams = RandomStreams(0)
+        rp = streams.stream("rp:ed1")
+        assert [rp.below(70_000_000) for _ in range(3)] == [5670910, 4242317, 63770720]
+        assert [rp.below(3) for _ in range(3)] == [2, 2, 0]
+        assert [sample_gaussian(rp, 70_000_000, 50_000) for _ in range(2)] == [70021036, 69984457]
+        capture = streams.stream("capture:gw1")
+        assert [capture.random() for _ in range(3)] == [
+            0.15171045471217737, 0.4689237107306846, 0.0665070918465468]
+        alarm = streams.stream("alarm:0")
+        lo, hi = 120_000_000, 130_000_000
+        assert [lo + alarm.below(hi + 1 - lo) for _ in range(3)] == [
+            120666132, 120477207, 129306386]

@@ -77,6 +77,32 @@ class TestScriptedRuns:
         assert report["kinds"]["RP"]["generated"] >= 5
         assert report["ended_at_us"] == 60_000_000
 
+    def test_a_burst_member_lost_at_once_does_not_end_the_run_early(self):
+        # ed1 spends its band at 10 s, so the 15 s alarm loses it to the duty
+        # cycle on the spot, which reaches stop.ups = 2.  ed2, triggered by
+        # the same alarm, is still on the air and must be finalized first.
+        scenario = scripted_scenario(
+            [], stop={"ups": 2},
+            clusters=[{"id": "c1", "members": ["ed1", "ed2"], "dcp_gateway": "gw1"}],
+            devices=[{"id": f"ed{i}", "cluster": "c1", "rp_period": None,
+                      "assignment": {"channel": channel, "sf": 9}}
+                     for i, channel in ((1, "867.1 MHz"), (2, "867.3 MHz"))],
+            alarms=[{"kind": "script", "species": "methane", "level": "1.2 %vol",
+                     "devices": devices, "times": [at]}
+                    for devices, at in ((["ed1"], "10 s"), (["ed1", "ed2"], "15 s"))])
+        sim = Simulation(scenario)
+        report = sim.run()
+        up = report["kinds"]["UP"]
+        assert (up["generated"], up["delivered"], up["losses"]) == (3, 2, {CAUSE_DUTY_CYCLE: 1})
+        assert len(sim.up_outcomes) == 3
+        assert report["ended_at_us"] == 15_000_000 + 267_264  # ed2's frame ends
+
+    def test_run_ends_when_every_alarm_source_runs_dry(self):
+        # stop.ups is out of reach: the run ends with the last uplink.
+        report = Simulation(scripted_scenario(["10 s", "50 s"], stop={"ups": 5})).run()
+        assert report["kinds"]["UP"]["generated"] == 2
+        assert report["ended_at_us"] == 50_000_000 + 267_264
+
     def test_stop_duration_is_exact(self):
         scenario = scripted_scenario(["10 s"], stop={"duration": "45 s"})
         report = Simulation(scenario).run()
