@@ -14,10 +14,9 @@ from .gateway import Gateway
 from .metrics import MetricsCollector, PacketOutcome, emit_report, plr, wilson_interval
 from .phy import (CaptureModel, ChannelPlan, DutyCycleLedger, RadioParams, SubBand,
                   Transmission, TransmissionKind, airtime_us, default_eu868_plan)
-from .scenario import (Scenario, ScenarioError, load_scenario, parse_scenario,
-                       save_scenario, scenario_digest)
-from .sensor import (GasEvent, SensorProfile, TriggerSpec, alarm_check,
-                     bridge_voltage, generate_events, lel_voltage)
+from .scenario import (Scenario, ScenarioError, SensorProfile, TriggerSpec, load_scenario,
+                       parse_scenario, save_scenario, scenario_digest)
+from .sensor import GasEvent, alarm_check, bridge_voltage, generate_events, lel_voltage
 from .server import NetworkServer, assign_resources
 from .simulation import Simulation
 

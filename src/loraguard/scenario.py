@@ -22,14 +22,14 @@ from typing import Any, Callable, Mapping, NamedTuple
 import yaml
 
 from .engine import SimTime, US_PER_SECOND
-from .sensor import SensorProfile, TriggerSpec
 from .server import assign_resources
 
 __all__ = [
     "ScenarioError", "StopSpec", "DeviceSpec", "GatewaySpec", "ClusterSpec",
-    "CaptureSpec", "Scenario", "load_scenario", "parse_scenario",
-    "urgent_resources", "scenario_to_dict", "save_scenario", "scenario_digest",
-    "shipped_scenario_path", "parse_duration", "parse_frequency",
+    "CaptureSpec", "TriggerSpec", "SensorProfile", "GasLevel", "Scenario",
+    "load_scenario", "parse_scenario", "urgent_resources", "scenario_to_dict",
+    "save_scenario", "scenario_digest", "shipped_scenario_path", "parse_duration",
+    "parse_frequency",
 ]
 
 
@@ -89,13 +89,24 @@ _LEVEL_UNITS = {"methane": "%vol", "propane": "%vol", "butane": "%vol",
                 "co": "ppm", "o2": "%"}
 
 
-def _parse_level(value: object, species: str, path: str) -> float:
-    want = _LEVEL_UNITS.get(species)
-    if want is None:
-        raise ScenarioError(f"{path}: unknown gas species {species!r}")
-    number, unit = _split_quantity(value, path, f"1.2 {want}")
-    if unit != want:
-        raise ScenarioError(f"{path}: {species} levels use {want!r}, got {unit!r}")
+class GasLevel(NamedTuple):
+    """A gas level in its species' unit: %vol, ppm (CO) or % (O2)."""
+
+    value: float
+    unit: str
+
+
+def _level_problem(species: str, unit: str) -> str | None:
+    want = _LEVEL_UNITS[species]
+    return None if unit == want else f"{species} levels use {want!r}, got {unit!r}"
+
+
+def _parse_level(value: object, path: str, species: str) -> float:
+    """A level of one fixed species, in its exact unit."""
+    number, unit = _split_quantity(value, path, f"1.2 {_LEVEL_UNITS[species]}")
+    problem = _level_problem(species, unit)
+    if problem is not None:
+        raise ScenarioError(f"{path}: {problem}")
     return number
 
 
@@ -183,7 +194,12 @@ def _parse_spec(cls: type, node: object, path: str) -> Any:
         if f.name == "id":
             path = f"{path}({values['id']})"
     _no_leftovers(section, path or "scenario")
-    return cls(**values)
+    try:
+        return cls(**values)
+    except ScenarioError:
+        raise
+    except ValueError as exc:
+        raise ScenarioError(f"{path or 'scenario'}: {exc}") from exc
 
 
 def _dump_spec(spec: Any) -> dict:
@@ -213,6 +229,13 @@ def _parse_assignment(node: object, path: str) -> tuple[int, int]:
     return freq, sf
 
 
+def _parse_interval(node: object, path: str) -> tuple[SimTime, SimTime]:
+    section = _as_mapping(node, path)
+    lo, hi = (parse_duration(section.pop(key, None), f"{path}.{key}") for key in ("min", "max"))
+    _no_leftovers(section, path)
+    return lo, hi
+
+
 def _parse_survival(node: object, path: str) -> tuple[tuple[tuple[int, int], float], ...]:
     overrides = []
     # YAML may mix integer and string keys; sort on the text so both compare.
@@ -236,78 +259,13 @@ _DBM = _Kind(partial(_parse_decibels, unit="dBm"), "{} dBm".format)
 _DB = _Kind(partial(_parse_decibels, unit="dB"), "{} dB".format)
 _ASSIGNMENT = _Kind(_parse_assignment,
                     lambda a: {"channel": _fmt_hz(a[0]), "sf": a[1]})
+_INTERVAL = _Kind(_parse_interval, lambda b: {"min": _fmt_us(b[0]), "max": _fmt_us(b[1])})
 _SURVIVAL = _Kind(_parse_survival,
                   lambda table: {f"{own}/{other}": p for (own, other), p in table})
-
-
-def _parse_trigger(node: object, path: str) -> TriggerSpec:
-    section = _as_mapping(node, path)
-    kind = _parse_str(section.pop("kind", None), f"{path}.kind")
-    species = _parse_str(section.pop("species", None), f"{path}.species")
-    level = _parse_level(section.pop("level", None), species, f"{path}.level")
-    devices: tuple[str, ...] = ()
-    if (raw := section.pop("devices", None)) is not None:
-        devices = _IDS.parse(raw, f"{path}.devices")
-    cluster = section.pop("cluster", None)
-    if not devices and cluster is None:
-        raise ScenarioError(f"{path}: needs 'devices' or 'cluster'")
-    timing: dict[str, object] = {}
-    if (raw := section.pop("times", None)) is not None:
-        timing["times_us"] = _DURATIONS.parse(raw, f"{path}.times")
-    if (raw := section.pop("interarrival", None)) is not None:
-        imap = _as_mapping(raw, f"{path}.interarrival")
-        timing["interarrival_min_us"] = parse_duration(imap.pop("min", None),
-                                                       f"{path}.interarrival.min")
-        timing["interarrival_max_us"] = parse_duration(imap.pop("max", None),
-                                                       f"{path}.interarrival.max")
-        _no_leftovers(imap, f"{path}.interarrival")
-    try:
-        spec = TriggerSpec(kind=kind, species=species, level=level, devices=devices,
-                           cluster=cluster, **timing)
-    except ValueError as exc:
-        raise ScenarioError(f"{path}: {exc}") from exc
-    _no_leftovers(section, path)
-    return spec
-
-
-def _dump_trigger(trigger: TriggerSpec) -> dict:
-    entry: dict[str, object] = {
-        "kind": trigger.kind, "species": trigger.species,
-        "level": f"{trigger.level} {_LEVEL_UNITS[trigger.species]}"}
-    if trigger.devices:
-        entry["devices"] = list(trigger.devices)
-    if trigger.cluster is not None:
-        entry["cluster"] = trigger.cluster
-    if trigger.kind == "script":
-        entry["times"] = _DURATIONS.format(trigger.times_us)
-    else:
-        entry["interarrival"] = {"min": _fmt_us(trigger.interarrival_min_us),
-                                 "max": _fmt_us(trigger.interarrival_max_us)}
-    return entry
-
-
-# YAML key -> (gas species fixing its unit, SensorProfile attribute)
-_SENSOR_LEVELS = {"co_alarm": ("co", "co_alarm_ppm"),
-                  "o2_deficiency": ("o2", "o2_deficiency_pct")}
-
-
-def _parse_sensor(node: object, path: str) -> SensorProfile:
-    section = _as_mapping(node, path)
-    levels = {attr: _parse_level(section.pop(key), species, f"{path}.{key}")
-              for key, (species, attr) in _SENSOR_LEVELS.items() if key in section}
-    _no_leftovers(section, path)
-    return SensorProfile(**levels)
-
-
-def _dump_sensor(sensor: SensorProfile) -> dict:
-    if sensor == SensorProfile():
-        return {}
-    return {key: f"{getattr(sensor, attr)} {_LEVEL_UNITS[species]}"
-            for key, (species, attr) in _SENSOR_LEVELS.items()}
-
-
-_TRIGGERS = _list_of(_Kind(_parse_trigger, _dump_trigger))
-_SENSOR = _Kind(_parse_sensor, _dump_sensor)
+_GAS_LEVEL = _Kind(lambda value, path: GasLevel(*_split_quantity(value, path, "1.2 %vol")),
+                   lambda level: f"{level.value} {level.unit}")
+_CO_PPM = _Kind(partial(_parse_level, species="co"), "{} ppm".format)
+_O2_PCT = _Kind(partial(_parse_level, species="o2"), "{} %".format)
 
 
 # -- field declarations -------------------------------------------------------------
@@ -388,6 +346,59 @@ class CaptureSpec:
 
 
 @dataclass(frozen=True)
+class TriggerSpec:
+    """How a scenario generates gas events for a set of devices.
+
+    ``kind="script"`` replays ``times_us`` verbatim; ``kind="random"`` draws
+    interarrival times uniformly from ``interarrival_us`` = (min, max).
+    ``species``/``level`` fill the emitted events.  Each kind drops the
+    other's timing, so only the timing in use is serialised and hashed.
+    """
+
+    kind: str = _field("kind", _STR)
+    species: str = _field("species", _STR, choices=tuple(_LEVEL_UNITS))
+    level: GasLevel = _field("level", _GAS_LEVEL)
+    devices: tuple[str, ...] = _field("devices", _IDS, ())
+    cluster: str | None = _field("cluster", _STR, None)
+    times_us: tuple[SimTime, ...] = _field("times", _DURATIONS, ())
+    interarrival_us: tuple[SimTime, SimTime] | None = _field("interarrival", _INTERVAL, None)
+
+    def __post_init__(self) -> None:
+        if self.kind not in ("script", "random"):
+            raise ValueError(f"unknown trigger kind {self.kind!r}")
+        if self.species in _LEVEL_UNITS:  # an unknown one is a range problem
+            problem = _level_problem(self.species, self.level.unit)
+            if problem is not None:
+                raise ValueError(problem)
+        if not self.devices and self.cluster is None:
+            raise ValueError("needs 'devices' or 'cluster'")
+        if self.kind == "script":
+            if not self.times_us:
+                raise ValueError("scripted trigger needs at least one time")
+            object.__setattr__(self, "interarrival_us", None)
+            return
+        object.__setattr__(self, "times_us", ())
+        if self.interarrival_us is None:
+            object.__setattr__(self, "interarrival_us",
+                               (120 * US_PER_SECOND, 130 * US_PER_SECOND))
+        lo, hi = self.interarrival_us
+        if lo <= 0 or hi < lo:
+            raise ValueError("interarrival bounds must satisfy 0 < min <= max")
+
+
+@dataclass(frozen=True)
+class SensorProfile:
+    """The site's CO and O2 trip points.
+
+    They are site configuration, not calibration constants of the sensor
+    head; the defaults are conventional occupational limits.
+    """
+
+    co_alarm_ppm: float = _field("co_alarm", _CO_PPM, 100.0)
+    o2_deficiency_pct: float = _field("o2_deficiency", _O2_PCT, 19.0)
+
+
+@dataclass(frozen=True)
 class Scenario:
     """A complete, validated simulation input."""
 
@@ -396,9 +407,13 @@ class Scenario:
     gateways: tuple[GatewaySpec, ...] = _field("gateways", _list_of(_spec(GatewaySpec)))
     clusters: tuple[ClusterSpec, ...] = _field("clusters", _list_of(_spec(ClusterSpec)))
     devices: tuple[DeviceSpec, ...] = _field("devices", _list_of(_spec(DeviceSpec)))
-    triggers: tuple[TriggerSpec, ...] = _field("alarms", _TRIGGERS, ())
+    triggers: tuple[TriggerSpec, ...] = _field("alarms", _list_of(_spec(TriggerSpec)), ())
     capture: CaptureSpec = _field("capture", _spec(CaptureSpec), CaptureSpec())
-    sensor: SensorProfile = _field("sensor", _SENSOR, SensorProfile())
+    # The default sensor serialises as {}, so it is left out like a default.
+    sensor: SensorProfile = _field(
+        "sensor", _Kind(partial(_parse_spec, SensorProfile),
+                        lambda s: {} if s == SensorProfile() else _dump_spec(s)),
+        SensorProfile())
     seed: int = _field("seed", _INT, 0, lo=0, hi=2**63 - 1)
     dcp_payload_len: int = _field("dcp_payload", _INT, 37, **_PAYLOAD_BYTES)
     rp_subband: str = _field("rp_subband", _STR, "g1")
@@ -442,8 +457,9 @@ def _range_problems(spec: Any, path: str = "") -> list[str]:
         if _is_declared(value):
             problems += _range_problems(value, where)
         elif isinstance(value, tuple) and value and _is_declared(value[0]):
-            for item in value:
-                problems += _range_problems(item, f"{where}({item.id})")
+            for i, item in enumerate(value):
+                label = f"({item.id})" if hasattr(item, "id") else f"[{i}]"
+                problems += _range_problems(item, where + label)
         elif value is not None:
             problem = _value_problem(meta, value, where)
             if problem is not None:
@@ -634,7 +650,7 @@ def validate_scenario(scenario: Scenario) -> None:
                 problems.append(f"{where}.devices: unknown device {dev_id!r}")
         if trig.cluster is not None and trig.cluster not in {c.id for c in scenario.clusters}:
             problems.append(f"{where}.cluster: unknown cluster {trig.cluster!r}")
-        if trig.level < 0:
+        if trig.level.value < 0:
             problems.append(f"{where}.level: must be >= 0")
 
     for (own, other), p in scenario.capture.survival:

@@ -8,8 +8,9 @@ limit.  CO and O2 channels are simple quantized threshold detectors.
 
 The bridge scale, the combustible trip voltage and the CO/O2 ranges and
 resolutions are calibration constants of the sensor head, fixed below.  The
-CO and O2 trip points are site configuration and live in ``SensorProfile``,
-which a scenario's ``sensor`` section sets.
+CO and O2 trip points are site configuration: ``SensorProfile``, declared
+with the scenario's ``sensor`` section.  Alarm sources are declared there too,
+as ``TriggerSpec``.
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ import logging
 from dataclasses import dataclass
 from typing import Iterator
 
-from .engine import SimTime, Stream, US_PER_SECOND
+from .engine import SimTime, Stream
+from .scenario import SensorProfile, TriggerSpec
 
 log = logging.getLogger(__name__)
 
@@ -35,18 +37,6 @@ CO_RANGE_PPM = (0.0, 500.0)
 CO_RESOLUTION_PPM = 2.0
 O2_RANGE_PCT = (15.0, 21.0)
 O2_RESOLUTION_PCT = 0.5
-
-
-@dataclass(frozen=True)
-class SensorProfile:
-    """The site's CO and O2 trip points.
-
-    They are site configuration, not calibration constants; the defaults are
-    conventional occupational limits.
-    """
-
-    co_alarm_ppm: float = 100.0
-    o2_deficiency_pct: float = 19.0
 
 
 @dataclass(frozen=True)
@@ -113,45 +103,19 @@ def alarm_check(profile: SensorProfile, event: GasEvent) -> bool:
     raise ValueError(f"unknown gas species {event.species!r}")
 
 
-@dataclass(frozen=True)
-class TriggerSpec:
-    """How a scenario generates gas events for a set of devices.
-
-    ``kind="script"`` replays ``times_us`` verbatim; ``kind="random"`` draws
-    interarrival times uniformly from [min, max].  ``species``/``level`` fill
-    the emitted events.
-    """
-
-    kind: str
-    species: str
-    level: float
-    devices: tuple[str, ...] = ()
-    cluster: str | None = None
-    times_us: tuple[SimTime, ...] = ()
-    interarrival_min_us: SimTime = 120 * US_PER_SECOND
-    interarrival_max_us: SimTime = 130 * US_PER_SECOND
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("script", "random"):
-            raise ValueError(f"unknown trigger kind {self.kind!r}")
-        if self.kind == "script" and not self.times_us:
-            raise ValueError("scripted trigger needs at least one time")
-        if self.interarrival_min_us <= 0 or self.interarrival_max_us < self.interarrival_min_us:
-            raise ValueError("interarrival bounds must satisfy 0 < min <= max")
-
-
 def generate_events(spec: TriggerSpec, rng: Stream | None) -> Iterator[GasEvent]:
     """Yield the gas events of one trigger source in time order.
 
     Scripted sources are finite; random sources are endless (the caller stops
     consuming when its packet budget is met).
     """
+    level = spec.level.value
     if spec.kind == "script":
         for at in sorted(spec.times_us):
-            yield GasEvent(at, spec.species, spec.level)
+            yield GasEvent(at, spec.species, level)
         return
-    lo, hi = spec.interarrival_min_us, spec.interarrival_max_us
+    lo, hi = spec.interarrival_us
     at: SimTime = 0
     while True:
         at += lo + rng.below(hi + 1 - lo)
-        yield GasEvent(at, spec.species, spec.level)
+        yield GasEvent(at, spec.species, level)

@@ -9,7 +9,12 @@ the high-duty band; one that would overlap a transmission already programmed
 at the gateway is dropped.  Starting any downlink aborts every reception in
 progress at that gateway, which is the loss mechanism urgent uplinks suffer.
 A control downlink is modelled by its airtime and by whether the device
-receives it; its payload would only repeat the device's assignment.
+receives it; its payload would only repeat the device's assignment.  It goes
+out at exactly its report's RX1 or RX2 instant, on that window's channel and
+SF, so the device is listening when it starts if and only if that report is
+still the device's latest uplink.  Keying up before the downlink starts
+replaces the windows it was sent into (``missed_window``); keying up while it
+is on the air loses it (``missed_device_busy``).
 
 Urgent uplinks are triggered by gas alarms, use the (channel, SF) assignment
 the device was commissioned with, and are never retransmitted.  Each member's
@@ -359,7 +364,6 @@ class Simulation:
 
     def _start_uplink(self, device: EndDevice, tx: Transmission, band: SubBand) -> None:
         device.mark_transmitting(tx.start_us, tx.end_us)
-        device.open_rx_windows(tx.end_us, tx.freq_hz, tx.params.sf)
         self.ledger.record(device.id, band, tx.start_us, tx.airtime_us)
         if self.transmission_log is not None:
             self.transmission_log.append(tx)
@@ -412,20 +416,18 @@ class Simulation:
             else:
                 self.metrics.dcp["skipped_duty_cycle"] += 1
             return
-        listening = (device.window_open_at(now, freq_hz, sf)
-                     and device.idle_at(now))
+        listening = device.last_tx_start == rp.start_us
         gw.start_downlink(now, air)
         self.ledger.record(gw.id, band, now, air)
         self.metrics.dcp["sent_rx1" if window == 1 else "sent_rx2"] += 1
         self.engine.schedule(
-            now + air, partial(self._finish_dcp, device, now, listening), "dl-end")
+            now + air, partial(self._finish_dcp, device, rp, listening), "dl-end")
 
-    def _finish_dcp(self, device: EndDevice, started_at: SimTime, listening: bool) -> None:
-        now = self.engine.now
+    def _finish_dcp(self, device: EndDevice, rp: Transmission, listening: bool) -> None:
         if not listening:
             self.metrics.dcp["missed_window"] += 1
-            return
-        if device.transmitted_during(started_at, now):
+        elif rp.start_us < device.last_tx_start < self.engine.now:
+            # Keyed up while the downlink was on the air.
             self.metrics.dcp["missed_device_busy"] += 1
-            return
-        self.metrics.dcp["received"] += 1
+        else:
+            self.metrics.dcp["received"] += 1

@@ -1,17 +1,16 @@
-"""End-device behavior: report timing, receive windows, half-duplex state."""
+"""End-device behavior: report timing and half-duplex state."""
 
 import numpy as np
 import pytest
 
 from loraguard.device import EndDevice
 from loraguard.engine import US_PER_SECOND, RandomStreams
-from loraguard.phy import RX2_FREQ_HZ, RX2_SF
 
 G1_CHANNELS = (868_100_000, 868_300_000, 868_500_000)
 
 
 def make_device(**overrides):
-    kwargs = dict(id="ed1", cluster="c1", rp_period_us=70 * US_PER_SECOND,
+    kwargs = dict(id="ed1", rp_period_us=70 * US_PER_SECOND,
                   rp_channels=G1_CHANNELS, assignment=(867_100_000, 9))
     kwargs.update(overrides)
     return EndDevice(**kwargs)
@@ -54,48 +53,12 @@ class TestReportTiming:
             assert abs(n - 2_000) < 200
 
 
-class TestReceiveWindows:
-    def test_rx1_mirrors_the_uplink_and_rx2_is_fixed(self):
-        dev = make_device()
-        w = dev.open_rx_windows(10_267_264, 868_300_000, 8)
-        assert (w.rx1_at, w.rx1_freq_hz, w.rx1_sf) == (11_267_264, 868_300_000, 8)
-        assert (w.rx2_at, w.rx2_freq_hz, w.rx2_sf) == (12_267_264, RX2_FREQ_HZ, RX2_SF)
-        assert (w.rx2_freq_hz, w.rx2_sf) == (869_525_000, 12)
-
-    def test_window_matching_is_exact(self):
-        dev = make_device()
-        dev.open_rx_windows(10_000_000, 868_100_000, 7)
-        assert dev.window_open_at(11_000_000, 868_100_000, 7)
-        assert dev.window_open_at(12_000_000, RX2_FREQ_HZ, RX2_SF)
-        assert not dev.window_open_at(11_000_001, 868_100_000, 7)  # late
-        assert not dev.window_open_at(11_000_000, 868_300_000, 7)  # wrong channel
-        assert not dev.window_open_at(11_000_000, 868_100_000, 8)  # wrong SF
-        assert not dev.window_open_at(12_000_000, 868_100_000, 7)  # rx1 params at rx2
-
-    def test_no_windows_before_any_uplink(self):
-        assert not make_device().window_open_at(11_000_000, 868_100_000, 7)
-
-    def test_custom_receive_delays(self):
-        dev = make_device(receive_delay1_us=5 * US_PER_SECOND,
-                          receive_delay2_us=6 * US_PER_SECOND)
-        w = dev.open_rx_windows(1_000_000, 868_100_000, 7)
-        assert (w.rx1_at, w.rx2_at) == (6_000_000, 7_000_000)
-
-
 class TestHalfDuplexState:
     def test_busy_interval_is_half_open(self):
         dev = make_device()
         dev.mark_transmitting(10, 20)
         assert not dev.idle_at(15)
         assert dev.idle_at(20)
-
-    def test_transmission_start_lookback(self):
-        dev = make_device()
-        dev.mark_transmitting(10, 20)
-        assert dev.transmitted_during(5, 15)
-        assert dev.transmitted_during(10, 11)
-        assert not dev.transmitted_during(11, 20)
-        assert not dev.transmitted_during(0, 10)
 
 
 class TestValidation:

@@ -23,7 +23,6 @@ from loraguard.scenario import (
     urgent_resources,
 )
 from loraguard.phy import default_eu868_plan
-from loraguard.sensor import SensorProfile
 from loraguard.server import assign_resources
 from loraguard.simulation import Simulation
 
@@ -308,10 +307,9 @@ class TestDocumentValidation:
             load_scenario(tmp_path / "nope.yaml")
 
 
-# Sets every declared field, and every hand-written alarm and sensor key, to a
-# value other than its default; ed2 sits on the inclusive range bounds.  The
-# digest was recorded with the hand-written parsers and serialiser that the
-# field declarations replaced.
+# Sets every declared field to a value other than its default; ed2 sits on the
+# inclusive range bounds.  The digest was recorded with the hand-written
+# parsers and serialisers that the field declarations replaced.
 EVERY_FIELD_DOC = {
     "name": "every_field",
     "seed": 11,
@@ -367,15 +365,15 @@ class TestEveryField:
 
     def test_every_declared_field_is_set_away_from_its_default(self):
         scenario = parse_scenario(EVERY_FIELD_DOC)
-        specs = [scenario, scenario.stop, scenario.capture,
-                 *scenario.gateways, *scenario.clusters, *scenario.devices]
+        specs = [scenario, scenario.stop, scenario.capture, scenario.sensor,
+                 *scenario.gateways, *scenario.clusters, *scenario.devices,
+                 *scenario.triggers]
         for cls in {type(spec) for spec in specs}:
             for f in dataclasses.fields(cls):
                 if (cls, f.name) == (StopSpec, "ups"):
                     continue  # excludes 'duration'; every shipped scenario sets it
                 assert any(getattr(spec, f.name) != f.default
                            for spec in specs if type(spec) is cls), (cls.__name__, f.name)
-        assert scenario.sensor != SensorProfile()
         assert {t.kind for t in scenario.triggers} == {"script", "random"}
 
     def test_simulation_objects_carry_every_spec_value(self):
@@ -386,13 +384,43 @@ class TestEveryField:
         pairs += [(scenario.capture, sim.capture)]
         for spec, built in pairs:
             for f in dataclasses.fields(spec):
-                if f.name == "duty_policy":
-                    continue  # a ledger setting, not a gateway attribute
+                if f.name in ("duty_policy", "cluster"):
+                    continue  # a ledger setting and a membership, not attributes
                 expected = getattr(spec, f.name)
                 if f.name == "survival":
                     assert {k: built.survival[k] for k, _p in expected} == dict(expected)
                 else:
                     assert getattr(built, f.name) == expected, (type(built).__name__, f.name)
+
+
+def digest_with_alarm(alarm, **top_level):
+    doc = minimal_doc()
+    doc["alarms"] = [{"species": "methane", "level": "1.2 %vol", "devices": ["ed1"],
+                      **alarm}]
+    doc.update(top_level)
+    return scenario_digest(parse_scenario(doc))
+
+
+class TestDefaultsWrittenOut:
+    """Writing a default, or a key the alarm kind ignores, changes no digest."""
+
+    def test_random_interarrival_defaults_to_120_to_130_s(self):
+        assert digest_with_alarm({"kind": "random"}) == digest_with_alarm(
+            {"kind": "random", "interarrival": {"min": "120 s", "max": "130 s"}})
+
+    def test_default_sensor_block_is_no_block(self):
+        plain = digest_with_alarm({"kind": "random"})
+        assert digest_with_alarm({"kind": "random"}, sensor={}) == plain
+        assert digest_with_alarm({"kind": "random"}, sensor={"co_alarm": "100 ppm"}) == plain
+        assert digest_with_alarm({"kind": "random"}, sensor={
+            "co_alarm": "100 ppm", "o2_deficiency": "19 %"}) == plain
+
+    def test_keys_of_the_other_alarm_kind_are_ignored(self):
+        assert digest_with_alarm({"kind": "random", "times": ["10 s"]}) == digest_with_alarm(
+            {"kind": "random"})
+        script = {"kind": "script", "times": ["10 s"]}
+        assert digest_with_alarm({**script, "interarrival": {
+            "min": "200 s", "max": "300 s"}}) == digest_with_alarm(script)
 
 
 OUT_OF_RANGE = [
@@ -539,6 +567,8 @@ DOC_TABLES = {
     scenario_module.ClusterSpec: "Clusters",
     scenario_module.DeviceSpec: "Devices",
     scenario_module.CaptureSpec: "Capture",
+    scenario_module.TriggerSpec: "Alarms",
+    scenario_module.SensorProfile: "Sensor",
 }
 
 

@@ -1,12 +1,14 @@
 """Gas-sensor model: bridge voltages, quantized thresholds, trigger streams."""
 
 import itertools
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from loraguard.engine import US_PER_SECOND, RandomStreams
+from loraguard.scenario import GasLevel
 from loraguard.sensor import (
     COMBUSTIBLE_ALARM_VOLTS,
     COMBUSTIBLE_GASES,
@@ -97,14 +99,16 @@ class TestQuantizedChannels:
 
 class TestTriggers:
     def test_scripted_events_come_back_sorted(self):
-        spec = TriggerSpec(kind="script", species="methane", level=1.2,
+        spec = TriggerSpec(kind="script", species="methane", level=GasLevel(1.2, "%vol"),
                            devices=("ed1",), times_us=(30_000_000, 10_000_000, 20_000_000))
         events = list(generate_events(spec, rng=None))
         assert [e.at_us for e in events] == [10_000_000, 20_000_000, 30_000_000]
         assert all(e.species == "methane" and e.level == 1.2 for e in events)
 
     def test_random_events_are_strictly_increasing_and_well_spaced(self):
-        spec = TriggerSpec(kind="random", species="co", level=150.0, cluster="c1")
+        spec = TriggerSpec(kind="random", species="co", level=GasLevel(150.0, "ppm"),
+                           cluster="c1")
+        assert spec.interarrival_us == (120 * US_PER_SECOND, 130 * US_PER_SECOND)
         rng = RandomStreams(5).stream("alarms")
         times = [e.at_us for e in itertools.islice(generate_events(spec, rng), 10_000)]
         gaps = np.diff([0] + times)
@@ -112,12 +116,31 @@ class TestTriggers:
         assert gaps.max() <= 130 * US_PER_SECOND
         assert abs(gaps.mean() / US_PER_SECOND - 125.0) < 0.2
 
-    @pytest.mark.parametrize("kwargs", [
-        {"kind": "poisson"},
-        {"kind": "script", "times_us": ()},
-        {"kind": "random", "interarrival_min_us": 0},
-        {"kind": "random", "interarrival_min_us": 10, "interarrival_max_us": 5},
+    @pytest.mark.parametrize("kwargs,message", [
+        ({"kind": "poisson"}, "unknown trigger kind"),
+        ({"kind": "script", "times_us": ()}, "needs at least one time"),
+        ({"kind": "random", "interarrival_us": (0, 10)}, "0 < min <= max"),
+        ({"kind": "random", "interarrival_us": (10, 5)}, "0 < min <= max"),
+    ], ids=["kwargs0", "kwargs1", "kwargs2", "kwargs3"])
+    def test_invalid_trigger_specs_rejected(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            TriggerSpec(species="methane", level=GasLevel(1.2, "%vol"), devices=("ed1",),
+                        **kwargs)
+
+    @pytest.mark.parametrize("kwargs,message", [
+        ({"level": GasLevel(1.2, "ppm")}, "methane levels use '%vol', got 'ppm'"),
+        ({"devices": ()}, "needs 'devices' or 'cluster'"),
     ])
-    def test_invalid_trigger_specs_rejected(self, kwargs):
-        with pytest.raises(ValueError):
-            TriggerSpec(species="methane", level=1.2, **kwargs)
+    def test_level_unit_and_scope_checked(self, kwargs, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            TriggerSpec(**{"kind": "script", "species": "methane", "times_us": (1,),
+                           "level": GasLevel(1.2, "%vol"), "devices": ("ed1",), **kwargs})
+
+    def test_each_kind_keeps_only_its_own_timing(self):
+        level = GasLevel(1.2, "%vol")
+        script = TriggerSpec(kind="script", species="methane", level=level, devices=("ed1",),
+                             times_us=(1,), interarrival_us=(5, 6))
+        assert (script.times_us, script.interarrival_us) == ((1,), None)
+        random = TriggerSpec(kind="random", species="methane", level=level, devices=("ed1",),
+                             times_us=(1,), interarrival_us=(5, 6))
+        assert (random.times_us, random.interarrival_us) == ((), (5, 6))

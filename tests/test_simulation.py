@@ -222,3 +222,54 @@ def test_each_decoded_report_requests_one_downlink():
                          for gw in ("gw1", "gw2"))
     assert decoded_copies > delivered > 0
     assert report["dcp"]["requested"] == delivered
+
+
+def _dcp_counts(backhaul, alarm_offsets, reports):
+    """DCP counters of one reporting device over its first ``reports`` reports.
+
+    ``alarm_offsets`` maps a report index to an alarm time relative to that
+    report's RX1 instant.  A probe run without alarms finds the report times;
+    alarms draw nothing from the report stream, so the reports stay put.
+    """
+    def scenario(alarm_times, end_us):
+        return parse_scenario({
+            "name": "dcp_receipt",
+            "seed": 3,
+            "stop": {"duration": f"{end_us} us"},
+            "gateways": [{"id": "gw1", "backhaul": backhaul}],
+            "clusters": [{"id": "c1", "members": ["ed1"], "dcp_gateway": "gw1"}],
+            "devices": [{"id": "ed1", "cluster": "c1", "rp_period": "100 s",
+                         "clock_sigma": "0 s", "rp_channels": ["868.1 MHz"],
+                         "assignment": {"channel": "867.1 MHz", "sf": 9}}],
+            "alarms": [{"kind": "script", "species": "methane", "level": "1.2 %vol",
+                        "devices": ["ed1"], "times": [f"{at} us" for at in alarm_times]}]
+            if alarm_times else [],
+            "device_duty_policy": "window",
+        })
+
+    probe = Simulation(scenario([], 100_000_000 * reports))
+    probe.transmission_log = []
+    probe.run()
+    rps = probe.transmission_log[:reports]
+    end_us = rps[-1].end_us + 4_000_000  # past the end of an SF12 DCP in RX2
+    rx1 = [rp.end_us + 1_000_000 for rp in rps]
+    sim = Simulation(scenario([rx1[i] + dt for i, dt in alarm_offsets.items()], end_us))
+    sim.transmission_log = []
+    dcp = sim.run()["dcp"]
+    assert [tx.start_us for tx in sim.transmission_log
+            if tx.kind == TransmissionKind.RP] == [rp.start_us for rp in rps]
+    return dcp
+
+
+def test_dcp_receipt_paths():
+    # Report 0 hears its RX1 DCP.  Report 1's device keys an urgent uplink
+    # between the report's end and RX1, so RX1 is no longer its open window.
+    # Report 2's device keys up 10 ms into the 82,176 us DCP.  Report 3's
+    # keys up the instant its DCP ends, having heard all of it.
+    dcp = _dcp_counts("20 ms", {1: -500_000, 2: 10_000, 3: 82_176}, reports=4)
+    assert (dcp["requested"], dcp["sent_rx1"], dcp["sent_rx2"]) == (4, 4, 0)
+    assert (dcp["received"], dcp["missed_window"], dcp["missed_device_busy"]) == (2, 1, 1)
+    # A 600 ms backhaul round trip misses the 1 s RX1; the DCP goes out in RX2.
+    dcp = _dcp_counts("600 ms", {}, reports=1)
+    assert (dcp["requested"], dcp["skipped_too_late"]) == (1, 1)
+    assert (dcp["sent_rx1"], dcp["sent_rx2"], dcp["received"]) == (0, 1, 1)
