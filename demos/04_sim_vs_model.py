@@ -10,31 +10,22 @@ Run: python3 demos/04_sim_vs_model.py   (about 10 s)
 
 import time
 
-from loraguard.analytic import plr_exact_fixed
-from loraguard.engine import US_PER_SECOND
-from loraguard.phy import RadioParams, airtime_us
+from loraguard.analytic import model_inputs, plr_exact_fixed
 from loraguard.scenario import load_scenario, shipped_scenario_path
 from loraguard.simulation import Simulation
 
 
 def main() -> None:
     scenario = load_scenario(shipped_scenario_path("test2_dl_priority"))
-    reporters = [d for d in scenario.devices if d.rp_period_us is not None]
-    sender = scenario.device("ed8")
+    sender = scenario.device("ed8")  # the one device its alarm triggers
     assert sender.assignment is not None
 
-    dcp_airtimes = [airtime_us(RadioParams(sf=d.rp_sf), scenario.dcp_payload_len)
-                    / US_PER_SECOND for d in reporters]
-    up_air = airtime_us(RadioParams(sf=sender.assignment[1]),
-                        sender.up_payload_len) / US_PER_SECOND
-    period = reporters[0].rp_period_us / US_PER_SECOND
-    sigma = reporters[0].clock_sigma_us / US_PER_SECOND
-
-    predicted = plr_exact_fixed(dcp_airtimes, up_air, period, sigma)
+    inputs = model_inputs(scenario)
+    predicted = plr_exact_fixed(*inputs)
     print(f"Scenario: {scenario.name} (seed {scenario.seed})")
-    print(f"  {len(reporters)} reporting devices, control downlink "
-          f"{dcp_airtimes[0] * 1000:.1f} ms each {period:.0f} s")
-    print(f"  urgent uplink {up_air * 1000:.1f} ms at SF{sender.assignment[1]}")
+    print(f"  {len(inputs.dcp_airtimes_s)} reporting devices, control downlink "
+          f"{inputs.dcp_airtimes_s[0] * 1000:.1f} ms each {inputs.period_s:.0f} s")
+    print(f"  urgent uplink {inputs.up_airtime_s * 1000:.1f} ms at SF{sender.assignment[1]}")
     print(f"\nAnalytic prediction: PLR = {predicted.plr:.4%}")
 
     print(f"\nSimulating {scenario.stop.ups} urgent uplinks ...")

@@ -39,7 +39,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
+
+if TYPE_CHECKING:
+    from .scenario import Scenario
 
 #: Results are flagged out-of-regime when tau + D comes within this many
 #: sigmas of the period, where the residual-density truncation at 0 matters.
@@ -236,3 +239,45 @@ def plr_approx(n_senders: int, mean_dcp_s: float, mean_up_s: float,
     plr = min(1.0, n_senders * block / period_s)
     p_free = (1.0 - block / period_s) ** n_senders
     return PlrResult(plr, p_free, "approx", n_senders * block / period_s <= 0.02)
+
+
+class ModelInputs(NamedTuple):
+    """What a scenario gives ``plr_exact_fixed``, in its argument order, in seconds."""
+
+    dcp_airtimes_s: tuple[float, ...]  # one per reporting device, in scenario order
+    up_airtime_s: float | None  # None when no alarm triggers any device
+    period_s: float
+    sigma_s: float
+
+
+def model_inputs(scenario: Scenario) -> ModelInputs | None:
+    """The exact model's inputs implied by a scenario; None when no device reports.
+
+    Every reporting device provokes one control-downlink stream at its report
+    SF.  The urgent airtime is the longest among the devices an alarm
+    triggers, at their assigned SF.  The model takes one report period and
+    jitter, so reporters that differ in either raise ValueError.
+    """
+    # Lazy, so that importing the model loads neither the radio layer nor YAML.
+    from .engine import US_PER_SECOND
+    from .phy import RadioParams, airtime_us
+    from .scenario import urgent_resources
+
+    reporters = [d for d in scenario.devices if d.rp_period_us is not None]
+    if not reporters:
+        return None
+    first = reporters[0]
+    differing = [d.id for d in reporters if (d.rp_period_us, d.clock_sigma_us)
+                 != (first.rp_period_us, first.clock_sigma_us)]
+    if differing:
+        raise ValueError(f"reporters {', '.join(differing)} differ from {first.id} in "
+                         f"report period or clock jitter; the model needs one shared "
+                         f"(T, sigma)")
+    assignments = urgent_resources(scenario)
+    triggered = {d for trig in scenario.triggers for d in scenario.alarm_scope(trig)}
+    return ModelInputs(
+        tuple(airtime_us(RadioParams(sf=d.rp_sf), scenario.dcp_payload_len) / US_PER_SECOND
+              for d in reporters),
+        max((airtime_us(RadioParams(sf=assignments[d][1]), scenario.device(d).up_payload_len)
+             / US_PER_SECOND for d in triggered), default=None),
+        first.rp_period_us / US_PER_SECOND, first.clock_sigma_us / US_PER_SECOND)

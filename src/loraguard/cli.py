@@ -13,11 +13,11 @@ import sys
 import time
 from pathlib import Path
 
-from .analytic import PlrModelParams, plr_approx, plr_exact_fixed, plr_marginal
-from .engine import US_PER_SECOND
+from .analytic import (PlrModelParams, model_inputs, plr_approx, plr_exact_fixed,
+                       plr_marginal)
 from .metrics import emit_report, wilson_interval
 from .phy import RadioParams, airtime_us
-from .scenario import Scenario, ScenarioError, load_scenario, urgent_resources
+from .scenario import Scenario, ScenarioError, load_scenario
 from .simulation import Simulation
 
 EXIT_OK = 0
@@ -140,42 +140,23 @@ def cmd_validate(args: argparse.Namespace) -> int:
     scenario = _load(args)
     if isinstance(scenario, int):
         return scenario
-    # The model takes one report period and jitter for every sender.
-    reporters = [d for d in scenario.devices if d.rp_period_us is not None]
-    if not reporters:
+    try:
+        inputs = model_inputs(scenario)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INVALID
+    if inputs is None:
         # Control downlinks answer reports: without reporters the
         # downlink-load model has nothing to predict, so nothing is run.
         print("validate: not applicable (no gateway sends control downlinks)")
         return EXIT_OK
-    differing = [d.id for d in reporters
-                 if (d.rp_period_us, d.clock_sigma_us)
-                 != (reporters[0].rp_period_us, reporters[0].clock_sigma_us)]
-    if differing:
-        print(f"error: reporters {', '.join(differing)} differ from {reporters[0].id} in "
-              f"report period or clock jitter; the model needs one shared (T, sigma)",
-              file=sys.stderr)
-        return EXIT_INVALID
 
     report = Simulation(scenario).run()
     up = report["kinds"].get("UP")
     if not up or up["generated"] == 0:
         print("error: scenario produced no urgent uplinks to validate", file=sys.stderr)
         return EXIT_RUNTIME
-
-    # Model inputs from the scenario: every reporting device contributes one
-    # downlink stream; urgent airtime from the triggered devices' assignments.
-    assignments = urgent_resources(scenario)
-    triggered = sorted({d for trig in scenario.triggers for d in scenario.alarm_scope(trig)})
-    dcp_airtimes = [airtime_us(RadioParams(sf=dev.rp_sf), scenario.dcp_payload_len)
-                    / US_PER_SECOND for dev in reporters]
-    period = reporters[0].rp_period_us / US_PER_SECOND
-    sigma = reporters[0].clock_sigma_us / US_PER_SECOND
-    up_airs = {airtime_us(RadioParams(sf=assignments[d][1]),
-                          scenario.device(d).up_payload_len) / US_PER_SECOND
-               for d in triggered}
-    up_air = max(up_airs)
-
-    predicted = plr_exact_fixed(dcp_airtimes, up_air, period, sigma)
+    predicted = plr_exact_fixed(*inputs)
     observed = up["plr"]
     lo, hi = wilson_interval(up["lost"], up["generated"])
     line = (f"observed UP PLR {100 * observed:.3f}% "

@@ -31,15 +31,11 @@ class Reception:
     interferers: list[tuple[int, float]] = field(default_factory=list)
 
 
-@dataclass
+@dataclass(slots=True)
 class Gateway:
-    """State of one gateway radio; defaults are those of ``GatewaySpec``."""
+    """One gateway radio during a run: its spec and its state."""
 
-    id: str
-    role: str = GatewaySpec.role  # "full" transmits downlinks, "rx_only" never does
-    demod_paths: int = GatewaySpec.demod_paths
-    backhaul_delay_us: SimTime = GatewaySpec.backhaul_delay_us
-    rx_power_dbm: dict[str, float] = field(default_factory=dict)
+    spec: GatewaySpec
 
     # runtime state
     tx_busy_until: SimTime = 0
@@ -49,12 +45,6 @@ class Gateway:
     # whether or not it holds a demod path: dropped frames still radiate.
     on_air: dict[int, dict[int, tuple[SimTime, tuple[int, float]]]] = field(
         default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if self.role not in ("full", "rx_only"):
-            raise ValueError(f"{self.id}: role must be 'full' or 'rx_only'")
-        if self.demod_paths < 1:
-            raise ValueError(f"{self.id}: demod_paths must be >= 1")
 
     def on_uplink_start(self, tx: Transmission, now: SimTime) -> None:
         """Register an arriving uplink.
@@ -69,7 +59,7 @@ class Gateway:
         channel = self.on_air.get(tx.freq_hz)
         if channel is None:
             channel = self.on_air[tx.freq_hz] = {}
-        signal = (tx.params.sf, self.rx_power_dbm.get(tx.source, 0.0))
+        signal = (tx.params.sf, tx.rx_power_dbm)
         interferers_seen = []
         if channel:  # empty is the common case: nothing else on the air
             active = self.active
@@ -88,7 +78,7 @@ class Gateway:
 
         if self.tx_busy_until > now:
             self.finished[tx.uid] = CAUSE_TX_BUSY
-        elif len(self.active) >= self.demod_paths:
+        elif len(self.active) >= self.spec.demod_paths:
             self.finished[tx.uid] = CAUSE_NO_DEMOD_PATH
         else:
             self.active[tx.uid] = Reception(tx, interferers_seen)
@@ -103,7 +93,7 @@ class Gateway:
         if cause is not None:
             return cause
         reception = self.active.pop(tx.uid)
-        if not decodes_against(model, tx.params.sf, self.rx_power_dbm.get(tx.source, 0.0),
+        if not decodes_against(model, tx.params.sf, tx.rx_power_dbm,
                                reception.interferers, rng):
             return CAUSE_COLLISION
         return None
@@ -114,8 +104,8 @@ class Gateway:
         While the radio transmits, no reception is active.  Returns the number
         of receptions preempted at this instant.
         """
-        if self.role == "rx_only":
-            raise RuntimeError(f"{self.id} is receive-only and cannot transmit")
+        if self.spec.role == "rx_only":
+            raise RuntimeError(f"{self.spec.id} is receive-only and cannot transmit")
         for uid in self.active:
             self.finished[uid] = CAUSE_GW_PREEMPTED
         preempted = len(self.active)

@@ -373,7 +373,8 @@ class Transmission:
     """One frame on the air; ``end_us`` is fixed at construction.
 
     ``uid`` is given by whoever builds the frame: a ``Simulation`` numbers its
-    own frames, so no counter is shared between runs.
+    own frames, so no counter is shared between runs.  ``rx_power_dbm`` is
+    the sender's received power at every gateway.
     """
 
     source: str
@@ -383,6 +384,7 @@ class Transmission:
     start_us: SimTime
     airtime_us: SimTime
     uid: int
+    rx_power_dbm: float
     end_us: SimTime = field(init=False)
 
     def __post_init__(self) -> None:
@@ -428,24 +430,19 @@ class CaptureModel:
     """Outcome model for co-channel overlaps at one gateway.
 
     ``"empirical"`` draws an independent survival Bernoulli per
-    (frame, interferer) pair from the calibrated table; SF pairs absent from
-    the table are treated as orthogonal (survival 1).  ``"threshold"`` keeps a
-    frame only if it beats every same-SF interferer by ``co_sf_margin_db``;
-    different SFs never destroy each other in this mode.  Mode and margin
-    default to those of ``CaptureSpec``.
+    (frame, interferer) pair from the calibrated table, with the spec's
+    overrides merged over it; SF pairs absent from the table are treated as
+    orthogonal (survival 1).  ``"threshold"`` keeps a frame only if it beats
+    every same-SF interferer by the spec's ``co_sf_margin_db``; different SFs
+    never destroy each other in this mode.
     """
 
-    mode: str = CaptureSpec.mode
-    co_sf_margin_db: float = CaptureSpec.co_sf_margin_db
-    survival: Mapping[tuple[int, int], float] = field(
-        default_factory=lambda: dict(DEFAULT_SURVIVAL))
+    spec: CaptureSpec = CaptureSpec()
+    survival: Mapping[tuple[int, int], float] = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.mode not in ("empirical", "threshold"):
-            raise ValueError(f"unknown capture mode {self.mode!r}")
-        for pair, p in self.survival.items():
-            if not 0.0 <= p <= 1.0:
-                raise ValueError(f"survival probability for {pair} out of [0, 1]: {p}")
+        object.__setattr__(self, "survival",
+                           {**DEFAULT_SURVIVAL, **dict(self.spec.survival)})
 
     def survival_probability(self, own_sf: int, other_sf: int) -> float:
         return self.survival.get((own_sf, other_sf), 1.0)
@@ -454,9 +451,9 @@ class CaptureModel:
 def decodes_against(model: CaptureModel, own_sf: int, own_power_dbm: float,
                     interferers: Iterable[tuple[int, float]], rng) -> bool:
     """Whether a frame survives the given (sf, power_dbm) interferers."""
-    if model.mode == "threshold":
+    if model.spec.mode == "threshold":
         for sf, power in interferers:
-            if sf == own_sf and own_power_dbm < power + model.co_sf_margin_db:
+            if sf == own_sf and own_power_dbm < power + model.spec.co_sf_margin_db:
                 return False
         return True
     for sf, _power in interferers:

@@ -282,6 +282,8 @@ def _field(key: str, kind: _Kind, default: object = MISSING, **checks: object) -
 
 _DUTY_POLICIES = ("offtime", "window")
 _PAYLOAD_BYTES = {"lo": 0, "hi": 255}  # the LoRa PHY payload limit
+UP_SF_MIN = 7
+UP_SF_MAX = 10  # keeps the urgent airtime under the 500 ms latency budget
 
 
 @dataclass(frozen=True)
@@ -351,8 +353,8 @@ class TriggerSpec:
 
     ``kind="script"`` replays ``times_us`` verbatim; ``kind="random"`` draws
     interarrival times uniformly from ``interarrival_us`` = (min, max).
-    ``species``/``level`` fill the emitted events.  Each kind drops the
-    other's timing, so only the timing in use is serialised and hashed.
+    ``species``/``level`` fill the emitted events.  The other kind's timing
+    is a validation error, not ignored.
     """
 
     kind: str = _field("kind", _STR)
@@ -375,9 +377,7 @@ class TriggerSpec:
         if self.kind == "script":
             if not self.times_us:
                 raise ValueError("scripted trigger needs at least one time")
-            object.__setattr__(self, "interarrival_us", None)
             return
-        object.__setattr__(self, "times_us", ())
         if self.interarrival_us is None:
             object.__setattr__(self, "interarrival_us",
                                (120 * US_PER_SECOND, 130 * US_PER_SECOND))
@@ -540,9 +540,7 @@ def _assignment_collisions(cluster: ClusterSpec, channels: tuple[int, ...],
 
 def validate_scenario(scenario: Scenario) -> None:
     """Range and cross-field checks; raises ScenarioError listing every problem found."""
-    # Lazy: device and phy import this module for their defaults.
-    from .device import UP_SF_MAX, UP_SF_MIN
-    from .phy import SubBand, default_eu868_plan
+    from .phy import SubBand, default_eu868_plan  # lazy: phy imports this module
 
     plan = default_eu868_plan()
     problems = _range_problems(scenario)
@@ -626,6 +624,9 @@ def validate_scenario(scenario: Scenario) -> None:
                         problems.append(
                             f"{where}.rp_channels: {ch} Hz outside sub-band "
                             f"{scenario.rp_subband}")
+        elif dev.rp_period_us is not None and rp_band is not None and not rp_band.channels:
+            problems.append(f"{where}.rp_channels: none given, and rp_subband "
+                            f"{scenario.rp_subband} has no channels to report on")
         if dev.assignment is not None:
             freq, sf = dev.assignment
             if not UP_SF_MIN <= sf <= UP_SF_MAX:
@@ -652,6 +653,10 @@ def validate_scenario(scenario: Scenario) -> None:
             problems.append(f"{where}.cluster: unknown cluster {trig.cluster!r}")
         if trig.level.value < 0:
             problems.append(f"{where}.level: must be >= 0")
+        if trig.kind == "random" and trig.times_us:
+            problems.append(f"{where}.times: not used by a random alarm")
+        if trig.kind == "script" and trig.interarrival_us is not None:
+            problems.append(f"{where}.interarrival: not used by a scripted alarm")
 
     for (own, other), p in scenario.capture.survival:
         if not (7 <= own <= 12 and 7 <= other <= 12):

@@ -20,22 +20,29 @@ Urgent uplinks are triggered by gas alarms, use the (channel, SF) assignment
 the device was commissioned with, and are never retransmitted.  Each member's
 assignment comes from ``scenario.urgent_resources`` and holds for the run.
 
-Everything that depends only on the scenario is bound once per run: radio
-parameters and airtime per (SF, payload length), each device's urgent-uplink
-sub-band, parameters and airtime, each reporter's sub-band, parameters and
-airtime per report channel, and each downlink's sub-band and airtime per
-(channel, SF).  The urgent-uplink counters are bound when the first alarm
-triggers an uplink, so a run without urgent uplinks still reports no ``UP``
-kind.  Each distinct tuple of per-gateway outcomes (in
-scenario gateway order) is resolved once into a shared read-only per-gateway
-map, the earliest backhaul delay among the decoding gateways and the
-system-level loss cause; every urgent uplink with that tuple reuses them.
+The scenario is validated when a simulation is built.  Devices, gateways
+and the capture model hold their scenario specs and keep only what the run
+resolves (a device's report channels and urgent assignment, the merged
+survival table) besides their mutable state; a sender's received power
+travels on each of its frames.
+
+Everything else that depends only on the scenario is bound once per run:
+radio parameters and airtime per (SF, payload length), each device's
+urgent-uplink sub-band, parameters and airtime, each reporter's sub-band,
+parameters and airtime per report channel, and each downlink's sub-band and
+airtime per (channel, SF).  The urgent-uplink counters are bound when the
+first alarm triggers an uplink, so a run without urgent uplinks still
+reports no ``UP`` kind.  Reports and urgent uplinks end through one
+close-out: each distinct tuple of per-gateway outcomes (in scenario gateway
+order) is resolved once into a shared read-only per-gateway map, the
+earliest backhaul delay among the decoding gateways and the system-level
+loss cause, and every uplink with that tuple reuses them.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import partial
 from types import MappingProxyType
 from typing import Callable, Mapping
@@ -45,10 +52,9 @@ from .engine import Engine, RandomStreams, SimTime, Stream
 from .gateway import Gateway
 from .metrics import (CAUSE_DUTY_CYCLE, KindStats, MetricsCollector, PacketOutcome,
                       build_report, system_cause)
-from .phy import (CaptureModel, DEFAULT_SURVIVAL, DutyCycleLedger,
-                  RadioParams, RX2_FREQ_HZ, RX2_SF, SubBand, Transmission,
-                  TransmissionKind, airtime_us, default_eu868_plan)
-from .scenario import Scenario, scenario_digest, urgent_resources
+from .phy import (CaptureModel, DutyCycleLedger, RadioParams, RX2_FREQ_HZ, RX2_SF,
+                  SubBand, Transmission, TransmissionKind, airtime_us, default_eu868_plan)
+from .scenario import Scenario, scenario_digest, urgent_resources, validate_scenario
 from .sensor import GasEvent, alarm_check, generate_events
 from .server import NetworkServer
 
@@ -62,11 +68,11 @@ class _AlarmSource:
 # (sub-band, radio parameters, airtime) of one uplink resource.
 _Resource = tuple[SubBand, RadioParams, SimTime]
 
-# What one tuple of per-gateway outcomes means for an urgent uplink: its
-# read-only per-gateway map, the earliest backhaul delay among the gateways
-# that decoded it (None if none did) and its system-level loss cause (None
-# if delivered).
-_UpVerdict = tuple[Mapping[str, str], SimTime | None, str | None]
+# What one tuple of per-gateway outcomes means for an uplink: its read-only
+# per-gateway map, the earliest backhaul delay among the gateways that
+# decoded it (None if none did) and its system-level loss cause (None if
+# delivered).
+_Verdict = tuple[Mapping[str, str], SimTime | None, str | None]
 
 
 @dataclass(slots=True)
@@ -79,17 +85,11 @@ class _Reporter:
     handler: Callable[[], None] | None = None  # the device's one "rp" action
 
 
-def _from_spec(cls: type, spec: object, **resolved: object):
-    """A ``cls`` built from the fields it shares with ``spec``, then ``resolved``."""
-    wanted = {f.name for f in fields(cls)}
-    shared = {f.name: getattr(spec, f.name) for f in fields(spec) if f.name in wanted}
-    return cls(**{**shared, **resolved})
-
-
 class Simulation:
-    """One runnable instance of a scenario."""
+    """One runnable instance of a scenario, which is validated first."""
 
     def __init__(self, scenario: Scenario) -> None:
+        validate_scenario(scenario)
         self.scenario = scenario
         self.plan = default_eu868_plan()
         self.engine = Engine()
@@ -104,44 +104,37 @@ class Simulation:
         self._rp_stats: KindStats | None = None
         self._up_stats: KindStats | None = None
         # per-gateway causes (None = decoded), in receiver order -> verdict
-        self._up_verdicts: dict[tuple[str | None, ...], _UpVerdict] = {}
+        self._verdicts: dict[tuple[str | None, ...], _Verdict] = {}
 
-        capture = self.scenario.capture
-        self.capture = _from_spec(CaptureModel, capture,
-                                  survival={**DEFAULT_SURVIVAL, **dict(capture.survival)})
+        self.capture = CaptureModel(self.scenario.capture)
 
         self.rp_band = self.plan.subband(self.scenario.rp_subband)
 
         self.ledger = DutyCycleLedger(default_policy=self.scenario.device_duty_policy)
         self.gateways: dict[str, Gateway] = {}
         for spec in self.scenario.gateways:
-            self.gateways[spec.id] = _from_spec(Gateway, spec)
+            self.gateways[spec.id] = Gateway(spec)
             self.ledger.set_policy(spec.id, spec.duty_policy)
 
         self.server = NetworkServer(urgent_resources(self.scenario))
 
         self.devices: dict[str, EndDevice] = {}
+        self._reporters: list[_Reporter] = []
         for dspec in self.scenario.devices:
             # Commissioning: the device powers up knowing its assignment,
             # which holds for the rest of the run.
-            device = _from_spec(EndDevice, dspec,
-                                rp_channels=dspec.rp_channels or self.rp_band.channels,
-                                assignment=self.server.assignments[dspec.id])
+            device = EndDevice(dspec, dspec.rp_channels or self.rp_band.channels,
+                               self.server.assignments[dspec.id])
             self.devices[dspec.id] = device
             freq_hz, sf = device.assignment
             self._up_resources[dspec.id] = (
-                self.plan.subband_of(freq_hz), *self._radio_for(sf, device.up_payload_len))
-            for gw in self.gateways.values():
-                gw.rx_power_dbm[dspec.id] = dspec.rx_power_dbm
-
-        self._reporters: list[_Reporter] = []
-        for device in self.devices.values():
-            if device.rp_period_us is None:
+                self.plan.subband_of(freq_hz), *self._radio_for(sf, dspec.up_payload_len))
+            if dspec.rp_period_us is None:
                 continue
-            params, air = self._radio_for(device.rp_sf, device.rp_payload_len)
+            params, air = self._radio_for(dspec.rp_sf, dspec.rp_payload_len)
             channels = {freq: (self.plan.subband_of(freq), params, air)
                         for freq in device.rp_channels}
-            reporter = _Reporter(device, self.streams.stream(f"rp:{device.id}"), channels)
+            reporter = _Reporter(device, self.streams.stream(f"rp:{dspec.id}"), channels)
             reporter.handler = partial(self._attempt_rp, reporter)
             self._reporters.append(reporter)
         # (gateway id, gateway, its capture stream), in scenario order.
@@ -184,7 +177,7 @@ class Simulation:
         for reporter in self._reporters:
             # Stationary start: each sender begins at a uniform random phase
             # of its report period.
-            phase = reporter.rng.below(reporter.device.rp_period_us)
+            phase = reporter.rng.below(reporter.device.spec.rp_period_us)
             self.engine.schedule(phase, reporter.handler, "rp")
         for source in self._alarm_sources:
             self._schedule_next_alarm(source)
@@ -249,7 +242,7 @@ class Simulation:
         if stats is None:
             stats = self._up_stats = self.metrics.kind("UP")
         stats.generated += 1
-        self._attempt_up(device, PacketOutcome(0, device.id, self.engine.now))
+        self._attempt_up(device, PacketOutcome(0, device.spec.id, self.engine.now))
 
     def _attempt_up(self, device: EndDevice, outcome: PacketOutcome) -> None:
         now = self.engine.now
@@ -259,16 +252,17 @@ class Simulation:
             self.engine.schedule(device.busy_until,
                                  partial(self._attempt_up, device, outcome), "up")
             return
-        band, params, air = self._up_resources[device.id]
-        if self.ledger.check(device.id, band, now, air) > now:
+        spec = device.spec
+        band, params, air = self._up_resources[spec.id]
+        if self.ledger.check(spec.id, band, now, air) > now:
             # An urgent alarm is stale by the time the band frees; count it lost.
             outcome.cause = CAUSE_DUTY_CYCLE
             self._up_stats.add_loss(CAUSE_DUTY_CYCLE)
             self._finalize_up(outcome)
             return
         uid = next(self._uids)
-        tx = Transmission(device.id, TransmissionKind.UP, device.assignment[0], params,
-                          now, air, uid)
+        tx = Transmission(spec.id, TransmissionKind.UP, device.assignment[0], params,
+                          now, air, uid, spec.rx_power_dbm)
         outcome.uid = uid
         outcome.start_us = now
         outcome.end_us = tx.end_us
@@ -276,38 +270,16 @@ class Simulation:
         self.engine.schedule(tx.end_us, partial(self._finish_up, tx, outcome), "up-end")
 
     def _finish_up(self, tx: Transmission, outcome: PacketOutcome) -> None:
-        now = self.engine.now
-        causes: tuple[str | None, ...] = ()
-        for gw_id, gw, rng in self._receivers:
-            cause = gw.on_uplink_end(tx, now, self.capture, rng)
-            self.metrics.on_gateway_outcome("UP", gw_id, cause)
-            causes += (cause,)
-        verdict = self._up_verdicts.get(causes)
-        if verdict is None:
-            verdict = self._up_verdict(causes)
-        outcome.per_gateway, delay, cause = verdict
+        outcome.per_gateway, delay, cause = self._close_out(tx, "UP")
         if cause is None:
             outcome.delivered = True
-            outcome.delivered_at_us = now + delay
+            outcome.delivered_at_us = self.engine.now + delay
             self._up_stats.delivered += 1
             self.metrics.on_up_delivered(outcome)
         else:
             outcome.cause = cause
             self._up_stats.add_loss(cause)
         self._finalize_up(outcome)
-
-    def _up_verdict(self, causes: tuple[str | None, ...]) -> _UpVerdict:
-        """Resolve and intern what ``causes``, one per receiver, mean for an uplink."""
-        per_gateway = {}
-        delay = None
-        for (gw_id, gw, _rng), cause in zip(self._receivers, causes):
-            per_gateway[gw_id] = cause if cause is not None else "decoded"
-            if cause is None and (delay is None or gw.backhaul_delay_us < delay):
-                delay = gw.backhaul_delay_us
-        verdict = (MappingProxyType(per_gateway), delay,
-                   system_cause(per_gateway) if delay is None else None)
-        self._up_verdicts[causes] = verdict
-        return verdict
 
     def _finalize_up(self, outcome: PacketOutcome) -> None:
         self.up_outcomes.append(outcome)
@@ -326,60 +298,73 @@ class Simulation:
             return
         freq_hz = device.pick_rp_channel(reporter.rng)
         band, params, air = reporter.channels[freq_hz]
-        clear_at = self.ledger.check(device.id, band, now, air)
+        clear_at = self.ledger.check(device.spec.id, band, now, air)
         if clear_at > now:
             self.metrics.kind("RP").deferrals += 1
             self.engine.schedule(clear_at, reporter.handler, "rp")
             return
-        tx = Transmission(device.id, TransmissionKind.RP, freq_hz, params, now, air,
-                          next(self._uids))
+        tx = Transmission(device.spec.id, TransmissionKind.RP, freq_hz, params, now, air,
+                          next(self._uids), device.spec.rx_power_dbm)
         self._start_uplink(device, tx, band)
         self.engine.schedule(tx.end_us, partial(self._finish_rp, device, tx), "rp-end")
         self.engine.schedule(device.next_rp_time(now, reporter.rng), reporter.handler, "rp")
 
     def _finish_rp(self, device: EndDevice, tx: Transmission) -> None:
-        now = self.engine.now
+        _per_gateway, _delay, cause = self._close_out(tx, "RP")
         stats = self._rp_stats
         if stats is None:
             stats = self._rp_stats = self.metrics.kind("RP")
         stats.generated += 1
-        decoded = False
-        lost = None  # gateway id -> loss cause, built only when some gateway lost it
-        for gw_id, gw, rng in self._receivers:
-            cause = gw.on_uplink_end(tx, now, self.capture, rng)
-            self.metrics.on_gateway_outcome("RP", gw_id, cause)
-            if cause is None:
-                decoded = True
-            elif lost is None:
-                lost = {gw_id: cause}
-            else:
-                lost[gw_id] = cause
-        if decoded:
+        if cause is None:
             stats.delivered += 1
             self._request_dcp(device, tx)
         else:
-            stats.add_loss(system_cause(lost))
+            stats.add_loss(cause)
 
     # -- shared uplink mechanics ---------------------------------------------------
 
     def _start_uplink(self, device: EndDevice, tx: Transmission, band: SubBand) -> None:
         device.mark_transmitting(tx.start_us, tx.end_us)
-        self.ledger.record(device.id, band, tx.start_us, tx.airtime_us)
+        self.ledger.record(tx.source, band, tx.start_us, tx.airtime_us)
         if self.transmission_log is not None:
             self.transmission_log.append(tx)
         for _gw_id, gw, _rng in self._receivers:
             gw.on_uplink_start(tx, tx.start_us)
 
+    def _close_out(self, tx: Transmission, kind: str) -> _Verdict:
+        """End ``tx`` at every gateway, in scenario order, and return its verdict."""
+        now = self.engine.now
+        causes: tuple[str | None, ...] = ()
+        for gw_id, gw, rng in self._receivers:
+            cause = gw.on_uplink_end(tx, now, self.capture, rng)
+            self.metrics.on_gateway_outcome(kind, gw_id, cause)
+            causes += (cause,)
+        verdict = self._verdicts.get(causes)
+        return verdict if verdict is not None else self._verdict(causes)
+
+    def _verdict(self, causes: tuple[str | None, ...]) -> _Verdict:
+        """Resolve and intern what ``causes``, one per receiver, mean for an uplink."""
+        per_gateway = {}
+        delay = None
+        for (gw_id, gw, _rng), cause in zip(self._receivers, causes):
+            per_gateway[gw_id] = cause if cause is not None else "decoded"
+            if cause is None and (delay is None or gw.spec.backhaul_delay_us < delay):
+                delay = gw.spec.backhaul_delay_us
+        verdict = (MappingProxyType(per_gateway), delay,
+                   system_cause(per_gateway) if delay is None else None)
+        self._verdicts[causes] = verdict
+        return verdict
+
     # -- control downlinks -----------------------------------------------------------
 
     def _request_dcp(self, device: EndDevice, rp: Transmission) -> None:
-        gw = self._dcp_gateway[device.id]
+        gw = self._dcp_gateway[device.spec.id]
         self.metrics.dcp["requested"] += 1
-        rx1_at = rp.end_us + device.receive_delay1_us
-        rx2_at = rp.end_us + device.receive_delay2_us
+        rx1_at = rp.end_us + device.spec.receive_delay1_us
+        rx2_at = rp.end_us + device.spec.receive_delay2_us
         # Uplink to server and command back to the gateway: one backhaul
         # round trip must beat the receive window.
-        ready_at = self.engine.now + 2 * gw.backhaul_delay_us
+        ready_at = self.engine.now + 2 * gw.spec.backhaul_delay_us
         if ready_at <= rx1_at:
             self.engine.schedule(
                 rx1_at, partial(self._attempt_dcp, device, gw, rp, 1), "dl")
@@ -393,7 +378,7 @@ class Simulation:
     def _attempt_dcp(self, device: EndDevice, gw: Gateway, rp: Transmission,
                      window: int) -> None:
         now = self.engine.now
-        if gw.role != "full":
+        if gw.spec.role != "full":
             self.metrics.dcp["skipped_rx_only"] += 1
             return
         if window == 1:
@@ -406,11 +391,11 @@ class Simulation:
             self.metrics.dcp["skipped_tx_busy"] += 1
             return
         band, air = self._dcp_resource(freq_hz, sf)
-        if self.ledger.check(gw.id, band, now, air) > now:
+        if self.ledger.check(gw.spec.id, band, now, air) > now:
             if window == 1:
                 # Window 1 blocked by the sub-band budget: retry in window 2,
                 # which lives on the high-duty band.
-                rx2_at = rp.end_us + device.receive_delay2_us
+                rx2_at = rp.end_us + device.spec.receive_delay2_us
                 self.engine.schedule(
                     rx2_at, partial(self._attempt_dcp, device, gw, rp, 2), "dl")
             else:
@@ -418,7 +403,7 @@ class Simulation:
             return
         listening = device.last_tx_start == rp.start_us
         gw.start_downlink(now, air)
-        self.ledger.record(gw.id, band, now, air)
+        self.ledger.record(gw.spec.id, band, now, air)
         self.metrics.dcp["sent_rx1" if window == 1 else "sent_rx2"] += 1
         self.engine.schedule(
             now + air, partial(self._finish_dcp, device, rp, listening), "dl-end")

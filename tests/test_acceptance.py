@@ -16,7 +16,8 @@ from dataclasses import replace
 
 import pytest
 
-from loraguard.analytic import PlrModelParams, plr_approx, plr_exact_fixed, plr_marginal
+from loraguard.analytic import (PlrModelParams, model_inputs, plr_approx, plr_exact_fixed,
+                               plr_marginal)
 from loraguard.cli import main
 from loraguard.engine import US_PER_SECOND
 from loraguard.metrics import CAUSE_PRIORITY, emit_report, wilson_interval
@@ -112,20 +113,6 @@ def test3_sf8_run():
     return timed_run(variant)
 
 
-def scenario_model_inputs(scenario):
-    """Renewal-model parameters implied by a scenario's reporting population."""
-    dcp_airtimes, periods, sigmas = [], [], []
-    for dev in scenario.devices:
-        if dev.rp_period_us is None:
-            continue
-        dcp_airtimes.append(
-            airtime_us(RadioParams(sf=dev.rp_sf), scenario.dcp_payload_len)
-            / US_PER_SECOND)
-        periods.append(dev.rp_period_us / US_PER_SECOND)
-        sigmas.append(dev.clock_sigma_us / US_PER_SECOND)
-    return dcp_airtimes, periods[0], sigmas[0]
-
-
 def test_criterion_01_analytic_prediction_under_one_second(capsys):
     with criterion(1, "analytic PLR prediction in [3.9%, 4.0%]"):
         started = time.perf_counter()
@@ -146,10 +133,10 @@ def test_criterion_02_simulation_matches_the_exact_model(shipped_runs):
         scenario, sim, report, elapsed = shipped_runs["test2_dl_priority"]
         up = report["kinds"]["UP"]
         assert up["generated"] == 20_000
-        dcp_airtimes, period, sigma = scenario_model_inputs(scenario)
-        assert len(dcp_airtimes) == 8
-        up_air = airtime_us(RadioParams(sf=9), 37) / US_PER_SECOND
-        predicted = plr_exact_fixed(dcp_airtimes, up_air, period, sigma)
+        inputs = model_inputs(scenario)
+        assert len(inputs.dcp_airtimes_s) == 8
+        assert inputs.up_airtime_s == airtime_us(RadioParams(sf=9), 37) / US_PER_SECOND
+        predicted = plr_exact_fixed(*inputs)
         lo, hi = up["plr_ci95"]
         assert lo <= predicted.plr <= hi
         assert 0.030 <= up["plr"] <= 0.048

@@ -14,6 +14,7 @@ from loraguard.phy import (
     TransmissionKind,
     decodes_against,
 )
+from loraguard.scenario import CaptureSpec
 
 
 class BoomRng:
@@ -49,17 +50,13 @@ class TestCalibratedTable:
         assert model.survival_probability(11, 7) == 1.0
         assert model.survival_probability(7, 12) == 1.0
 
-    def test_invalid_model_parameters_are_rejected(self):
-        with pytest.raises(ValueError):
-            CaptureModel(mode="maximal")
-        with pytest.raises(ValueError):
-            CaptureModel(survival={(7, 7): 1.5})
-        with pytest.raises(ValueError):
-            CaptureModel(survival={(7, 7): -0.1})
+    def test_spec_overrides_are_merged_over_the_calibrated_table(self):
+        model = CaptureModel(CaptureSpec(survival=(((7, 7), 0.25), ((11, 7), 0.5))))
+        assert model.survival == {**DEFAULT_SURVIVAL, (7, 7): 0.25, (11, 7): 0.5}
 
 
 class TestThresholdMode:
-    MODEL = CaptureModel(mode="threshold", co_sf_margin_db=6.0)
+    MODEL = CaptureModel(CaptureSpec(mode="threshold", co_sf_margin_db=6.0))
 
     def test_frame_above_margin_survives(self):
         assert decodes_against(self.MODEL, 7, 0.0, [(7, -6.0)], BoomRng())
@@ -87,7 +84,7 @@ class TestEmpiricalMode:
         assert decodes_against(CaptureModel(), 12, 0.0, [], BoomRng())
 
     def test_zero_survival_is_deterministic_loss(self):
-        model = CaptureModel(survival={(7, 7): 0.0})
+        model = CaptureModel(CaptureSpec(survival=(((7, 7), 0.0),)))
         rng = np.random.default_rng(0)
         assert not decodes_against(model, 7, 0.0, [(7, 0.0)], rng)
 
@@ -121,5 +118,6 @@ class TestTransmission:
         # uid numbering belongs to the simulation and is tested there
         # (test_uid_sequences_do_not_depend_on_other_simulations).
         tx = Transmission(source="x", kind=TransmissionKind.UP, freq_hz=867_100_000,
-                          params=RadioParams(sf=7), start_us=5_000, airtime_us=25_856, uid=1)
+                          params=RadioParams(sf=7), start_us=5_000, airtime_us=25_856, uid=1,
+                          rx_power_dbm=0.0)
         assert tx.end_us == 30_856

@@ -238,6 +238,15 @@ def test_empty_cluster_is_an_invalid_scenario(tmp_path, capsys, command):
     assert "clusters(c2).members: empty" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["run", "validate"])
+def test_report_subband_without_channels_is_an_invalid_scenario(tmp_path, capsys, command):
+    doc = yaml.safe_load(Path(DEMO).read_text(encoding="utf-8"))
+    doc["rp_subband"] = "g2"
+    assert main([command, write_doc(tmp_path, doc)]) == EXIT_INVALID
+    assert ("devices(ed1).rp_channels: none given, and rp_subband g2 has no channels"
+            in capsys.readouterr().err)
+
+
 def test_validate_rejects_reporters_with_different_period_or_jitter(tmp_path, capsys):
     doc = two_device_doc()
     doc["devices"].append({"id": "ed3", "cluster": "c1", "clock_sigma": "10 ms"})

@@ -1,19 +1,17 @@
 """End-device behavior: report timing and half-duplex state."""
 
 import numpy as np
-import pytest
 
 from loraguard.device import EndDevice
 from loraguard.engine import US_PER_SECOND, RandomStreams
+from loraguard.scenario import DeviceSpec
 
 G1_CHANNELS = (868_100_000, 868_300_000, 868_500_000)
 
 
-def make_device(**overrides):
-    kwargs = dict(id="ed1", rp_period_us=70 * US_PER_SECOND,
-                  rp_channels=G1_CHANNELS, assignment=(867_100_000, 9))
-    kwargs.update(overrides)
-    return EndDevice(**kwargs)
+def make_device(**spec_fields):
+    spec = DeviceSpec(id="ed1", cluster="c1", **spec_fields)
+    return EndDevice(spec, G1_CHANNELS, (867_100_000, 9))
 
 
 class FixedNormalRng:
@@ -60,18 +58,3 @@ class TestHalfDuplexState:
         assert not dev.idle_at(15)
         assert dev.idle_at(20)
 
-
-class TestValidation:
-    def test_invalid_configurations_rejected(self):
-        with pytest.raises(ValueError):
-            make_device(rp_period_us=0)
-        with pytest.raises(ValueError):
-            make_device(clock_sigma_us=-1)
-        with pytest.raises(ValueError):
-            make_device(assignment=(867_100_000, 11))
-        make_device(rp_period_us=None)  # reports disabled is fine
-
-    def test_no_report_channels_rejected(self):
-        with pytest.raises(ValueError, match="no report channels"):
-            make_device(rp_channels=())
-        make_device(rp_channels=(), rp_period_us=None)  # a non-reporter hops nowhere

@@ -8,7 +8,13 @@ import pytest
 import yaml
 
 from loraguard import scenario as scenario_module
+from loraguard.device import EndDevice
+from loraguard.gateway import Gateway
+from loraguard.phy import CaptureModel, default_eu868_plan
 from loraguard.scenario import (
+    CaptureSpec,
+    DeviceSpec,
+    GatewaySpec,
     Scenario,
     ScenarioError,
     StopSpec,
@@ -22,7 +28,6 @@ from loraguard.scenario import (
     shipped_scenario_path,
     urgent_resources,
 )
-from loraguard.phy import default_eu868_plan
 from loraguard.server import assign_resources
 from loraguard.simulation import Simulation
 
@@ -253,14 +258,28 @@ class TestDocumentValidation:
         with pytest.raises(ScenarioError, match=r"alarms\[0\].level"):
             parse_scenario(doc)
 
+    @pytest.mark.parametrize("alarm,message", [
+        ({"kind": "random", "times": ["10 s"]},
+         "alarms[0].times: not used by a random alarm"),
+        ({"kind": "script", "times": ["10 s"], "interarrival": {"min": "200 s", "max": "300 s"}},
+         "alarms[0].interarrival: not used by a scripted alarm"),
+    ], ids=["random-with-times", "script-with-interarrival"])
+    def test_timing_of_the_other_alarm_kind_is_rejected(self, alarm, message):
+        doc = minimal_doc()
+        doc["alarms"] = [{"species": "methane", "level": "1.2 %vol", "devices": ["ed1"],
+                          **alarm}]
+        with pytest.raises(ScenarioError, match=re.escape(message)):
+            parse_scenario(doc)
+
     def test_capture_overrides_validated(self):
         doc = minimal_doc()
         doc["capture"] = {"survival": {"7-8": 0.5}}
         with pytest.raises(ScenarioError, match="own_sf/other_sf"):
             parse_scenario(doc)
-        doc["capture"] = {"survival": {"7/8": 1.5}}
-        with pytest.raises(ScenarioError, match=r"outside \[0, 1\]"):
-            parse_scenario(doc)
+        for p in (1.5, -0.1):
+            doc["capture"] = {"survival": {"7/8": p}}
+            with pytest.raises(ScenarioError, match=r"outside \[0, 1\]"):
+                parse_scenario(doc)
         doc["capture"] = {"mode": "psychic"}
         with pytest.raises(ScenarioError, match="capture.mode"):
             parse_scenario(doc)
@@ -284,6 +303,20 @@ class TestDocumentValidation:
         doc["devices"][0]["rp_channels"] = ["867.1 MHz"]
         with pytest.raises(ScenarioError, match="outside sub-band g1"):
             parse_scenario(doc)
+        doc["devices"][0]["rp_channels"] = []
+        with pytest.raises(ScenarioError, match=re.escape("devices(ed1).rp_channels: empty list")):
+            parse_scenario(doc)
+
+    def test_reporters_need_channels_on_a_bare_report_subband(self):
+        doc = minimal_doc()
+        doc["rp_subband"] = "g2"  # a sub-band with no channels
+        with pytest.raises(ScenarioError, match=re.escape(
+                "devices(ed1).rp_channels: none given, and rp_subband g2 has no channels")):
+            parse_scenario(doc)
+        doc["devices"][0]["rp_channels"] = ["868.8 MHz"]
+        parse_scenario(doc)
+        doc["devices"][0].update(rp_channels=None, rp_period=None)
+        parse_scenario(doc)  # a device that never reports needs no channels
 
     def test_every_problem_is_reported_at_once(self):
         doc = minimal_doc()
@@ -376,21 +409,21 @@ class TestEveryField:
                            for spec in specs if type(spec) is cls), (cls.__name__, f.name)
         assert {t.kind for t in scenario.triggers} == {"script", "random"}
 
-    def test_simulation_objects_carry_every_spec_value(self):
+    def test_run_time_objects_hold_their_spec(self):
+        # A run-time object declares no field of its spec but what the run
+        # resolves from it, so no spec value is copied that could drift.
+        resolved = {"rp_channels", "assignment", "survival"}
+        for built, spec in ((EndDevice, DeviceSpec), (Gateway, GatewaySpec),
+                            (CaptureModel, CaptureSpec)):
+            names = {f.name for f in dataclasses.fields(built)}
+            assert names & {f.name for f in dataclasses.fields(spec)} <= resolved, built
         scenario = parse_scenario(EVERY_FIELD_DOC)
         sim = Simulation(scenario)
-        pairs = [(spec, sim.devices[spec.id]) for spec in scenario.devices]
-        pairs += [(spec, sim.gateways[spec.id]) for spec in scenario.gateways]
-        pairs += [(scenario.capture, sim.capture)]
-        for spec, built in pairs:
-            for f in dataclasses.fields(spec):
-                if f.name in ("duty_policy", "cluster"):
-                    continue  # a ledger setting and a membership, not attributes
-                expected = getattr(spec, f.name)
-                if f.name == "survival":
-                    assert {k: built.survival[k] for k, _p in expected} == dict(expected)
-                else:
-                    assert getattr(built, f.name) == expected, (type(built).__name__, f.name)
+        for spec in scenario.devices:
+            assert sim.devices[spec.id].spec is spec
+        for spec in scenario.gateways:
+            assert sim.gateways[spec.id].spec is spec
+        assert sim.capture.spec is scenario.capture
 
 
 def digest_with_alarm(alarm, **top_level):
@@ -402,7 +435,7 @@ def digest_with_alarm(alarm, **top_level):
 
 
 class TestDefaultsWrittenOut:
-    """Writing a default, or a key the alarm kind ignores, changes no digest."""
+    """Writing a default changes no digest."""
 
     def test_random_interarrival_defaults_to_120_to_130_s(self):
         assert digest_with_alarm({"kind": "random"}) == digest_with_alarm(
@@ -415,13 +448,6 @@ class TestDefaultsWrittenOut:
         assert digest_with_alarm({"kind": "random"}, sensor={
             "co_alarm": "100 ppm", "o2_deficiency": "19 %"}) == plain
 
-    def test_keys_of_the_other_alarm_kind_are_ignored(self):
-        assert digest_with_alarm({"kind": "random", "times": ["10 s"]}) == digest_with_alarm(
-            {"kind": "random"})
-        script = {"kind": "script", "times": ["10 s"]}
-        assert digest_with_alarm({**script, "interarrival": {
-            "min": "200 s", "max": "300 s"}}) == digest_with_alarm(script)
-
 
 OUT_OF_RANGE = [
     # (section, key, value, the problem reported)
@@ -431,6 +457,10 @@ OUT_OF_RANGE = [
     (None, "dcp_payload", -3, "dcp_payload: -3 outside [0, 255]"),
     (None, "seed", 2**63, "seed: 9223372036854775808 outside [0, 9223372036854775807]"),
     ("gateways", "backhaul", "-5 ms", "gateways(gw1).backhaul: -5 ms below 0 s"),
+    ("gateways", "demod_paths", 0, "gateways(gw1).demod_paths: 0 below 1"),
+    ("gateways", "role", "relay", "gateways(gw1).role: 'relay' is not one of"),
+    ("devices", "rp_period", "0 s", "devices(ed1).rp_period: 0 s below 1 us"),
+    ("devices", "clock_sigma", "-1 ms", "devices(ed1).clock_sigma: -1 ms below 0 s"),
     ("devices", "receive_delay1", "-1 s", "devices(ed1).receive_delay1: -1 s below 0 s"),
     ("devices", "receive_delay2", "-2 s", "devices(ed1).receive_delay2: -2 s below 0 s"),
     ("devices", "rp_floor", "-1 ms", "devices(ed1).rp_floor: -1 ms below 0 s"),

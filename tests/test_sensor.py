@@ -135,12 +135,3 @@ class TestTriggers:
         with pytest.raises(ValueError, match=re.escape(message)):
             TriggerSpec(**{"kind": "script", "species": "methane", "times_us": (1,),
                            "level": GasLevel(1.2, "%vol"), "devices": ("ed1",), **kwargs})
-
-    def test_each_kind_keeps_only_its_own_timing(self):
-        level = GasLevel(1.2, "%vol")
-        script = TriggerSpec(kind="script", species="methane", level=level, devices=("ed1",),
-                             times_us=(1,), interarrival_us=(5, 6))
-        assert (script.times_us, script.interarrival_us) == ((1,), None)
-        random = TriggerSpec(kind="random", species="methane", level=level, devices=("ed1",),
-                             times_us=(1,), interarrival_us=(5, 6))
-        assert (random.times_us, random.interarrival_us) == ((), (5, 6))

@@ -1,14 +1,16 @@
 """End-to-end simulation behavior on small scripted and shipped scenarios."""
 
 import json
+import re
+from dataclasses import replace
 
 import jsonschema
 import pytest
 
 from loraguard.metrics import CAUSE_DUTY_CYCLE, emit_report, latency_of
 from loraguard.phy import RadioParams, Transmission, TransmissionKind, default_eu868_plan
-from loraguard.scenario import (load_scenario, parse_scenario, shipped_scenario_path,
-                                urgent_resources)
+from loraguard.scenario import (ScenarioError, load_scenario, parse_scenario,
+                                shipped_scenario_path, urgent_resources)
 from loraguard.simulation import Simulation
 
 
@@ -196,11 +198,28 @@ def test_uid_sequences_do_not_depend_on_other_simulations():
     first.transmission_log, second.transmission_log = [], []
     first.run()
     Transmission(source="x", kind=TransmissionKind.UP, freq_hz=867_100_000,
-                 params=RadioParams(sf=7), start_us=0, airtime_us=1, uid=1)
+                 params=RadioParams(sf=7), start_us=0, airtime_us=1, uid=1, rx_power_dbm=0.0)
     second.run()
     uids = [tx.uid for tx in first.transmission_log]
     assert uids == list(range(1, len(uids) + 1))
     assert [tx.uid for tx in second.transmission_log] == uids
+
+
+def test_a_replaced_scenario_is_validated_when_its_simulation_is_built():
+    scenario = scripted_scenario(["10 s"])
+    device = replace(scenario.devices[0], rp_period_us=0)
+    with pytest.raises(ScenarioError,
+                       match=re.escape("devices(ed1).rp_period: 0 s below 1 us")):
+        Simulation(replace(scenario, devices=(device,)))
+
+
+def test_frames_carry_their_senders_received_power():
+    scenario = scripted_scenario(["10 s"])
+    device = replace(scenario.devices[0], rx_power_dbm=-7.5)
+    sim = Simulation(replace(scenario, devices=(device,)))
+    sim.transmission_log = []
+    sim.run()
+    assert [tx.rx_power_dbm for tx in sim.transmission_log] == [-7.5]
 
 
 def test_each_decoded_report_requests_one_downlink():
