@@ -37,8 +37,8 @@ class EndDevice:
         return now + max(spec.rp_floor_us, jittered)
 
     def pick_rp_channel(self, rng: Stream) -> int:
-        """Uniform random hop over the report channels."""
-        return self.rp_channels[rng.below(len(self.rp_channels))]
+        """Uniform random hop over the report channels: a position in ``rp_channels``."""
+        return rng.below(len(self.rp_channels))
 
     def mark_transmitting(self, start: SimTime, end: SimTime) -> None:
         self.last_tx_start = start

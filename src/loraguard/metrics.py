@@ -5,6 +5,14 @@ outcomes are kept separately so multi-gateway analyses can attribute losses
 at each radio.  The system-level loss histogram assigns one cause per lost
 packet using a fixed priority (the device-side duty-cycle first, then
 collision > no-demod-path > tx-busy > gw-preempted).
+
+A run retains about 44 bytes per finalized urgent uplink.  Its outcome is kept by
+column in an ``OutcomeLog``: five integers (uid and times) in ``array('q')``
+columns and the position of its (device, delivery, loss cause, per-gateway
+map) combination, of which a run has few, in an ``array('I')``.  Reading the
+log rebuilds a ``PacketOutcome`` equal to the one appended.  Latencies are
+kept as a ``Counter`` of integer microseconds, from which the nearest-rank
+quantiles and the mean come out exactly.
 """
 
 from __future__ import annotations
@@ -13,9 +21,14 @@ import csv
 import io
 import json
 import math
+import operator
+from array import array
+from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import accumulate
 from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .engine import SimTime
 
@@ -83,6 +96,77 @@ class PacketOutcome:
     per_gateway: Mapping[str, str] = field(default_factory=lambda: _NO_GATEWAYS)
 
 
+# An absent time (``None``) in an ``OutcomeLog`` column; simulated times are
+# never negative.
+_ABSENT = -1
+
+
+def _time(value: int) -> SimTime | None:
+    return None if value == _ABSENT else value
+
+
+class OutcomeLog(Sequence[PacketOutcome]):
+    """Read-only sequence of finalized uplink outcomes, stored by column.
+
+    ``append`` keeps an outcome's uid and times in ``array('q')`` columns
+    (``None`` as ``_ABSENT``).  Its device, delivery flag, loss cause and
+    per-gateway map take few distinct values in a run, so each distinct
+    combination is held once, by reference (a shared per-gateway map stays
+    the same object), and the outcome keeps that combination's position.
+    Indexing and iteration rebuild a ``PacketOutcome`` equal to the one
+    appended.
+    """
+
+    __slots__ = ("_uid", "_trigger", "_start", "_end", "_delivered_at", "_shared_at",
+                 "_shared", "_shared_index")
+
+    def __init__(self) -> None:
+        self._uid = array("q")
+        self._trigger = array("q")
+        self._start = array("q")
+        self._end = array("q")
+        self._delivered_at = array("q")
+        self._shared_at = array("I")  # position in _shared of each outcome's combination
+        # (device, delivered, cause, per_gateway) combinations, in order of first use
+        self._shared: list[tuple[str, bool, str | None, Mapping[str, str]]] = []
+        # The map's identity stands for it in the key; _shared keeps it alive.
+        self._shared_index: dict[tuple[str, bool, str | None, int], int] = {}
+
+    def append(self, outcome: PacketOutcome) -> None:
+        key = (outcome.device, outcome.delivered, outcome.cause, id(outcome.per_gateway))
+        at = self._shared_index.get(key)
+        if at is None:
+            at = self._shared_index[key] = len(self._shared)
+            self._shared.append((outcome.device, outcome.delivered, outcome.cause,
+                                 outcome.per_gateway))
+        self._shared_at.append(at)
+        self._uid.append(outcome.uid)
+        self._trigger.append(outcome.trigger_us)
+        self._start.append(_ABSENT if outcome.start_us is None else outcome.start_us)
+        self._end.append(_ABSENT if outcome.end_us is None else outcome.end_us)
+        self._delivered_at.append(
+            _ABSENT if outcome.delivered_at_us is None else outcome.delivered_at_us)
+
+    def __len__(self) -> int:
+        return len(self._uid)
+
+    def __getitem__(self, index: int) -> PacketOutcome:
+        i = operator.index(index)  # no slices
+        device, delivered, cause, per_gateway = self._shared[self._shared_at[i]]
+        return PacketOutcome(self._uid[i], device, self._trigger[i], _time(self._start[i]),
+                             _time(self._end[i]), delivered, _time(self._delivered_at[i]),
+                             cause, per_gateway)
+
+    def __iter__(self) -> Iterator[PacketOutcome]:
+        shared = self._shared
+        for uid, trigger, start, end, delivered_at, at in zip(
+                self._uid, self._trigger, self._start, self._end, self._delivered_at,
+                self._shared_at):
+            device, delivered, cause, per_gateway = shared[at]
+            yield PacketOutcome(uid, device, trigger, _time(start), _time(end), delivered,
+                                _time(delivered_at), cause, per_gateway)
+
+
 def latency_of(outcome: PacketOutcome) -> SimTime:
     """Trigger-to-server latency in microseconds of a delivered uplink."""
     if not outcome.delivered or outcome.delivered_at_us is None:
@@ -97,14 +181,6 @@ def system_cause(per_gateway: Mapping[str, str]) -> str:
         if cause in causes:
             return cause
     raise ValueError(f"no recognizable loss cause in {per_gateway!r}")
-
-
-def _quantile(sorted_values: Sequence[int], q: float) -> int:
-    # Nearest-rank definition: deterministic and exact on integers.
-    if not sorted_values:
-        raise ValueError("no values")
-    rank = max(1, math.ceil(q * len(sorted_values)))
-    return sorted_values[rank - 1]
 
 
 @dataclass
@@ -131,7 +207,7 @@ class MetricsCollector:
         self.kinds: dict[str, KindStats] = {}
         self.per_gateway_losses: dict[str, dict[str, dict[str, int]]] = {}
         self.gateway_decoded: dict[str, dict[str, int]] = {}
-        self.up_latencies_us: list[int] = []
+        self.up_latencies_us: Counter[int] = Counter()  # latency in us -> uplinks
         self.dcp: dict[str, int] = {
             "requested": 0, "sent_rx1": 0, "sent_rx2": 0, "received": 0,
             "skipped_duty_cycle": 0, "skipped_tx_busy": 0, "skipped_rx_only": 0,
@@ -156,17 +232,28 @@ class MetricsCollector:
         hist[cause] = hist.get(cause, 0) + 1
 
     def on_up_delivered(self, outcome: PacketOutcome) -> None:
-        self.up_latencies_us.append(latency_of(outcome))
+        self.up_latencies_us[latency_of(outcome)] += 1
 
     def latency_summary(self) -> dict[str, float] | None:
-        if not self.up_latencies_us:
+        """Mean and nearest-rank quantiles of the UP latencies, exact on integers."""
+        counts = self.up_latencies_us
+        if not counts:
             return None
-        values = sorted(self.up_latencies_us)
+        values = sorted(counts)
+        ranks = list(accumulate(counts[v] for v in values))  # rank of each value's last copy
+        n = ranks[-1]
+
+        def quantile(q: float) -> int:
+            return values[bisect_left(ranks, max(1, math.ceil(q * n)))]
+
+        # float() of the exact integer total is correctly rounded, as math.fsum
+        # over the individual latencies is.
+        mean = float(sum(v * counts[v] for v in values)) / n
         return {
-            "mean_ms": math.fsum(values) / len(values) / 1000.0,
-            "p50_ms": _quantile(values, 0.50) / 1000.0,
-            "p95_ms": _quantile(values, 0.95) / 1000.0,
-            "p99_ms": _quantile(values, 0.99) / 1000.0,
+            "mean_ms": mean / 1000.0,
+            "p50_ms": quantile(0.50) / 1000.0,
+            "p95_ms": quantile(0.95) / 1000.0,
+            "p99_ms": quantile(0.99) / 1000.0,
             "max_ms": values[-1] / 1000.0,
         }
 

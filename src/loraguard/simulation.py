@@ -28,15 +28,23 @@ travels on each of its frames.
 
 Everything else that depends only on the scenario is bound once per run:
 radio parameters and airtime per (SF, payload length), each device's
-urgent-uplink sub-band, parameters and airtime, each reporter's sub-band,
-parameters and airtime per report channel, and each downlink's sub-band and
-airtime per (channel, SF).  The urgent-uplink counters are bound when the
+urgent-uplink sub-band, parameters and airtime, each reporter's parameters
+and airtime and the sub-band of each of its report channels (indexed by the
+hop's position in ``rp_channels``), and each downlink's sub-band and airtime
+per (channel, SF).  The urgent-uplink counters are bound when the
 first alarm triggers an uplink, so a run without urgent uplinks still
 reports no ``UP`` kind.  Reports and urgent uplinks end through one
 close-out: each distinct tuple of per-gateway outcomes (in scenario gateway
 order) is resolved once into a shared read-only per-gateway map, the
 earliest backhaul delay among the decoding gateways and the system-level
 loss cause, and every uplink with that tuple reuses them.
+
+An urgent uplink's ``PacketOutcome`` lives only while the uplink is in
+flight.  Once finalized it is appended to ``up_outcomes``, a
+``metrics.OutcomeLog`` that keeps it by column in about 44 bytes and
+rebuilds an equal ``PacketOutcome`` whenever it is read.  A delivered
+uplink's latency is counted in the collector's ``Counter``; nothing else is
+kept per uplink.
 """
 
 from __future__ import annotations
@@ -50,8 +58,8 @@ from typing import Callable, Mapping
 from .device import EndDevice
 from .engine import Engine, RandomStreams, SimTime, Stream
 from .gateway import Gateway
-from .metrics import (CAUSE_DUTY_CYCLE, KindStats, MetricsCollector, PacketOutcome,
-                      build_report, system_cause)
+from .metrics import (CAUSE_DUTY_CYCLE, KindStats, MetricsCollector, OutcomeLog,
+                      PacketOutcome, build_report, system_cause)
 from .phy import (CaptureModel, DutyCycleLedger, RadioParams, RX2_FREQ_HZ, RX2_SF,
                   SubBand, Transmission, TransmissionKind, airtime_us, default_eu868_plan)
 from .scenario import Scenario, scenario_digest, urgent_resources, validate_scenario
@@ -81,7 +89,9 @@ class _Reporter:
 
     device: EndDevice
     rng: Stream
-    channels: dict[int, _Resource]  # report channel -> resource
+    params: RadioParams
+    airtime_us: SimTime
+    bands: tuple[SubBand, ...]  # the sub-band of each report channel, in rp_channels order
     handler: Callable[[], None] | None = None  # the device's one "rp" action
 
 
@@ -95,7 +105,7 @@ class Simulation:
         self.engine = Engine()
         self.streams = RandomStreams(self.scenario.seed)
         self.metrics = MetricsCollector()
-        self.up_outcomes: list[PacketOutcome] = []
+        self.up_outcomes = OutcomeLog()
         self.transmission_log: list[Transmission] | None = None  # enable for tests
         self._uids = itertools.count(1)
         self._radio: dict[tuple[int, int], tuple[RadioParams, SimTime]] = {}
@@ -131,10 +141,9 @@ class Simulation:
                 self.plan.subband_of(freq_hz), *self._radio_for(sf, dspec.up_payload_len))
             if dspec.rp_period_us is None:
                 continue
-            params, air = self._radio_for(dspec.rp_sf, dspec.rp_payload_len)
-            channels = {freq: (self.plan.subband_of(freq), params, air)
-                        for freq in device.rp_channels}
-            reporter = _Reporter(device, self.streams.stream(f"rp:{dspec.id}"), channels)
+            reporter = _Reporter(device, self.streams.stream(f"rp:{dspec.id}"),
+                                 *self._radio_for(dspec.rp_sf, dspec.rp_payload_len),
+                                 tuple(map(self.plan.subband_of, device.rp_channels)))
             reporter.handler = partial(self._attempt_rp, reporter)
             self._reporters.append(reporter)
         # (gateway id, gateway, its capture stream), in scenario order.
@@ -296,15 +305,15 @@ class Simulation:
             self.metrics.kind("RP").deferrals += 1
             self.engine.schedule(device.busy_until, reporter.handler, "rp")
             return
-        freq_hz = device.pick_rp_channel(reporter.rng)
-        band, params, air = reporter.channels[freq_hz]
+        hop = device.pick_rp_channel(reporter.rng)
+        band, air = reporter.bands[hop], reporter.airtime_us
         clear_at = self.ledger.check(device.spec.id, band, now, air)
         if clear_at > now:
             self.metrics.kind("RP").deferrals += 1
             self.engine.schedule(clear_at, reporter.handler, "rp")
             return
-        tx = Transmission(device.spec.id, TransmissionKind.RP, freq_hz, params, now, air,
-                          next(self._uids), device.spec.rx_power_dbm)
+        tx = Transmission(device.spec.id, TransmissionKind.RP, device.rp_channels[hop],
+                          reporter.params, now, air, next(self._uids), device.spec.rx_power_dbm)
         self._start_uplink(device, tx, band)
         self.engine.schedule(tx.end_us, partial(self._finish_rp, device, tx), "rp-end")
         self.engine.schedule(device.next_rp_time(now, reporter.rng), reporter.handler, "rp")

@@ -44,7 +44,7 @@ class TestReportTiming:
     def test_channel_hop_is_uniform(self):
         dev = make_device()
         rng = RandomStreams(4).stream("hop")
-        picks = [dev.pick_rp_channel(rng) for _ in range(6_000)]
+        picks = [dev.rp_channels[dev.pick_rp_channel(rng)] for _ in range(6_000)]
         counts = {ch: picks.count(ch) for ch in G1_CHANNELS}
         assert set(counts) == set(G1_CHANNELS)
         for n in counts.values():

@@ -1,9 +1,14 @@
 """Loss accounting, Wilson intervals, latency statistics, report shape."""
 
 import json
+import math
+from collections import Counter
+from dataclasses import replace
+from types import MappingProxyType
 
 import jsonschema
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from loraguard.metrics import (
     CAUSE_COLLISION,
@@ -15,6 +20,7 @@ from loraguard.metrics import (
     WILSON_Z,
     KindStats,
     MetricsCollector,
+    OutcomeLog,
     PacketOutcome,
     build_report,
     emit_report,
@@ -126,13 +132,116 @@ class TestCollector:
 
     def test_latency_summary_nearest_rank(self):
         coll = MetricsCollector()
-        coll.up_latencies_us = [4000, 1000, 3000, 2000]
+        coll.up_latencies_us = Counter([4000, 1000, 3000, 2000])
         summary = coll.latency_summary()
         assert summary == {"mean_ms": 2.5, "p50_ms": 2.0, "p95_ms": 4.0,
                            "p99_ms": 4.0, "max_ms": 4.0}
 
     def test_latency_summary_empty_is_none(self):
         assert MetricsCollector().latency_summary() is None
+
+    def test_delivered_uplinks_count_by_latency(self):
+        coll = MetricsCollector()
+        for delivered_at in (10_287_264, 20_287_264, 30_300_000):
+            trigger = delivered_at // 10_000_000 * 10_000_000
+            coll.on_up_delivered(PacketOutcome(uid=1, device="ed1", trigger_us=trigger,
+                                               delivered=True, delivered_at_us=delivered_at))
+        assert coll.up_latencies_us == Counter({287_264: 2, 300_000: 1})
+
+
+@settings(max_examples=200, deadline=None)
+@given(latencies=st.one_of(
+    st.lists(st.integers(0, 10**9), min_size=1, max_size=300),
+    st.lists(st.sampled_from([0, 1, 287_264, 553_528, 10**9]), min_size=1, max_size=300),
+    st.integers(0, 10**9).map(lambda v: [v])))
+def test_latency_summary_equals_nearest_rank_over_every_latency(latencies):
+    # Reference: nearest rank and math.fsum over the expanded sorted list.
+    values = sorted(latencies)
+
+    def nearest_rank(q):
+        return values[max(1, math.ceil(q * len(values))) - 1]
+
+    coll = MetricsCollector()
+    coll.up_latencies_us = Counter(latencies)
+    summary = coll.latency_summary()
+    assert summary == {
+        "mean_ms": math.fsum(values) / len(values) / 1000.0,
+        "p50_ms": nearest_rank(0.50) / 1000.0,
+        "p95_ms": nearest_rank(0.95) / 1000.0,
+        "p99_ms": nearest_rank(0.99) / 1000.0,
+        "max_ms": values[-1] / 1000.0,
+    }
+    # Bit for bit.
+    assert (summary["mean_ms"].hex()
+            == (math.fsum(values) / len(values) / 1000.0).hex())
+
+
+DELIVERED = PacketOutcome(
+    uid=7, device="ed1", trigger_us=10_000_000, start_us=10_000_000, end_us=10_267_264,
+    delivered=True, delivered_at_us=10_287_264,
+    per_gateway=MappingProxyType({"gw1": "decoded", "gw2": CAUSE_COLLISION}))
+LOST_ON_AIR = PacketOutcome(
+    uid=8, device="ed2", trigger_us=0, start_us=0, end_us=267_264,
+    cause=CAUSE_GW_PREEMPTED,
+    per_gateway=MappingProxyType({"gw1": CAUSE_GW_PREEMPTED, "gw2": CAUSE_COLLISION}))
+LOST_TO_DUTY_CYCLE = PacketOutcome(uid=0, device="ed1", trigger_us=15_000_000,
+                                   cause=CAUSE_DUTY_CYCLE)
+
+
+class TestOutcomeLog:
+    @pytest.fixture
+    def log(self):
+        log = OutcomeLog()
+        for outcome in (DELIVERED, LOST_ON_AIR, LOST_TO_DUTY_CYCLE):
+            log.append(outcome)
+        return log
+
+    @pytest.mark.parametrize("index,outcome", [
+        (0, DELIVERED), (1, LOST_ON_AIR), (2, LOST_TO_DUTY_CYCLE),
+        (-3, DELIVERED), (-2, LOST_ON_AIR), (-1, LOST_TO_DUTY_CYCLE)])
+    def test_each_item_comes_back_as_appended(self, log, index, outcome):
+        item = log[index]
+        assert item == outcome
+        assert item.per_gateway is outcome.per_gateway
+
+    def test_absent_times_come_back_as_none(self, log):
+        lost = log[2]
+        assert (lost.start_us, lost.end_us, lost.delivered_at_us) == (None, None, None)
+        assert log[1].start_us == 0  # a time of 0 is not an absent one
+
+    def test_iteration_and_length(self, log):
+        assert len(log) == 3
+        items = list(log)
+        assert items == [DELIVERED, LOST_ON_AIR, LOST_TO_DUTY_CYCLE]
+        assert all(a.per_gateway is b.per_gateway
+                   for a, b in zip(items, (DELIVERED, LOST_ON_AIR, LOST_TO_DUTY_CYCLE)))
+
+    def test_each_item_keeps_its_own_per_gateway_map(self, log):
+        # Same device, delivery and cause; one map differs, one is an equal copy.
+        other = replace(DELIVERED, per_gateway=MappingProxyType({"gw1": "decoded",
+                                                                 "gw2": "decoded"}))
+        copy = replace(DELIVERED, per_gateway=MappingProxyType(dict(DELIVERED.per_gateway)))
+        log.append(other)
+        log.append(copy)
+        assert log[0].per_gateway is DELIVERED.per_gateway
+        assert log[3].per_gateway is other.per_gateway
+        assert log[4].per_gateway is copy.per_gateway
+
+    def test_unpacking(self):
+        log = OutcomeLog()
+        log.append(DELIVERED)
+        log.append(LOST_TO_DUTY_CYCLE)
+        first, second = log
+        assert (first, second) == (DELIVERED, LOST_TO_DUTY_CYCLE)
+
+    def test_out_of_range_and_slices_rejected(self, log):
+        with pytest.raises(IndexError):
+            log[3]
+        with pytest.raises(IndexError):
+            log[-4]
+        with pytest.raises(TypeError):
+            log[0:2]
+        assert not OutcomeLog()
 
 
 def make_collector():
@@ -142,7 +251,7 @@ def make_collector():
     up.add_loss(CAUSE_COLLISION)
     rp = coll.kind("RP")
     rp.generated, rp.delivered = 2, 2
-    coll.up_latencies_us = [250_000, 300_000, 350_000]
+    coll.up_latencies_us = Counter([250_000, 300_000, 350_000])
     coll.on_gateway_outcome("UP", "gw1", None)
     coll.on_gateway_outcome("UP", "gw1", CAUSE_COLLISION)
     coll.dcp["requested"] = 3

@@ -1,7 +1,9 @@
 """End-to-end simulation behavior on small scripted and shipped scenarios."""
 
+import gc
 import json
 import re
+import tracemalloc
 from dataclasses import replace
 
 import jsonschema
@@ -9,7 +11,7 @@ import pytest
 
 from loraguard.metrics import CAUSE_DUTY_CYCLE, emit_report, latency_of
 from loraguard.phy import RadioParams, Transmission, TransmissionKind, default_eu868_plan
-from loraguard.scenario import (ScenarioError, load_scenario, parse_scenario,
+from loraguard.scenario import (ScenarioError, StopSpec, load_scenario, parse_scenario,
                                 shipped_scenario_path, urgent_resources)
 from loraguard.simulation import Simulation
 
@@ -110,6 +112,44 @@ class TestScriptedRuns:
         report = Simulation(scenario).run()
         assert report["ended_at_us"] == 45_000_000
         assert report["kinds"]["UP"]["generated"] == 1
+
+
+def shipped_with_ups(name, ups):
+    scenario = load_scenario(shipped_scenario_path(name))
+    return replace(scenario, stop=StopSpec(ups=ups))
+
+
+class TestRetainedOutcomes:
+    def test_every_item_equals_the_outcome_finalized(self):
+        # Same-channel SF7 pairs: some uplinks are delivered, some lost on the air.
+        sim = Simulation(shipped_with_ups("calibration_pairs_sf7", 2_000))
+        finalized = []
+        finalize = sim._finalize_up
+        sim._finalize_up = lambda outcome: (finalized.append(outcome), finalize(outcome))
+        report = sim.run()
+        assert len(sim.up_outcomes) == len(finalized) == report["kinds"]["UP"]["generated"]
+        assert {o.delivered for o in finalized} == {True, False}
+        for item, outcome in zip(sim.up_outcomes, finalized):
+            assert item == outcome
+            assert item.per_gateway is outcome.per_gateway
+        assert sim.up_outcomes[-1] == finalized[-1]
+
+    def test_retained_memory_per_urgent_uplink_is_small(self):
+        # What a run keeps per finalized urgent uplink (its columns in
+        # up_outcomes and nothing per uplink elsewhere) must stay well under
+        # one PacketOutcome object with its own integers (~250 B).
+        sim = Simulation(shipped_with_ups("burst_cluster15", 6_000))
+        gc.collect()
+        tracemalloc.start()  # traces only what run() allocates from here on
+        try:
+            report = sim.run()
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        generated = report["kinds"]["UP"]["generated"]
+        assert generated == len(sim.up_outcomes) == 6_000
+        assert retained <= 96 * generated
 
 
 @pytest.fixture(scope="module")
