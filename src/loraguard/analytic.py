@@ -256,12 +256,13 @@ def model_inputs(scenario: Scenario) -> ModelInputs | None:
     Every reporting device provokes one control-downlink stream at its report
     SF.  The urgent airtime is the longest among the devices an alarm
     triggers, at their assigned SF.  The model takes one report period and
-    jitter, so reporters that differ in either raise ValueError.
+    jitter, so reporters that differ in either raise ValueError, as does an
+    invalid scenario (ScenarioError).
     """
     # Lazy, so that importing the model loads neither the radio layer nor YAML.
     from .engine import US_PER_SECOND
     from .phy import RadioParams, airtime_us
-    from .scenario import urgent_resources
+    from .scenario import validate_scenario
 
     reporters = [d for d in scenario.devices if d.rp_period_us is not None]
     if not reporters:
@@ -273,7 +274,7 @@ def model_inputs(scenario: Scenario) -> ModelInputs | None:
         raise ValueError(f"reporters {', '.join(differing)} differ from {first.id} in "
                          f"report period or clock jitter; the model needs one shared "
                          f"(T, sigma)")
-    assignments = urgent_resources(scenario)
+    assignments = validate_scenario(scenario)
     triggered = {d for trig in scenario.triggers for d in scenario.alarm_scope(trig)}
     return ModelInputs(
         tuple(airtime_us(RadioParams(sf=d.rp_sf), scenario.dcp_payload_len) / US_PER_SECOND

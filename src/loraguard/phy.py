@@ -121,26 +121,19 @@ class OutOfPlanError(ValueError):
 class ChannelPlan:
     """An ordered set of non-overlapping sub-bands.
 
-    ``subband_of`` answers from a frequency -> sub-band index of every
-    listed channel, built once at construction; any other frequency falls
-    back to a scan of the band edges.
+    ``subband_of`` scans the band edges; a simulation calls it only while it
+    is built, once per resource it binds.
     """
 
     subbands: tuple[SubBand, ...]
-    _by_channel: dict[int, SubBand] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         ordered = sorted(self.subbands, key=lambda b: b.low_hz)
         for a, b in zip(ordered, ordered[1:]):
             if a.high_hz > b.low_hz:
                 raise ValueError(f"sub-bands {a.name} and {b.name} overlap")
-        object.__setattr__(self, "_by_channel", {
-            ch: band for band in self.subbands for ch in band.channels})
 
     def subband_of(self, freq_hz: int) -> SubBand:
-        band = self._by_channel.get(freq_hz)
-        if band is not None:
-            return band
         for band in self.subbands:
             if band.contains(freq_hz):
                 return band

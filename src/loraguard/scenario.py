@@ -27,9 +27,8 @@ from .server import assign_resources
 __all__ = [
     "ScenarioError", "StopSpec", "DeviceSpec", "GatewaySpec", "ClusterSpec",
     "CaptureSpec", "TriggerSpec", "SensorProfile", "GasLevel", "Scenario",
-    "load_scenario", "parse_scenario", "urgent_resources", "scenario_to_dict",
-    "save_scenario", "scenario_digest", "shipped_scenario_path", "parse_duration",
-    "parse_frequency",
+    "load_scenario", "parse_scenario", "scenario_to_dict", "save_scenario",
+    "scenario_digest", "shipped_scenario_path", "parse_duration", "parse_frequency",
 ]
 
 
@@ -486,60 +485,14 @@ def parse_scenario(data: object) -> Scenario:
     return scenario
 
 
-def _urgent_channels(cluster: ClusterSpec, band_channels: tuple[int, ...]) -> tuple[int, ...]:
-    """A cluster's urgent channels: its ``up_channels``, else the urgent sub-band's."""
-    return cluster.up_channels if cluster.up_channels is not None else band_channels
+def validate_scenario(scenario: Scenario) -> dict[str, tuple[int, int]]:
+    """Range and cross-field checks, then each cluster member's urgent (channel, SF).
 
-
-def _cluster_assignments(cluster: ClusterSpec, channels: tuple[int, ...],
-                         explicit: Mapping[str, tuple[int, int]]) -> dict[str, tuple[int, int]]:
-    """Each member's urgent (channel, SF): its explicit assignment, else the automatic one.
-
-    The automatic rule runs over the whole cluster, and only when some member
-    has no explicit assignment; it raises ValueError where it cannot assign.
+    A member keeps its explicit assignment; the others take the automatic
+    rule, which runs over the whole cluster (on its ``up_channels``, else the
+    urgent sub-band's) when some member has none.  Raises ScenarioError
+    listing every problem found.
     """
-    automatic = ({} if all(m in explicit for m in cluster.members)
-                 else assign_resources(cluster.members, channels))
-    return {m: explicit[m] if m in explicit else automatic[m] for m in cluster.members}
-
-
-def _explicit_assignments(scenario: Scenario) -> dict[str, tuple[int, int]]:
-    return {d.id: d.assignment for d in scenario.devices if d.assignment is not None}
-
-
-def urgent_resources(scenario: Scenario) -> dict[str, tuple[int, int]]:
-    """Each cluster member's urgent (channel, SF)."""
-    from .phy import default_eu868_plan  # lazy: phy imports this module
-
-    band_channels = default_eu868_plan().subband(scenario.up_subband).channels
-    explicit = _explicit_assignments(scenario)
-    return {m: resource for c in scenario.clusters
-            for m, resource in _cluster_assignments(
-                c, _urgent_channels(c, band_channels), explicit).items()}
-
-
-def _assignment_collisions(cluster: ClusterSpec, channels: tuple[int, ...],
-                           explicit: Mapping[str, tuple[int, int]]) -> list[str]:
-    """Automatic assignments that land on a (channel, SF) an explicit member holds.
-
-    Explicit members may share a resource on purpose; an automatic one never
-    should, or the cluster loses its collision-free urgent bursts.
-    """
-    try:
-        table = _cluster_assignments(cluster, channels, explicit)
-    except ValueError:
-        return []  # no channels, over capacity or a repeated member: reported elsewhere
-    problems = []
-    for member, (freq, sf) in table.items():
-        holders = [d for d, held in explicit.items() if held == (freq, sf) and d in table]
-        if member not in explicit and holders:
-            problems.append(f"devices({member}).assignment: automatic "
-                            f"({_fmt_hz(freq)}, SF{sf}) collides with {holders[0]}")
-    return problems
-
-
-def validate_scenario(scenario: Scenario) -> None:
-    """Range and cross-field checks; raises ScenarioError listing every problem found."""
     from .phy import SubBand, default_eu868_plan  # lazy: phy imports this module
 
     plan = default_eu868_plan()
@@ -570,12 +523,14 @@ def validate_scenario(scenario: Scenario) -> None:
     known_devices = set(device_ids)
     gateways_by_id = {g.id: g for g in scenario.gateways}
 
-    explicit = _explicit_assignments(scenario)
+    explicit = {d.id: d.assignment for d in scenario.devices if d.assignment is not None}
+    assignments: dict[str, tuple[int, int]] = {}
     member_cluster: dict[str, str] = {}
     cluster_channels: dict[str, tuple[int, ...]] = {}
     for cl in scenario.clusters:
         where = f"clusters({cl.id})"
-        channels = cluster_channels[cl.id] = _urgent_channels(cl, up_default_channels)
+        channels = cluster_channels[cl.id] = (
+            cl.up_channels if cl.up_channels is not None else up_default_channels)
         if not cl.members:
             problems.append(f"{where}.members: empty")
         if not channels:
@@ -586,6 +541,10 @@ def validate_scenario(scenario: Scenario) -> None:
                     problems.append(
                         f"{where}.up_channels: {ch} Hz outside sub-band "
                         f"{scenario.up_subband}")
+        repeated = sorted({ch for ch in channels if channels.count(ch) > 1})
+        if repeated:
+            problems.append(f"{where}.up_channels: duplicate channels "
+                            f"{[_fmt_hz(ch) for ch in repeated]}")
         for member in cl.members:
             if member not in known_devices:
                 problems.append(f"{where}.members: unknown device {member!r}")
@@ -598,11 +557,26 @@ def validate_scenario(scenario: Scenario) -> None:
             problems.append(f"{where}.dcp_gateway: unknown gateway {cl.dcp_gateway!r}")
         elif gw.role != "full":
             problems.append(f"{where}.dcp_gateway: {gw.id} is receive-only")
-        if len(cl.members) > 3 * len(channels) and channels:
-            problems.append(
-                f"{where}: {len(cl.members)} members exceed capacity "
-                f"{3 * len(channels)} ({len(channels)} channels x 3 SFs)")
-        problems += _assignment_collisions(cl, channels, explicit)
+        if not channels or repeated or len(set(cl.members)) < len(cl.members):
+            continue  # reported above; the automatic rule cannot run
+        try:
+            automatic = ({} if all(m in explicit for m in cl.members)
+                         else assign_resources(cl.members, channels))
+        except ValueError as exc:  # over capacity
+            problems.append(f"{where}: {exc}")
+            continue
+        for member in cl.members:
+            if member in explicit:
+                assignments[member] = explicit[member]
+                continue
+            # Explicit members may share a resource on purpose; an automatic
+            # one never should, or the cluster loses its collision-free bursts.
+            freq, sf = assignments[member] = automatic[member]
+            holder = next((d for d, held in explicit.items()
+                           if held == (freq, sf) and d in cl.members), None)
+            if holder is not None:
+                problems.append(f"devices({member}).assignment: automatic "
+                                f"({_fmt_hz(freq)}, SF{sf}) collides with {holder}")
 
     occupancy: dict[tuple[str, int], int] = {}
     for dev in scenario.devices:
@@ -666,6 +640,7 @@ def validate_scenario(scenario: Scenario) -> None:
 
     if problems:
         raise ScenarioError("; ".join(problems))
+    return assignments
 
 
 def load_scenario(path: str | Path) -> Scenario:

@@ -1,11 +1,10 @@
 """Network server: the conflict-free assignment rule and the assignment table.
 
-For every decoded periodic report the server schedules one control downlink
-(through the cluster's designated gateway) into the sender's first receive
-window, falling back to the second; what it costs is the gateway's airtime.
 Automatic assignments are chosen so no two cluster members share a
-(channel, SF) pair, which keeps synchronized urgent bursts collision-free;
-``scenario.urgent_resources`` resolves the table the server holds.
+(channel, SF) pair, which keeps synchronized urgent bursts collision-free.
+``scenario.validate_scenario`` resolves the table the server holds; the
+control downlinks that answer decoded reports are scheduled by the
+simulation.
 """
 
 from __future__ import annotations
@@ -29,6 +28,8 @@ def assign_resources(members: tuple[str, ...] | list[str],
     channels = tuple(up_channels)
     if not channels:
         raise ValueError("no urgent-uplink channels to assign from")
+    if len(set(channels)) != len(channels):
+        raise ValueError("duplicate channels")
     capacity = MAX_PER_CHANNEL * len(channels)
     if len(members) > capacity:
         raise ValueError(

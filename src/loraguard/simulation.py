@@ -17,22 +17,24 @@ replaces the windows it was sent into (``missed_window``); keying up while it
 is on the air loses it (``missed_device_busy``).
 
 Urgent uplinks are triggered by gas alarms, use the (channel, SF) assignment
-the device was commissioned with, and are never retransmitted.  Each member's
-assignment comes from ``scenario.urgent_resources`` and holds for the run.
+the device was commissioned with, and are never retransmitted.
 
-The scenario is validated when a simulation is built.  Devices, gateways
-and the capture model hold their scenario specs and keep only what the run
-resolves (a device's report channels and urgent assignment, the merged
-survival table) besides their mutable state; a sender's received power
-travels on each of its frames.
+The scenario is validated when a simulation is built, and the validation
+returns each member's assignment, which holds for the run.  Devices,
+gateways and the capture model hold their scenario specs and keep only what
+the run resolves (a device's report channels and urgent assignment, the
+merged survival table) besides their mutable state; a sender's received
+power travels on each of its frames.
 
-Everything else that depends only on the scenario is bound once per run:
-radio parameters and airtime per (SF, payload length), each device's
-urgent-uplink sub-band, parameters and airtime, each reporter's parameters
-and airtime and the sub-band of each of its report channels (indexed by the
-hop's position in ``rp_channels``), and each downlink's sub-band and airtime
-per (channel, SF).  The urgent-uplink counters are bound when the
-first alarm triggers an uplink, so a run without urgent uplinks still
+Everything else that depends only on the scenario is bound while the
+simulation is built, so a run resolves no sub-band and computes no airtime:
+each device's urgent-uplink sub-band, parameters and airtime; each
+reporter's parameters and airtime, the sub-band of each of its report
+channels (indexed by the hop's position in ``rp_channels``), its cluster's
+DCP gateway and the airtime of its window-1 downlink, which goes out on the
+report's own channel and sub-band; and the window-2 downlink's sub-band and
+airtime, the same for every device.  The urgent-uplink counters are bound
+when the first alarm triggers an uplink, so a run without urgent uplinks still
 reports no ``UP`` kind.  Reports and urgent uplinks end through one
 close-out: each distinct tuple of per-gateway outcomes (in scenario gateway
 order) is resolved once into a shared read-only per-gateway map, the
@@ -62,7 +64,7 @@ from .metrics import (CAUSE_DUTY_CYCLE, KindStats, MetricsCollector, OutcomeLog,
                       PacketOutcome, build_report, system_cause)
 from .phy import (CaptureModel, DutyCycleLedger, RadioParams, RX2_FREQ_HZ, RX2_SF,
                   SubBand, Transmission, TransmissionKind, airtime_us, default_eu868_plan)
-from .scenario import Scenario, scenario_digest, urgent_resources, validate_scenario
+from .scenario import Scenario, scenario_digest, validate_scenario
 from .sensor import GasEvent, alarm_check, generate_events
 from .server import NetworkServer
 
@@ -75,6 +77,7 @@ class _AlarmSource:
 
 # (sub-band, radio parameters, airtime) of one uplink resource.
 _Resource = tuple[SubBand, RadioParams, SimTime]
+
 
 # What one tuple of per-gateway outcomes means for an uplink: its read-only
 # per-gateway map, the earliest backhaul delay among the gateways that
@@ -92,6 +95,8 @@ class _Reporter:
     params: RadioParams
     airtime_us: SimTime
     bands: tuple[SubBand, ...]  # the sub-band of each report channel, in rp_channels order
+    dcp_gateway: Gateway  # the cluster's gateway, which answers each decoded report
+    dcp_airtime_us: SimTime  # a window-1 downlink's, at the report SF
     handler: Callable[[], None] | None = None  # the device's one "rp" action
 
 
@@ -99,7 +104,7 @@ class Simulation:
     """One runnable instance of a scenario, which is validated first."""
 
     def __init__(self, scenario: Scenario) -> None:
-        validate_scenario(scenario)
+        self.server = NetworkServer(validate_scenario(scenario))
         self.scenario = scenario
         self.plan = default_eu868_plan()
         self.engine = Engine()
@@ -108,9 +113,7 @@ class Simulation:
         self.up_outcomes = OutcomeLog()
         self.transmission_log: list[Transmission] | None = None  # enable for tests
         self._uids = itertools.count(1)
-        self._radio: dict[tuple[int, int], tuple[RadioParams, SimTime]] = {}
         self._up_resources: dict[str, _Resource] = {}  # device id -> urgent resource
-        self._dcp_resources: dict[tuple[int, int], tuple[SubBand, SimTime]] = {}
         self._rp_stats: KindStats | None = None
         self._up_stats: KindStats | None = None
         # per-gateway causes (None = decoded), in receiver order -> verdict
@@ -118,39 +121,42 @@ class Simulation:
 
         self.capture = CaptureModel(self.scenario.capture)
 
-        self.rp_band = self.plan.subband(self.scenario.rp_subband)
-
         self.ledger = DutyCycleLedger(default_policy=self.scenario.device_duty_policy)
         self.gateways: dict[str, Gateway] = {}
         for spec in self.scenario.gateways:
             self.gateways[spec.id] = Gateway(spec)
             self.ledger.set_policy(spec.id, spec.duty_policy)
+        dcp_gateway = {c.id: self.gateways[c.dcp_gateway] for c in self.scenario.clusters}
+        dcp_len = self.scenario.dcp_payload_len
+        # (sub-band, airtime) of every window-2 downlink.
+        self._rx2_dcp = (self.plan.subband_of(RX2_FREQ_HZ),
+                         airtime_us(RadioParams(sf=RX2_SF), dcp_len))
 
-        self.server = NetworkServer(urgent_resources(self.scenario))
-
+        rp_band = self.plan.subband(self.scenario.rp_subband)
         self.devices: dict[str, EndDevice] = {}
         self._reporters: list[_Reporter] = []
         for dspec in self.scenario.devices:
             # Commissioning: the device powers up knowing its assignment,
             # which holds for the rest of the run.
-            device = EndDevice(dspec, dspec.rp_channels or self.rp_band.channels,
+            device = EndDevice(dspec, dspec.rp_channels or rp_band.channels,
                                self.server.assignments[dspec.id])
             self.devices[dspec.id] = device
             freq_hz, sf = device.assignment
-            self._up_resources[dspec.id] = (
-                self.plan.subband_of(freq_hz), *self._radio_for(sf, dspec.up_payload_len))
+            params = RadioParams(sf=sf)
+            self._up_resources[dspec.id] = (self.plan.subband_of(freq_hz), params,
+                                            airtime_us(params, dspec.up_payload_len))
             if dspec.rp_period_us is None:
                 continue
-            reporter = _Reporter(device, self.streams.stream(f"rp:{dspec.id}"),
-                                 *self._radio_for(dspec.rp_sf, dspec.rp_payload_len),
-                                 tuple(map(self.plan.subband_of, device.rp_channels)))
+            params = RadioParams(sf=dspec.rp_sf)
+            reporter = _Reporter(device, self.streams.stream(f"rp:{dspec.id}"), params,
+                                 airtime_us(params, dspec.rp_payload_len),
+                                 tuple(map(self.plan.subband_of, device.rp_channels)),
+                                 dcp_gateway[dspec.cluster], airtime_us(params, dcp_len))
             reporter.handler = partial(self._attempt_rp, reporter)
             self._reporters.append(reporter)
         # (gateway id, gateway, its capture stream), in scenario order.
         self._receivers = [(g, gw, self.streams.stream(f"capture:{g}"))
                            for g, gw in self.gateways.items()]
-        self._dcp_gateway = {member: self.gateways[cspec.dcp_gateway]
-                             for cspec in self.scenario.clusters for member in cspec.members}
 
         self._ups_generated = 0
         self._ups_finalized = 0
@@ -164,20 +170,6 @@ class Simulation:
                                       trig, self.streams.stream(f"alarm:{i}")))
             self._alarm_sources.append(source)
         self._live_alarm_sources = len(self._alarm_sources)
-
-    def _radio_for(self, sf: int, payload_len: int) -> tuple[RadioParams, SimTime]:
-        radio = self._radio.get((sf, payload_len))
-        if radio is None:
-            params = RadioParams(sf=sf)
-            radio = self._radio[(sf, payload_len)] = (params, airtime_us(params, payload_len))
-        return radio
-
-    def _dcp_resource(self, freq_hz: int, sf: int) -> tuple[SubBand, SimTime]:
-        resource = self._dcp_resources.get((freq_hz, sf))
-        if resource is None:
-            _params, air = self._radio_for(sf, self.scenario.dcp_payload_len)
-            resource = self._dcp_resources[(freq_hz, sf)] = (self.plan.subband_of(freq_hz), air)
-        return resource
 
     # -- run loop ---------------------------------------------------------------
 
@@ -315,10 +307,10 @@ class Simulation:
         tx = Transmission(device.spec.id, TransmissionKind.RP, device.rp_channels[hop],
                           reporter.params, now, air, next(self._uids), device.spec.rx_power_dbm)
         self._start_uplink(device, tx, band)
-        self.engine.schedule(tx.end_us, partial(self._finish_rp, device, tx), "rp-end")
+        self.engine.schedule(tx.end_us, partial(self._finish_rp, reporter, tx, band), "rp-end")
         self.engine.schedule(device.next_rp_time(now, reporter.rng), reporter.handler, "rp")
 
-    def _finish_rp(self, device: EndDevice, tx: Transmission) -> None:
+    def _finish_rp(self, reporter: _Reporter, tx: Transmission, band: SubBand) -> None:
         _per_gateway, _delay, cause = self._close_out(tx, "RP")
         stats = self._rp_stats
         if stats is None:
@@ -326,7 +318,7 @@ class Simulation:
         stats.generated += 1
         if cause is None:
             stats.delivered += 1
-            self._request_dcp(device, tx)
+            self._request_dcp(reporter, tx, band)
         else:
             stats.add_loss(cause)
 
@@ -366,47 +358,41 @@ class Simulation:
 
     # -- control downlinks -----------------------------------------------------------
 
-    def _request_dcp(self, device: EndDevice, rp: Transmission) -> None:
-        gw = self._dcp_gateway[device.spec.id]
+    def _request_dcp(self, reporter: _Reporter, rp: Transmission, band: SubBand) -> None:
+        """Answer decoded report ``rp``, sent on sub-band ``band``, with a downlink."""
+        spec = reporter.device.spec
         self.metrics.dcp["requested"] += 1
-        rx1_at = rp.end_us + device.spec.receive_delay1_us
-        rx2_at = rp.end_us + device.spec.receive_delay2_us
+        rx1_at = rp.end_us + spec.receive_delay1_us
+        rx2_at = rp.end_us + spec.receive_delay2_us
         # Uplink to server and command back to the gateway: one backhaul
         # round trip must beat the receive window.
-        ready_at = self.engine.now + 2 * gw.spec.backhaul_delay_us
+        ready_at = self.engine.now + 2 * reporter.dcp_gateway.spec.backhaul_delay_us
         if ready_at <= rx1_at:
-            self.engine.schedule(
-                rx1_at, partial(self._attempt_dcp, device, gw, rp, 1), "dl")
+            self.engine.schedule(rx1_at, partial(self._attempt_dcp, reporter, rp, 1,
+                                                 band, reporter.dcp_airtime_us), "dl")
         elif ready_at <= rx2_at:
             self.metrics.dcp["skipped_too_late"] += 1
             self.engine.schedule(
-                rx2_at, partial(self._attempt_dcp, device, gw, rp, 2), "dl")
+                rx2_at, partial(self._attempt_dcp, reporter, rp, 2, *self._rx2_dcp), "dl")
         else:
             self.metrics.dcp["skipped_too_late"] += 1
 
-    def _attempt_dcp(self, device: EndDevice, gw: Gateway, rp: Transmission,
-                     window: int) -> None:
+    def _attempt_dcp(self, reporter: _Reporter, rp: Transmission, window: int,
+                     band: SubBand, air: SimTime) -> None:
         now = self.engine.now
-        if gw.spec.role != "full":
-            self.metrics.dcp["skipped_rx_only"] += 1
-            return
-        if window == 1:
-            freq_hz, sf = rp.freq_hz, rp.params.sf
-        else:
-            freq_hz, sf = RX2_FREQ_HZ, RX2_SF
+        device, gw = reporter.device, reporter.dcp_gateway
         if gw.tx_busy_until > now:
             # The gateway already committed to an overlapping downlink;
             # conflicting programming is rejected, not deferred.
             self.metrics.dcp["skipped_tx_busy"] += 1
             return
-        band, air = self._dcp_resource(freq_hz, sf)
         if self.ledger.check(gw.spec.id, band, now, air) > now:
             if window == 1:
                 # Window 1 blocked by the sub-band budget: retry in window 2,
                 # which lives on the high-duty band.
                 rx2_at = rp.end_us + device.spec.receive_delay2_us
                 self.engine.schedule(
-                    rx2_at, partial(self._attempt_dcp, device, gw, rp, 2), "dl")
+                    rx2_at, partial(self._attempt_dcp, reporter, rp, 2, *self._rx2_dcp), "dl")
             else:
                 self.metrics.dcp["skipped_duty_cycle"] += 1
             return

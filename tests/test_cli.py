@@ -239,6 +239,17 @@ def test_empty_cluster_is_an_invalid_scenario(tmp_path, capsys, command):
 
 
 @pytest.mark.parametrize("command", ["run", "validate"])
+def test_repeated_up_channel_is_an_invalid_scenario(tmp_path, capsys, command):
+    doc = two_device_doc()
+    doc["devices"] += [{"id": "ed3", "cluster": "c1"}, {"id": "ed4", "cluster": "c1"}]
+    doc["clusters"][0].update(members=["ed1", "ed2", "ed3", "ed4"],
+                              up_channels=["867.1 MHz", "867.1 MHz"])
+    assert main([command, write_doc(tmp_path, doc)]) == EXIT_INVALID
+    assert ("clusters(c1).up_channels: duplicate channels ['867.1 MHz']"
+            in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("command", ["run", "validate"])
 def test_report_subband_without_channels_is_an_invalid_scenario(tmp_path, capsys, command):
     doc = yaml.safe_load(Path(DEMO).read_text(encoding="utf-8"))
     doc["rp_subband"] = "g2"

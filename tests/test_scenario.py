@@ -26,7 +26,7 @@ from loraguard.scenario import (
     scenario_digest,
     scenario_to_dict,
     shipped_scenario_path,
-    urgent_resources,
+    validate_scenario,
 )
 from loraguard.server import assign_resources
 from loraguard.simulation import Simulation
@@ -547,22 +547,27 @@ def cluster_doc(n):
 
 class TestUrgentResources:
     def test_without_explicit_assignments_the_table_is_the_automatic_rule(self):
-        table = urgent_resources(parse_scenario(cluster_doc(6)))
+        table = validate_scenario(parse_scenario(cluster_doc(6)))
         assert table == assign_resources([f"ed{i:02d}" for i in range(1, 7)], URGENT_CHANNELS)
 
     def test_listed_up_channels_replace_the_urgent_subband(self):
         doc = cluster_doc(3)
         doc["clusters"][0]["up_channels"] = ["867.5 MHz", "867.9 MHz"]
-        table = urgent_resources(parse_scenario(doc))
+        table = validate_scenario(parse_scenario(doc))
         assert table == assign_resources(("ed01", "ed02", "ed03"), (867_500_000, 867_900_000))
 
     def test_explicit_assignments_are_kept_and_the_others_filled_in(self):
         doc = cluster_doc(3)
         doc["devices"][0]["assignment"] = {"channel": "867.9 MHz", "sf": 10}
-        table = urgent_resources(parse_scenario(doc))
+        table = validate_scenario(parse_scenario(doc))
         automatic = assign_resources(("ed01", "ed02", "ed03"), URGENT_CHANNELS)
         assert table == {"ed01": (867_900_000, 10),
                          "ed02": automatic["ed02"], "ed03": automatic["ed03"]}
+
+    def test_a_cluster_over_capacity_is_rejected(self):
+        with pytest.raises(ScenarioError, match=re.escape(
+                "clusters(c1): cluster of 16 exceeds capacity 15 (5 channels x 3 SFs)")):
+            parse_scenario(cluster_doc(16))
 
     def test_automatic_rule_runs_only_when_a_member_lacks_an_assignment(self, monkeypatch):
         doc = cluster_doc(2)
@@ -574,8 +579,8 @@ class TestUrgentResources:
             raise AssertionError("automatic rule called")
 
         monkeypatch.setattr("loraguard.scenario.assign_resources", refuse)
-        assert urgent_resources(scenario) == {"ed01": (867_900_000, 10),
-                                                 "ed02": (867_900_000, 9)}
+        assert validate_scenario(scenario) == {"ed01": (867_900_000, 10),
+                                               "ed02": (867_900_000, 9)}
 
     def test_alarm_scope_is_its_devices_else_its_clusters_members(self):
         doc = cluster_doc(3)

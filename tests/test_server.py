@@ -54,6 +54,9 @@ class TestAssignResources:
             assign_resources(("a", "a"), CHANNELS)
         with pytest.raises(ValueError):
             assign_resources(("a",), ())
+        # Merging repeated channels would leave the fourth member unassigned.
+        with pytest.raises(ValueError, match="duplicate channels"):
+            assign_resources(members(4), (CHANNELS[0], CHANNELS[0]))
 
     def test_deterministic_and_insertion_ordered(self):
         a = assign_resources(members(9), CHANNELS)

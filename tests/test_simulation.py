@@ -1,5 +1,6 @@
 """End-to-end simulation behavior on small scripted and shipped scenarios."""
 
+import collections
 import gc
 import json
 import re
@@ -10,9 +11,10 @@ import jsonschema
 import pytest
 
 from loraguard.metrics import CAUSE_DUTY_CYCLE, emit_report, latency_of
-from loraguard.phy import RadioParams, Transmission, TransmissionKind, default_eu868_plan
+from loraguard.phy import (ChannelPlan, RadioParams, Transmission, TransmissionKind, airtime_us,
+                           default_eu868_plan)
 from loraguard.scenario import (ScenarioError, StopSpec, load_scenario, parse_scenario,
-                                shipped_scenario_path, urgent_resources)
+                                shipped_scenario_path, validate_scenario)
 from loraguard.simulation import Simulation
 
 
@@ -195,7 +197,7 @@ class TestDemoRun:
         plan = default_eu868_plan()
         rp_channels = set(plan.subband(scenario.rp_subband).channels)
         up_channels = set(plan.subband(scenario.up_subband).channels)
-        assignments = urgent_resources(scenario)
+        assignments = validate_scenario(scenario)
         assert sim.transmission_log
         kinds_seen = set()
         for tx in sim.transmission_log:
@@ -332,3 +334,45 @@ def test_dcp_receipt_paths():
     dcp = _dcp_counts("600 ms", {}, reports=1)
     assert (dcp["requested"], dcp["skipped_too_late"]) == (1, 1)
     assert (dcp["sent_rx1"], dcp["sent_rx2"], dcp["received"]) == (0, 1, 1)
+
+
+def dcp_fallback_scenario():
+    """Eight reporters every 20 s, answered by one gateway under the off-time rule.
+
+    The gateway's window-1 budget runs out, so DCPs fall back to window 2,
+    and some find that budget spent as well.
+    """
+    ids = [f"ed{i}" for i in range(1, 9)]
+    return parse_scenario({
+        "name": "dcp_fallback",
+        "seed": 5,
+        "stop": {"duration": "600 s"},
+        "gateways": [{"id": "gw1", "duty_policy": "offtime"}],
+        "clusters": [{"id": "c1", "members": ids, "dcp_gateway": "gw1"}],
+        "devices": [{"id": m, "cluster": "c1", "rp_period": "20 s"} for m in ids],
+    })
+
+
+def test_dcp_fallback_paths():
+    assert Simulation(dcp_fallback_scenario()).run()["dcp"] == {
+        "requested": 234, "sent_rx1": 60, "sent_rx2": 30, "received": 90,
+        "skipped_duty_cycle": 86, "skipped_tx_busy": 58, "skipped_rx_only": 0,
+        "skipped_too_late": 0, "missed_device_busy": 0, "missed_window": 0}
+
+
+def test_a_run_resolves_no_subband_and_no_airtime(monkeypatch):
+    sim = Simulation(dcp_fallback_scenario())
+    calls = collections.Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(ChannelPlan, "subband_of",
+                        counted("subband_of", ChannelPlan.subband_of))
+    monkeypatch.setattr("loraguard.simulation.airtime_us",
+                        counted("airtime_us", airtime_us))
+    assert sim.run()["dcp"]["sent_rx2"] > 0
+    assert calls == {}
