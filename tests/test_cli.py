@@ -292,14 +292,19 @@ def test_cli_import_does_not_load_scipy():
     assert proc.stdout.strip() == "[]"
 
 
-def test_cli_import_and_analyze_do_not_load_numpy():
-    # numpy is the simulator's bit source, loaded by the first random stream;
-    # the model and the command line never draw, so they must not pay for it.
+def test_cli_import_and_analyze_do_not_load_numpy(tmp_path):
+    # numpy is a test-only dependency: the simulator draws from its own PCG64
+    # streams, and the model and the command line never draw, so they must
+    # not even compile the ziggurat tables the first stream loads.
     src = str(Path(loraguard.__file__).resolve().parent.parent)
+    run_args = ["run", DEMO, "--out", str(tmp_path / "report.json"), "--quiet"]
     code = ("import sys, loraguard.cli as cli; "
-            "imported = 'numpy' in sys.modules; "
-            "status = cli.main(" + repr(TestAnalyze.ARGS) + "); "
-            "print(imported, 'numpy' in sys.modules, status)")
+            "loaded = lambda: ('numpy' in sys.modules, 'loraguard.ziggurat' in sys.modules); "
+            "print(*loaded(), cli.main(" + repr(TestAnalyze.ARGS) + "), *loaded()); "
+            "print(cli.main(" + repr(run_args) + "), *loaded())")
     proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
                           capture_output=True, text=True, check=True)
-    assert proc.stdout.splitlines()[-1] == f"False False {EXIT_OK}"
+    after_analyze, after_run = proc.stdout.splitlines()[-2:]
+    assert after_analyze == f"False False {EXIT_OK} False False"
+    assert after_run == f"{EXIT_OK} False True"
+    assert json.loads((tmp_path / "report.json").read_text())["kinds"]["UP"]["generated"] > 0
