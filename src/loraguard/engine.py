@@ -35,8 +35,8 @@ numpy is not needed to run; the tests hold these draws equal to numpy's.
 from __future__ import annotations
 
 import hashlib
-import heapq
 import itertools
+from heapq import heappop, heappush
 from math import exp, log1p
 from types import ModuleType
 from typing import Callable, Iterable
@@ -92,7 +92,7 @@ class Engine:
         """Enqueue ``action`` to run at time ``at`` (which may equal ``now``)."""
         if at < self.now:
             raise SchedulingError(f"cannot schedule {kind or 'event'} at {at} (now={self.now})")
-        heapq.heappush(self._queue, (at, next(self._seq), kind, action))
+        heappush(self._queue, (at, next(self._seq), kind, action))
 
     def stop(self) -> None:
         """End ``run_while`` once the running action returns; it cannot resume."""
@@ -104,7 +104,7 @@ class Engine:
             raise SchedulingError(f"cannot run backwards to {end} (now={self.now})")
         queue = self._queue
         while queue and queue[0][0] <= end:
-            at, _seq, _kind, action = heapq.heappop(queue)
+            at, _seq, _kind, action = heappop(queue)
             self.now = at
             action()
         self.now = end
@@ -112,7 +112,7 @@ class Engine:
     def run_while(self) -> None:
         """Drain the queue while events remain and ``stop`` has not been called."""
         queue = self._queue
-        pop = heapq.heappop
+        pop = heappop
         while queue and not self._stopped:
             at, _seq, _kind, action = pop(queue)
             self.now = at

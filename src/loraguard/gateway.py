@@ -9,6 +9,12 @@ never self-preempts; it is still subject to collisions and path exhaustion.
 The per-uplink contract is: ``on_uplink_start`` at the frame's first sample,
 ``on_uplink_end`` at its last, which returns the gateway's final outcome for
 the frame (``None`` = decoded, otherwise a loss cause).
+
+A frame holding a demodulation path is kept only as the list of the
+``(sf, rx power)`` of every co-channel frame that overlapped it, under its
+uid in ``active``; the frame itself comes back with ``on_uplink_end``.  A
+frame that heard no interferer is decoded without calling the capture
+model: both of its modes decode such a frame, and neither draws for it.
 """
 
 from __future__ import annotations
@@ -23,15 +29,6 @@ from .scenario import GatewaySpec
 
 
 @dataclass(slots=True)
-class Reception:
-    """One uplink currently occupying a demodulation path."""
-
-    tx: Transmission
-    # (sf, rx power) of every co-channel frame that overlapped this one.
-    interferers: list[tuple[int, float]] = field(default_factory=list)
-
-
-@dataclass(slots=True)
 class Gateway:
     """One gateway radio during a run: its spec and its state."""
 
@@ -39,7 +36,9 @@ class Gateway:
 
     # runtime state
     tx_busy_until: SimTime = 0
-    active: dict[int, Reception] = field(default_factory=dict)
+    # uid -> (sf, rx power) of every co-channel frame that overlapped it, for
+    # each frame holding a demod path
+    active: dict[int, list[tuple[int, float]]] = field(default_factory=dict)
     finished: dict[int, str] = field(default_factory=dict)  # early loss causes
     # uid -> (end_us, (sf, power)) per channel for every frame on the air,
     # whether or not it holds a demod path: dropped frames still radiate.
@@ -56,45 +55,45 @@ class Gateway:
         reception is stamped with the newcomer, and the live frames, in
         arrival order, become the newcomer's interferers.
         """
+        uid = tx.uid
         channel = self.on_air.get(tx.freq_hz)
         if channel is None:
             channel = self.on_air[tx.freq_hz] = {}
         signal = (tx.params.sf, tx.rx_power_dbm)
         interferers_seen = []
+        active = self.active
         if channel:  # empty is the common case: nothing else on the air
-            active = self.active
             ended = []
-            for uid, (end, other) in channel.items():
+            for other_uid, (end, other) in channel.items():
                 if end <= now:
-                    ended.append(uid)
+                    ended.append(other_uid)
                     continue
-                reception = active.get(uid)
-                if reception is not None:
-                    reception.interferers.append(signal)
+                heard = active.get(other_uid)
+                if heard is not None:
+                    heard.append(signal)
                 interferers_seen.append(other)
-            for uid in ended:
-                del channel[uid]
-        channel[tx.uid] = (tx.end_us, signal)
+            for other_uid in ended:
+                del channel[other_uid]
+        channel[uid] = (tx.end_us, signal)
 
         if self.tx_busy_until > now:
-            self.finished[tx.uid] = CAUSE_TX_BUSY
-        elif len(self.active) >= self.spec.demod_paths:
-            self.finished[tx.uid] = CAUSE_NO_DEMOD_PATH
+            self.finished[uid] = CAUSE_TX_BUSY
+        elif len(active) >= self.spec.demod_paths:
+            self.finished[uid] = CAUSE_NO_DEMOD_PATH
         else:
-            self.active[tx.uid] = Reception(tx, interferers_seen)
+            active[uid] = interferers_seen
 
     def on_uplink_end(self, tx: Transmission, now: SimTime, model: CaptureModel,
                       rng) -> str | None:
         """Close out an uplink; returns this gateway's loss cause, None if decoded."""
-        channel = self.on_air.get(tx.freq_hz)
-        if channel is not None:
-            channel.pop(tx.uid, None)
-        cause = self.finished.pop(tx.uid, None)
-        if cause is not None:
-            return cause
-        reception = self.active.pop(tx.uid)
-        if not decodes_against(model, tx.params.sf, tx.rx_power_dbm,
-                               reception.interferers, rng):
+        uid = tx.uid
+        # A frame that ended may already have been pruned by a later arrival.
+        self.on_air[tx.freq_hz].pop(uid, None)
+        interferers = self.active.pop(uid, None)
+        if interferers is None:
+            return self.finished.pop(uid)  # lost before its end
+        if interferers and not decodes_against(model, tx.params.sf, tx.rx_power_dbm,
+                                               interferers, rng):
             return CAUSE_COLLISION
         return None
 

@@ -6,13 +6,16 @@ at each radio.  The system-level loss histogram assigns one cause per lost
 packet using a fixed priority (the device-side duty-cycle first, then
 collision > no-demod-path > tx-busy > gw-preempted).
 
-A run retains about 44 bytes per finalized urgent uplink.  Its outcome is kept by
-column in an ``OutcomeLog``: five integers (uid and times) in ``array('q')``
-columns and the position of its (device, delivery, loss cause, per-gateway
-map) combination, of which a run has few, in an ``array('I')``.  Reading the
-log rebuilds a ``PacketOutcome`` equal to the one appended.  Latencies are
-kept as a ``Counter`` of integer microseconds, from which the nearest-rank
-quantiles and the mean come out exactly.
+A run retains about 44 bytes per finalized urgent uplink.  Its outcome is
+written by column into an ``OutcomeLog``: five integers (uid and times) in one
+``array('q')`` and the position of its (device, delivery, loss cause,
+per-gateway map) combination, of which a run has few, in an ``array('I')``.
+No ``PacketOutcome`` exists until the log is read, which rebuilds one per
+row.  Latencies are counted in a dict keyed by integer microseconds, from
+which the nearest-rank quantiles and the mean come out exactly, and gateway
+outcomes in one dict keyed ``(gateway, kind, cause)``, which the report
+groups by gateway.  Both are plain dicts: a ``Counter`` increment costs about
+twice a dict's.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ import math
 import operator
 from array import array
 from bisect import bisect_left
-from collections import Counter
 from dataclasses import dataclass, field
 from itertools import accumulate
 from types import MappingProxyType
@@ -73,7 +75,7 @@ def plr(losses: int, total: int) -> tuple[float, tuple[float, float]]:
 
 
 # The per-gateway view of an uplink that never reached the air.
-_NO_GATEWAYS: Mapping[str, str] = MappingProxyType({})
+NO_GATEWAYS: Mapping[str, str] = MappingProxyType({})
 
 
 @dataclass(slots=True)
@@ -93,7 +95,7 @@ class PacketOutcome:
     delivered: bool = False
     delivered_at_us: SimTime | None = None
     cause: str | None = None  # system-level loss cause when not delivered
-    per_gateway: Mapping[str, str] = field(default_factory=lambda: _NO_GATEWAYS)
+    per_gateway: Mapping[str, str] = field(default_factory=lambda: NO_GATEWAYS)
 
 
 # An absent time (``None``) in an ``OutcomeLog`` column; simulated times are
@@ -108,60 +110,62 @@ def _time(value: int) -> SimTime | None:
 class OutcomeLog(Sequence[PacketOutcome]):
     """Read-only sequence of finalized uplink outcomes, stored by column.
 
-    ``append`` keeps an outcome's uid and times in ``array('q')`` columns
-    (``None`` as ``_ABSENT``).  Its device, delivery flag, loss cause and
-    per-gateway map take few distinct values in a run, so each distinct
-    combination is held once, by reference (a shared per-gateway map stays
-    the same object), and the outcome keeps that combination's position.
-    Indexing and iteration rebuild a ``PacketOutcome`` equal to the one
-    appended.
+    ``write`` takes an outcome's fields.  Its uid and four times go into one
+    ``array('q')``, five entries per outcome (``None`` as ``_ABSENT``).  Its
+    device, delivery flag, loss cause and per-gateway map take few distinct
+    values in a run, so each distinct combination is held once, by reference
+    (a shared per-gateway map stays the same object), and the outcome keeps
+    that combination's position in an ``array('I')``.  ``append`` writes a
+    ``PacketOutcome``; indexing and iteration rebuild one equal to it.
     """
 
-    __slots__ = ("_uid", "_trigger", "_start", "_end", "_delivered_at", "_shared_at",
-                 "_shared", "_shared_index")
+    __slots__ = ("_ints", "_shared_at", "_shared", "_shared_index")
 
     def __init__(self) -> None:
-        self._uid = array("q")
-        self._trigger = array("q")
-        self._start = array("q")
-        self._end = array("q")
-        self._delivered_at = array("q")
+        # uid, trigger, start, end and delivered-at of each outcome, in turn
+        self._ints = array("q")
         self._shared_at = array("I")  # position in _shared of each outcome's combination
         # (device, delivered, cause, per_gateway) combinations, in order of first use
         self._shared: list[tuple[str, bool, str | None, Mapping[str, str]]] = []
         # The map's identity stands for it in the key; _shared keeps it alive.
         self._shared_index: dict[tuple[str, bool, str | None, int], int] = {}
 
-    def append(self, outcome: PacketOutcome) -> None:
-        key = (outcome.device, outcome.delivered, outcome.cause, id(outcome.per_gateway))
+    def write(self, uid: int, device: str, trigger_us: SimTime, start_us: SimTime | None,
+              end_us: SimTime | None, delivered: bool, delivered_at_us: SimTime | None,
+              cause: str | None, per_gateway: Mapping[str, str]) -> None:
+        """Append the outcome with these fields."""
+        key = (device, delivered, cause, id(per_gateway))
         at = self._shared_index.get(key)
         if at is None:
             at = self._shared_index[key] = len(self._shared)
-            self._shared.append((outcome.device, outcome.delivered, outcome.cause,
-                                 outcome.per_gateway))
+            self._shared.append((device, delivered, cause, per_gateway))
         self._shared_at.append(at)
-        self._uid.append(outcome.uid)
-        self._trigger.append(outcome.trigger_us)
-        self._start.append(_ABSENT if outcome.start_us is None else outcome.start_us)
-        self._end.append(_ABSENT if outcome.end_us is None else outcome.end_us)
-        self._delivered_at.append(
-            _ABSENT if outcome.delivered_at_us is None else outcome.delivered_at_us)
+        # fromlist is faster than extend, which takes any iterable item by item.
+        self._ints.fromlist([uid, trigger_us, _ABSENT if start_us is None else start_us,
+                             _ABSENT if end_us is None else end_us,
+                             _ABSENT if delivered_at_us is None else delivered_at_us])
+
+    def append(self, outcome: PacketOutcome) -> None:
+        self.write(outcome.uid, outcome.device, outcome.trigger_us, outcome.start_us,
+                   outcome.end_us, outcome.delivered, outcome.delivered_at_us, outcome.cause,
+                   outcome.per_gateway)
 
     def __len__(self) -> int:
-        return len(self._uid)
+        return len(self._shared_at)
 
     def __getitem__(self, index: int) -> PacketOutcome:
         i = operator.index(index)  # no slices
         device, delivered, cause, per_gateway = self._shared[self._shared_at[i]]
-        return PacketOutcome(self._uid[i], device, self._trigger[i], _time(self._start[i]),
-                             _time(self._end[i]), delivered, _time(self._delivered_at[i]),
-                             cause, per_gateway)
+        j = 5 * (i % len(self))  # i is in range: _shared_at took it
+        uid, trigger, start, end, delivered_at = self._ints[j:j + 5]
+        return PacketOutcome(uid, device, trigger, _time(start), _time(end), delivered,
+                             _time(delivered_at), cause, per_gateway)
 
     def __iter__(self) -> Iterator[PacketOutcome]:
         shared = self._shared
-        for uid, trigger, start, end, delivered_at, at in zip(
-                self._uid, self._trigger, self._start, self._end, self._delivered_at,
-                self._shared_at):
+        ints = iter(self._ints)
+        for at, uid, trigger, start, end, delivered_at in zip(self._shared_at, ints, ints,
+                                                               ints, ints, ints):
             device, delivered, cause, per_gateway = shared[at]
             yield PacketOutcome(uid, device, trigger, _time(start), _time(end), delivered,
                                 _time(delivered_at), cause, per_gateway)
@@ -205,9 +209,9 @@ class MetricsCollector:
 
     def __init__(self) -> None:
         self.kinds: dict[str, KindStats] = {}
-        self.per_gateway_losses: dict[str, dict[str, dict[str, int]]] = {}
-        self.gateway_decoded: dict[str, dict[str, int]] = {}
-        self.up_latencies_us: Counter[int] = Counter()  # latency in us -> uplinks
+        # (gateway, kind, loss cause or None = decoded) -> uplinks
+        self.gateway_outcomes: dict[tuple[str, str, str | None], int] = {}
+        self.up_latencies_us: dict[int, int] = {}  # latency in us -> uplinks
         self.dcp: dict[str, int] = {
             "requested": 0, "sent_rx1": 0, "sent_rx2": 0, "received": 0,
             "skipped_duty_cycle": 0, "skipped_tx_busy": 0, "skipped_rx_only": 0,
@@ -221,18 +225,8 @@ class MetricsCollector:
 
     def on_gateway_outcome(self, kind: str, gateway: str, cause: str | None) -> None:
         """Record one gateway's view of an uplink (cause None = decoded)."""
-        if cause is None:
-            by_kind = self.gateway_decoded.get(gateway)
-            if by_kind is None:
-                by_kind = self.gateway_decoded[gateway] = {}
-            by_kind[kind] = by_kind.get(kind, 0) + 1
-            return
-        by_kind = self.per_gateway_losses.setdefault(gateway, {})
-        hist = by_kind.setdefault(kind, {})
-        hist[cause] = hist.get(cause, 0) + 1
-
-    def on_up_delivered(self, outcome: PacketOutcome) -> None:
-        self.up_latencies_us[latency_of(outcome)] += 1
+        key = (gateway, kind, cause)
+        self.gateway_outcomes[key] = self.gateway_outcomes.get(key, 0) + 1
 
     def latency_summary(self) -> dict[str, float] | None:
         """Mean and nearest-rank quantiles of the UP latencies, exact on integers."""
@@ -279,12 +273,19 @@ def build_report(collector: MetricsCollector, *, scenario_name: str, seed: int,
     if collector.kinds.get("UP") and (latency := collector.latency_summary()):
         kinds["UP"]["latency"] = latency
 
+    decoded: dict[str, dict[str, int]] = {}
+    losses: dict[str, dict[str, dict[str, int]]] = {}
+    for (gw, kind, cause), count in collector.gateway_outcomes.items():
+        if cause is None:
+            decoded.setdefault(gw, {})[kind] = count
+        else:
+            losses.setdefault(gw, {}).setdefault(kind, {})[cause] = count
     gateways: dict[str, dict[str, object]] = {}
-    for gw in sorted(set(collector.gateway_decoded) | set(collector.per_gateway_losses)):
+    for gw in sorted(decoded.keys() | losses.keys()):
         gateways[gw] = {
-            "decoded": dict(sorted(collector.gateway_decoded.get(gw, {}).items())),
+            "decoded": dict(sorted(decoded.get(gw, {}).items())),
             "losses": {k: dict(sorted(v.items()))
-                       for k, v in sorted(collector.per_gateway_losses.get(gw, {}).items())},
+                       for k, v in sorted(losses.get(gw, {}).items())},
         }
 
     return {

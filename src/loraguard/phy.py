@@ -292,12 +292,14 @@ class DutyCycleLedger:
 
     The ledger is a façade over one budget object per (transmitter,
     sub-band), an ``OfftimeBudget`` or a ``WindowBudget`` after the
-    transmitter's policy.  ``budget`` binds it on first use; ``check`` and
-    ``record`` look it up inline and call ``budget`` only on a miss, so each
-    is one dictionary lookup plus the budget's own work.
-    ``record`` re-validates in O(1): the off-time rule is one comparison, and
-    the window rule reuses the clearance its last ``check`` computed at the
-    same ``(start, airtime)``, re-checking otherwise.
+    transmitter's policy.  ``budget`` binds it on first use.  A simulation
+    takes every budget it can spend from ``budget`` while it is built and
+    calls their ``clearance`` and ``record`` directly; ``check`` and
+    ``record`` here look the budget up through ``budget`` on each call, for
+    one-off accounting.
+    A budget's ``record`` re-validates in O(1): the off-time rule is one
+    comparison, and the window rule reuses the clearance it last computed at
+    the same ``(start, airtime)``, re-checking otherwise.
 
     Sub-bands are independent: spending on one never blocks another.
     """
@@ -333,10 +335,7 @@ class DutyCycleLedger:
     def check(self, transmitter: str, band: SubBand, now: SimTime,
               airtime_us: SimTime = 0) -> SimTime:
         """Earliest time >= ``now`` at which a frame of ``airtime_us`` may start."""
-        budget = self._budgets.get((transmitter, band.name))
-        if budget is None:
-            budget = self.budget(transmitter, band)
-        return budget.clearance(now, airtime_us)
+        return self.budget(transmitter, band).clearance(now, airtime_us)
 
     def record(self, transmitter: str, band: SubBand, start: SimTime,
                airtime_us: SimTime) -> None:
@@ -347,10 +346,7 @@ class DutyCycleLedger:
         """
         if airtime_us <= 0:
             raise ValueError(f"airtime_us must be > 0, got {airtime_us}")
-        budget = self._budgets.get((transmitter, band.name))
-        if budget is None:
-            budget = self.budget(transmitter, band)
-        budget.record(start, airtime_us)
+        self.budget(transmitter, band).record(start, airtime_us)
 
 
 class TransmissionKind(str, Enum):
@@ -361,7 +357,7 @@ class TransmissionKind(str, Enum):
         return self.value
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, init=False)
 class Transmission:
     """One frame on the air; ``end_us`` is fixed at construction.
 
@@ -378,10 +374,22 @@ class Transmission:
     airtime_us: SimTime
     uid: int
     rx_power_dbm: float
-    end_us: SimTime = field(init=False)
+    end_us: SimTime
 
-    def __post_init__(self) -> None:
-        self.end_us = self.start_us + self.airtime_us
+    # Written out so that building a frame is one call: a generated __init__
+    # would call __post_init__ to set end_us.
+    def __init__(self, source: str, kind: TransmissionKind, freq_hz: int,
+                 params: RadioParams, start_us: SimTime, airtime_us: SimTime, uid: int,
+                 rx_power_dbm: float) -> None:
+        self.source = source
+        self.kind = kind
+        self.freq_hz = freq_hz
+        self.params = params
+        self.start_us = start_us
+        self.airtime_us = airtime_us
+        self.uid = uid
+        self.rx_power_dbm = rx_power_dbm
+        self.end_us = start_us + airtime_us
 
 
 # Per-party survival probabilities calibrated from synchronized same-start
@@ -449,8 +457,9 @@ def decodes_against(model: CaptureModel, own_sf: int, own_power_dbm: float,
             if sf == own_sf and own_power_dbm < power + model.spec.co_sf_margin_db:
                 return False
         return True
+    survival = model.survival
     for sf, _power in interferers:
-        p = model.survival_probability(own_sf, sf)
+        p = survival.get((own_sf, sf), 1.0)
         if p >= 1.0:
             continue
         if rng.random() >= p:

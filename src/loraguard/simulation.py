@@ -27,26 +27,33 @@ merged survival table) besides their mutable state; a sender's received
 power travels on each of its frames.
 
 Everything else that depends only on the scenario is bound while the
-simulation is built, so a run resolves no sub-band and computes no airtime:
-each device's urgent-uplink sub-band, parameters and airtime; each
-reporter's parameters and airtime, the sub-band of each of its report
-channels (indexed by the hop's position in ``rp_channels``), its cluster's
-DCP gateway and the airtime of its window-1 downlink, which goes out on the
-report's own channel and sub-band; and the window-2 downlink's sub-band and
-airtime, the same for every device.  The urgent-uplink counters are bound
-when the first alarm triggers an uplink, so a run without urgent uplinks still
-reports no ``UP`` kind.  Reports and urgent uplinks end through one
-close-out: each distinct tuple of per-gateway outcomes (in scenario gateway
-order) is resolved once into a shared read-only per-gateway map, the
-earliest backhaul delay among the decoding gateways and the system-level
-loss cause, and every uplink with that tuple reuses them.
+simulation is built, so a run resolves no sub-band, computes no airtime and
+looks up no duty-cycle budget.  Every budget comes from
+``DutyCycleLedger.budget``, so one (transmitter, sub-band) pair shares one
+object, and the run calls its ``clearance`` and ``record`` directly.  Bound
+are: each device's urgent-uplink resource (its id, channel, parameters,
+airtime, received power and budget), and each alarm source's tuple of the
+resources it triggers; each reporter's parameters and airtime, its budget on
+the sub-band of each of its report channels (indexed by the hop's position in
+``rp_channels``), its cluster's DCP gateway, that gateway's budget on each of
+those sub-bands and the airtime of its window-1 downlink, which goes out on
+the report's own channel and sub-band; and the gateway's window-2 budget and
+the window-2 downlink's airtime, the same for every device.  The
+urgent-uplink counters are bound when the first alarm triggers an uplink, so
+a run without urgent uplinks still reports no ``UP`` kind.  Reports and
+urgent uplinks end through one close-out: each distinct tuple of per-gateway
+outcomes (in scenario gateway order) is resolved once into a shared
+read-only per-gateway map, the earliest backhaul delay among the decoding
+gateways and the system-level loss cause, and every uplink with that tuple
+reuses them.
 
-An urgent uplink's ``PacketOutcome`` lives only while the uplink is in
-flight.  Once finalized it is appended to ``up_outcomes``, a
-``metrics.OutcomeLog`` that keeps it by column in about 44 bytes and
-rebuilds an equal ``PacketOutcome`` whenever it is read.  A delivered
-uplink's latency is counted in the collector's ``Counter``; nothing else is
-kept per uplink.
+An urgent uplink in flight is its ``Transmission`` and its ``up-end``
+action, which carries the alarm's trigger instant; no outcome object is
+built.  Once finalized, its fields are written by column into
+``up_outcomes``, a ``metrics.OutcomeLog`` that keeps about 44 bytes per
+uplink and rebuilds a ``PacketOutcome`` whenever it is read.  A delivered
+uplink's latency is counted straight into the collector's latency counts;
+nothing else is kept per uplink.
 """
 
 from __future__ import annotations
@@ -60,23 +67,28 @@ from typing import Callable, Mapping
 from .device import EndDevice
 from .engine import Engine, RandomStreams, SimTime, Stream
 from .gateway import Gateway
-from .metrics import (CAUSE_DUTY_CYCLE, KindStats, MetricsCollector, OutcomeLog,
-                      PacketOutcome, build_report, system_cause)
-from .phy import (CaptureModel, DutyCycleLedger, RadioParams, RX2_FREQ_HZ, RX2_SF,
-                  SubBand, Transmission, TransmissionKind, airtime_us, default_eu868_plan)
+from .metrics import (CAUSE_DUTY_CYCLE, NO_GATEWAYS, KindStats, MetricsCollector,
+                      OutcomeLog, build_report, system_cause)
+from .phy import (CaptureModel, DutyCycleLedger, OfftimeBudget, RadioParams, RX2_FREQ_HZ,
+                  RX2_SF, Transmission, TransmissionKind, WindowBudget, airtime_us,
+                  default_eu868_plan)
 from .scenario import Scenario, scenario_digest, validate_scenario
 from .sensor import GasEvent, alarm_check, generate_events
 from .server import NetworkServer
 
 
+_Budget = OfftimeBudget | WindowBudget
+
+# What an urgent uplink of one device needs, bound once per run: the device,
+# its id, the urgent channel, radio parameters, airtime, received power and
+# the device's duty-cycle budget on the urgent sub-band.
+_Resource = tuple[EndDevice, str, int, RadioParams, SimTime, float, _Budget]
+
+
 @dataclass
 class _AlarmSource:
-    devices: tuple[str, ...]
+    resources: tuple[_Resource, ...]  # of the devices it triggers, in scope order
     events: object  # iterator of GasEvent
-
-
-# (sub-band, radio parameters, airtime) of one uplink resource.
-_Resource = tuple[SubBand, RadioParams, SimTime]
 
 
 # What one tuple of per-gateway outcomes means for an uplink: its read-only
@@ -94,9 +106,12 @@ class _Reporter:
     rng: Stream
     params: RadioParams
     airtime_us: SimTime
-    bands: tuple[SubBand, ...]  # the sub-band of each report channel, in rp_channels order
+    budgets: tuple[_Budget, ...]  # the device's, on each report channel's sub-band
     dcp_gateway: Gateway  # the cluster's gateway, which answers each decoded report
+    dcp_budgets: tuple[_Budget, ...]  # the gateway's, on each report channel's sub-band
     dcp_airtime_us: SimTime  # a window-1 downlink's, at the report SF
+    # the gateway's budget on the window-2 sub-band and a window-2 downlink's airtime
+    rx2_dcp: tuple[_Budget, SimTime]
     handler: Callable[[], None] | None = None  # the device's one "rp" action
 
 
@@ -126,11 +141,11 @@ class Simulation:
         for spec in self.scenario.gateways:
             self.gateways[spec.id] = Gateway(spec)
             self.ledger.set_policy(spec.id, spec.duty_policy)
+        budget = self.ledger.budget  # one object per (transmitter, sub-band)
         dcp_gateway = {c.id: self.gateways[c.dcp_gateway] for c in self.scenario.clusters}
         dcp_len = self.scenario.dcp_payload_len
-        # (sub-band, airtime) of every window-2 downlink.
-        self._rx2_dcp = (self.plan.subband_of(RX2_FREQ_HZ),
-                         airtime_us(RadioParams(sf=RX2_SF), dcp_len))
+        rx2_band = self.plan.subband_of(RX2_FREQ_HZ)
+        rx2_airtime_us = airtime_us(RadioParams(sf=RX2_SF), dcp_len)
 
         rp_band = self.plan.subband(self.scenario.rp_subband)
         self.devices: dict[str, EndDevice] = {}
@@ -143,15 +158,20 @@ class Simulation:
             self.devices[dspec.id] = device
             freq_hz, sf = device.assignment
             params = RadioParams(sf=sf)
-            self._up_resources[dspec.id] = (self.plan.subband_of(freq_hz), params,
-                                            airtime_us(params, dspec.up_payload_len))
+            self._up_resources[dspec.id] = (
+                device, dspec.id, freq_hz, params, airtime_us(params, dspec.up_payload_len),
+                dspec.rx_power_dbm, budget(dspec.id, self.plan.subband_of(freq_hz)))
             if dspec.rp_period_us is None:
                 continue
             params = RadioParams(sf=dspec.rp_sf)
+            bands = tuple(map(self.plan.subband_of, device.rp_channels))
+            gw = dcp_gateway[dspec.cluster]
             reporter = _Reporter(device, self.streams.stream(f"rp:{dspec.id}"), params,
                                  airtime_us(params, dspec.rp_payload_len),
-                                 tuple(map(self.plan.subband_of, device.rp_channels)),
-                                 dcp_gateway[dspec.cluster], airtime_us(params, dcp_len))
+                                 tuple(budget(dspec.id, band) for band in bands), gw,
+                                 tuple(budget(gw.spec.id, band) for band in bands),
+                                 airtime_us(params, dcp_len),
+                                 (budget(gw.spec.id, rx2_band), rx2_airtime_us))
             reporter.handler = partial(self._attempt_rp, reporter)
             self._reporters.append(reporter)
         # (gateway id, gateway, its capture stream), in scenario order.
@@ -165,9 +185,9 @@ class Simulation:
 
         self._alarm_sources: list[_AlarmSource] = []
         for i, trig in enumerate(self.scenario.triggers):
-            source = _AlarmSource(devices=self.scenario.alarm_scope(trig),
-                                  events=generate_events(
-                                      trig, self.streams.stream(f"alarm:{i}")))
+            source = _AlarmSource(
+                resources=tuple(map(self._up_resources.get, self.scenario.alarm_scope(trig))),
+                events=generate_events(trig, self.streams.stream(f"alarm:{i}")))
             self._alarm_sources.append(source)
         self._live_alarm_sources = len(self._alarm_sources)
 
@@ -229,61 +249,57 @@ class Simulation:
 
     def _fire_alarm(self, source: _AlarmSource, event: GasEvent) -> None:
         if alarm_check(self.scenario.sensor, event):
+            stats = self._up_stats
+            if stats is None:
+                stats = self._up_stats = self.metrics.kind("UP")
             # Count the whole burst first: an uplink lost at once to the duty
             # cycle must not look like the last one in flight and stop the run.
-            self._ups_generated += len(source.devices)
-            for dev_id in source.devices:
-                self._trigger_up(self.devices[dev_id])
+            burst = len(source.resources)
+            stats.generated += burst
+            self._ups_generated += burst
+            now = self.engine.now
+            for resource in source.resources:
+                self._attempt_up(resource, now)
         self._schedule_next_alarm(source)
 
     # -- urgent uplinks -----------------------------------------------------------
 
-    def _trigger_up(self, device: EndDevice) -> None:
-        stats = self._up_stats
-        if stats is None:
-            stats = self._up_stats = self.metrics.kind("UP")
-        stats.generated += 1
-        self._attempt_up(device, PacketOutcome(0, device.spec.id, self.engine.now))
-
-    def _attempt_up(self, device: EndDevice, outcome: PacketOutcome) -> None:
+    def _attempt_up(self, resource: _Resource, trigger_us: SimTime) -> None:
+        """Send the urgent uplink on ``resource`` of the alarm triggered at ``trigger_us``."""
         now = self.engine.now
+        device, dev_id, freq_hz, params, air, rx_power_dbm, budget = resource
         if not device.idle_at(now):
             # Half-duplex: wait out the device's own transmission.
             self._up_stats.deferrals += 1
             self.engine.schedule(device.busy_until,
-                                 partial(self._attempt_up, device, outcome), "up")
+                                 partial(self._attempt_up, resource, trigger_us), "up")
             return
-        spec = device.spec
-        band, params, air = self._up_resources[spec.id]
-        if self.ledger.check(spec.id, band, now, air) > now:
+        if budget.clearance(now, air) > now:
             # An urgent alarm is stale by the time the band frees; count it lost.
-            outcome.cause = CAUSE_DUTY_CYCLE
             self._up_stats.add_loss(CAUSE_DUTY_CYCLE)
-            self._finalize_up(outcome)
+            self.up_outcomes.write(0, dev_id, trigger_us, None, None, False, None,
+                                   CAUSE_DUTY_CYCLE, NO_GATEWAYS)
+            self._ups_finalized += 1
+            if self._ups_finalized == self._ups_generated:
+                self._stop_if_done()
             return
-        uid = next(self._uids)
-        tx = Transmission(spec.id, TransmissionKind.UP, device.assignment[0], params,
-                          now, air, uid, spec.rx_power_dbm)
-        outcome.uid = uid
-        outcome.start_us = now
-        outcome.end_us = tx.end_us
-        self._start_uplink(device, tx, band)
-        self.engine.schedule(tx.end_us, partial(self._finish_up, tx, outcome), "up-end")
+        tx = Transmission(dev_id, TransmissionKind.UP, freq_hz, params, now, air,
+                          next(self._uids), rx_power_dbm)
+        self._start_uplink(device, tx, budget)
+        self.engine.schedule(tx.end_us, partial(self._finish_up, tx, trigger_us), "up-end")
 
-    def _finish_up(self, tx: Transmission, outcome: PacketOutcome) -> None:
-        outcome.per_gateway, delay, cause = self._close_out(tx, "UP")
+    def _finish_up(self, tx: Transmission, trigger_us: SimTime) -> None:
+        per_gateway, delay, cause = self._close_out(tx, "UP")
         if cause is None:
-            outcome.delivered = True
-            outcome.delivered_at_us = self.engine.now + delay
+            delivered_at = self.engine.now + delay
             self._up_stats.delivered += 1
-            self.metrics.on_up_delivered(outcome)
+            latencies, latency = self.metrics.up_latencies_us, delivered_at - trigger_us
+            latencies[latency] = latencies.get(latency, 0) + 1
         else:
-            outcome.cause = cause
+            delivered_at = None
             self._up_stats.add_loss(cause)
-        self._finalize_up(outcome)
-
-    def _finalize_up(self, outcome: PacketOutcome) -> None:
-        self.up_outcomes.append(outcome)
+        self.up_outcomes.write(tx.uid, tx.source, trigger_us, tx.start_us, tx.end_us,
+                               cause is None, delivered_at, cause, per_gateway)
         self._ups_finalized += 1
         if self._ups_finalized == self._ups_generated:
             self._stop_if_done()
@@ -298,19 +314,19 @@ class Simulation:
             self.engine.schedule(device.busy_until, reporter.handler, "rp")
             return
         hop = device.pick_rp_channel(reporter.rng)
-        band, air = reporter.bands[hop], reporter.airtime_us
-        clear_at = self.ledger.check(device.spec.id, band, now, air)
+        budget, air = reporter.budgets[hop], reporter.airtime_us
+        clear_at = budget.clearance(now, air)
         if clear_at > now:
             self.metrics.kind("RP").deferrals += 1
             self.engine.schedule(clear_at, reporter.handler, "rp")
             return
         tx = Transmission(device.spec.id, TransmissionKind.RP, device.rp_channels[hop],
                           reporter.params, now, air, next(self._uids), device.spec.rx_power_dbm)
-        self._start_uplink(device, tx, band)
-        self.engine.schedule(tx.end_us, partial(self._finish_rp, reporter, tx, band), "rp-end")
+        self._start_uplink(device, tx, budget)
+        self.engine.schedule(tx.end_us, partial(self._finish_rp, reporter, tx, hop), "rp-end")
         self.engine.schedule(device.next_rp_time(now, reporter.rng), reporter.handler, "rp")
 
-    def _finish_rp(self, reporter: _Reporter, tx: Transmission, band: SubBand) -> None:
+    def _finish_rp(self, reporter: _Reporter, tx: Transmission, hop: int) -> None:
         _per_gateway, _delay, cause = self._close_out(tx, "RP")
         stats = self._rp_stats
         if stats is None:
@@ -318,15 +334,15 @@ class Simulation:
         stats.generated += 1
         if cause is None:
             stats.delivered += 1
-            self._request_dcp(reporter, tx, band)
+            self._request_dcp(reporter, tx, hop)
         else:
             stats.add_loss(cause)
 
     # -- shared uplink mechanics ---------------------------------------------------
 
-    def _start_uplink(self, device: EndDevice, tx: Transmission, band: SubBand) -> None:
+    def _start_uplink(self, device: EndDevice, tx: Transmission, budget: _Budget) -> None:
         device.mark_transmitting(tx.start_us, tx.end_us)
-        self.ledger.record(tx.source, band, tx.start_us, tx.airtime_us)
+        budget.record(tx.start_us, tx.airtime_us)
         if self.transmission_log is not None:
             self.transmission_log.append(tx)
         for _gw_id, gw, _rng in self._receivers:
@@ -358,8 +374,8 @@ class Simulation:
 
     # -- control downlinks -----------------------------------------------------------
 
-    def _request_dcp(self, reporter: _Reporter, rp: Transmission, band: SubBand) -> None:
-        """Answer decoded report ``rp``, sent on sub-band ``band``, with a downlink."""
+    def _request_dcp(self, reporter: _Reporter, rp: Transmission, hop: int) -> None:
+        """Answer decoded report ``rp``, sent on report channel ``hop``, with a downlink."""
         spec = reporter.device.spec
         self.metrics.dcp["requested"] += 1
         rx1_at = rp.end_us + spec.receive_delay1_us
@@ -369,16 +385,17 @@ class Simulation:
         ready_at = self.engine.now + 2 * reporter.dcp_gateway.spec.backhaul_delay_us
         if ready_at <= rx1_at:
             self.engine.schedule(rx1_at, partial(self._attempt_dcp, reporter, rp, 1,
-                                                 band, reporter.dcp_airtime_us), "dl")
+                                                 reporter.dcp_budgets[hop],
+                                                 reporter.dcp_airtime_us), "dl")
         elif ready_at <= rx2_at:
             self.metrics.dcp["skipped_too_late"] += 1
             self.engine.schedule(
-                rx2_at, partial(self._attempt_dcp, reporter, rp, 2, *self._rx2_dcp), "dl")
+                rx2_at, partial(self._attempt_dcp, reporter, rp, 2, *reporter.rx2_dcp), "dl")
         else:
             self.metrics.dcp["skipped_too_late"] += 1
 
     def _attempt_dcp(self, reporter: _Reporter, rp: Transmission, window: int,
-                     band: SubBand, air: SimTime) -> None:
+                     budget: _Budget, air: SimTime) -> None:
         now = self.engine.now
         device, gw = reporter.device, reporter.dcp_gateway
         if gw.tx_busy_until > now:
@@ -386,19 +403,19 @@ class Simulation:
             # conflicting programming is rejected, not deferred.
             self.metrics.dcp["skipped_tx_busy"] += 1
             return
-        if self.ledger.check(gw.spec.id, band, now, air) > now:
+        if budget.clearance(now, air) > now:
             if window == 1:
                 # Window 1 blocked by the sub-band budget: retry in window 2,
                 # which lives on the high-duty band.
                 rx2_at = rp.end_us + device.spec.receive_delay2_us
                 self.engine.schedule(
-                    rx2_at, partial(self._attempt_dcp, reporter, rp, 2, *self._rx2_dcp), "dl")
+                    rx2_at, partial(self._attempt_dcp, reporter, rp, 2, *reporter.rx2_dcp), "dl")
             else:
                 self.metrics.dcp["skipped_duty_cycle"] += 1
             return
         listening = device.last_tx_start == rp.start_us
         gw.start_downlink(now, air)
-        self.ledger.record(gw.spec.id, band, now, air)
+        budget.record(now, air)
         self.metrics.dcp["sent_rx1" if window == 1 else "sent_rx2"] += 1
         self.engine.schedule(
             now + air, partial(self._finish_dcp, device, rp, listening), "dl-end")

@@ -153,9 +153,9 @@ class TestBusyChannel:
         newcomer = make_tx("ed3", self.CH, start=100, sf=9)
         gw.on_uplink_start(newcomer, 100)
         assert list(gw.on_air[self.CH]) == [newcomer.uid]
-        assert gw.active[newcomer.uid].interferers == []
-        assert gw.active[early.uid].interferers == [(8, -2.0)]
-        assert gw.active[edge.uid].interferers == [(7, -1.0)]
+        assert gw.active[newcomer.uid] == []
+        assert gw.active[early.uid] == [(8, -2.0)]
+        assert gw.active[edge.uid] == [(7, -1.0)]
 
     def test_each_live_reception_gains_one_entry_per_newcomer(self):
         gw = make_gateway(demod_paths=8)
@@ -164,9 +164,9 @@ class TestBusyChannel:
         c = make_tx("ed3", self.CH, start=20, sf=10, power=-3.0)
         for tx in (a, b, c):
             gw.on_uplink_start(tx, tx.start_us)
-        assert gw.active[a.uid].interferers == [(9, -2.0), (10, -3.0)]
-        assert gw.active[b.uid].interferers == [(8, -1.0), (10, -3.0)]
-        assert gw.active[c.uid].interferers == [(8, -1.0), (9, -2.0)]
+        assert gw.active[a.uid] == [(9, -2.0), (10, -3.0)]
+        assert gw.active[b.uid] == [(8, -1.0), (10, -3.0)]
+        assert gw.active[c.uid] == [(8, -1.0), (9, -2.0)]
 
     def test_newcomer_sees_the_live_frames_in_arrival_order(self):
         gw = make_gateway(demod_paths=8)
@@ -178,6 +178,6 @@ class TestBusyChannel:
             gw.on_uplink_start(tx, tx.start_us)
         newcomer = make_tx("ed5", self.CH, start=30, sf=7)
         gw.on_uplink_start(newcomer, 30)
-        assert gw.active[newcomer.uid].interferers == [(10, -1.0), (8, -2.0), (9, -3.0)]
+        assert gw.active[newcomer.uid] == [(10, -1.0), (8, -2.0), (9, -3.0)]
         assert list(gw.on_air[self.CH]) == [a.uid, b.uid, c.uid, newcomer.uid]
 

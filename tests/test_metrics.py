@@ -124,10 +124,16 @@ class TestCollector:
         coll.on_gateway_outcome("UP", "gw1", None)
         coll.on_gateway_outcome("UP", "gw1", CAUSE_COLLISION)
         coll.on_gateway_outcome("RP", "gw2", CAUSE_TX_BUSY)
-        assert coll.gateway_decoded == {"gw1": {"UP": 2}}
-        assert coll.per_gateway_losses == {
-            "gw1": {"UP": {CAUSE_COLLISION: 1}},
-            "gw2": {"RP": {CAUSE_TX_BUSY: 1}},
+        assert coll.gateway_outcomes == {
+            ("gw1", "UP", None): 2,
+            ("gw1", "UP", CAUSE_COLLISION): 1,
+            ("gw2", "RP", CAUSE_TX_BUSY): 1,
+        }
+        report = build_report(coll, scenario_name="unit", seed=1, scenario_digest="0" * 16,
+                              ended_at_us=0, assignments={})
+        assert report["gateways"] == {
+            "gw1": {"decoded": {"UP": 2}, "losses": {"UP": {CAUSE_COLLISION: 1}}},
+            "gw2": {"decoded": {}, "losses": {"RP": {CAUSE_TX_BUSY: 1}}},
         }
 
     def test_latency_summary_nearest_rank(self):
@@ -139,14 +145,6 @@ class TestCollector:
 
     def test_latency_summary_empty_is_none(self):
         assert MetricsCollector().latency_summary() is None
-
-    def test_delivered_uplinks_count_by_latency(self):
-        coll = MetricsCollector()
-        for delivered_at in (10_287_264, 20_287_264, 30_300_000):
-            trigger = delivered_at // 10_000_000 * 10_000_000
-            coll.on_up_delivered(PacketOutcome(uid=1, device="ed1", trigger_us=trigger,
-                                               delivered=True, delivered_at_us=delivered_at))
-        assert coll.up_latencies_us == Counter({287_264: 2, 300_000: 1})
 
 
 @settings(max_examples=200, deadline=None)

@@ -2,6 +2,7 @@
 
 import collections
 import gc
+import hashlib
 import json
 import re
 import tracemalloc
@@ -11,8 +12,8 @@ import jsonschema
 import pytest
 
 from loraguard.metrics import CAUSE_DUTY_CYCLE, emit_report, latency_of
-from loraguard.phy import (ChannelPlan, RadioParams, Transmission, TransmissionKind, airtime_us,
-                           default_eu868_plan)
+from loraguard.phy import (ChannelPlan, DutyCycleLedger, RadioParams, Transmission,
+                           TransmissionKind, airtime_us, default_eu868_plan)
 from loraguard.scenario import (ScenarioError, StopSpec, load_scenario, parse_scenario,
                                 shipped_scenario_path, validate_scenario)
 from loraguard.simulation import Simulation
@@ -121,20 +122,41 @@ def shipped_with_ups(name, ups):
     return replace(scenario, stop=StopSpec(ups=ups))
 
 
+# sha256 of the repr of every up_outcomes row of calibration_pairs_sf7 at
+# 2,000 UPs, one row per line, as the run kept them when each finalized
+# uplink was first built as a PacketOutcome and then stored by column.
+CALIBRATION_OUTCOMES_SHA256 = "5e4e206fbccd78148b979eb992f8754e6cbfe952499de19da331772d765e1d8e"
+
+
+@pytest.fixture(scope="module")
+def calibration_run():
+    # Same-channel SF7 pairs: some uplinks are delivered, some lost on the air.
+    sim = Simulation(shipped_with_ups("calibration_pairs_sf7", 2_000))
+    return sim, sim.run()
+
+
 class TestRetainedOutcomes:
-    def test_every_item_equals_the_outcome_finalized(self):
-        # Same-channel SF7 pairs: some uplinks are delivered, some lost on the air.
-        sim = Simulation(shipped_with_ups("calibration_pairs_sf7", 2_000))
-        finalized = []
-        finalize = sim._finalize_up
-        sim._finalize_up = lambda outcome: (finalized.append(outcome), finalize(outcome))
-        report = sim.run()
-        assert len(sim.up_outcomes) == len(finalized) == report["kinds"]["UP"]["generated"]
-        assert {o.delivered for o in finalized} == {True, False}
-        for item, outcome in zip(sim.up_outcomes, finalized):
-            assert item == outcome
-            assert item.per_gateway is outcome.per_gateway
-        assert sim.up_outcomes[-1] == finalized[-1]
+    def test_every_row_equals_the_recorded_outcome(self, calibration_run):
+        sim, report = calibration_run
+        rows = list(sim.up_outcomes)
+        assert len(rows) == len(sim.up_outcomes) == report["kinds"]["UP"]["generated"]
+        assert {row.delivered for row in rows} == {True, False}
+        text = "".join(f"{row!r}\n" for row in rows)
+        assert hashlib.sha256(text.encode()).hexdigest() == CALIBRATION_OUTCOMES_SHA256
+        assert [sim.up_outcomes[i] for i in (0, -1)] == [rows[0], rows[-1]]
+
+    def test_rows_with_equal_per_gateway_maps_share_one_map(self, calibration_run):
+        sim, _report = calibration_run
+        shared = {}
+        for row in sim.up_outcomes:
+            key = tuple(sorted(row.per_gateway.items()))
+            assert shared.setdefault(key, row.per_gateway) is row.per_gateway
+        assert len(shared) >= 2  # decoded and collided
+
+    def test_delivered_uplinks_count_by_latency(self, calibration_run):
+        sim, _report = calibration_run
+        assert sim.metrics.up_latencies_us == collections.Counter(
+            latency_of(row) for row in sim.up_outcomes if row.delivered)
 
     def test_retained_memory_per_urgent_uplink_is_small(self):
         # What a run keeps per finalized urgent uplink (its columns in
@@ -361,6 +383,7 @@ def test_dcp_fallback_paths():
 
 
 def test_a_run_resolves_no_subband_and_no_airtime(monkeypatch):
+    # The DCP-fallback run spends the gateway's window-1 and window-2 budgets.
     sim = Simulation(dcp_fallback_scenario())
     calls = collections.Counter()
 
@@ -374,5 +397,9 @@ def test_a_run_resolves_no_subband_and_no_airtime(monkeypatch):
                         counted("subband_of", ChannelPlan.subband_of))
     monkeypatch.setattr("loraguard.simulation.airtime_us",
                         counted("airtime_us", airtime_us))
+    # Every duty-cycle budget is bound while the simulation is built.
+    for name in ("budget", "check", "record"):
+        monkeypatch.setattr(DutyCycleLedger, name,
+                            counted(name, getattr(DutyCycleLedger, name)))
     assert sim.run()["dcp"]["sent_rx2"] > 0
     assert calls == {}
