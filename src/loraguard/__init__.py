@@ -12,8 +12,8 @@ from .engine import Engine, RandomStreams, SimTime, Stream, sample_gaussian
 from .device import EndDevice
 from .gateway import Gateway
 from .metrics import MetricsCollector, PacketOutcome, emit_report, plr, wilson_interval
-from .phy import (CaptureModel, ChannelPlan, DutyCycleLedger, RadioParams, SubBand,
-                  Transmission, TransmissionKind, airtime_us, default_eu868_plan)
+from .phy import (CaptureModel, ChannelPlan, RadioParams, SubBand, Transmission,
+                  TransmissionKind, airtime_us, default_eu868_plan)
 from .scenario import (Scenario, ScenarioError, SensorProfile, TriggerSpec, load_scenario,
                        parse_scenario, save_scenario, scenario_digest)
 from .sensor import GasEvent, alarm_check, bridge_voltage, generate_events, lel_voltage
@@ -23,7 +23,7 @@ from .simulation import Simulation
 __version__ = "0.1.0"
 
 __all__ = [
-    "CaptureModel", "ChannelPlan", "DutyCycleLedger", "EndDevice",
+    "CaptureModel", "ChannelPlan", "EndDevice",
     "Engine", "GasEvent", "Gateway", "MetricsCollector", "NetworkServer",
     "PacketOutcome", "PlrModelParams", "PlrResult", "RadioParams", "RandomStreams",
     "Scenario", "ScenarioError", "SensorProfile", "SimTime", "SubBand",

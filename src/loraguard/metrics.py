@@ -115,8 +115,8 @@ class OutcomeLog(Sequence[PacketOutcome]):
     device, delivery flag, loss cause and per-gateway map take few distinct
     values in a run, so each distinct combination is held once, by reference
     (a shared per-gateway map stays the same object), and the outcome keeps
-    that combination's position in an ``array('I')``.  ``append`` writes a
-    ``PacketOutcome``; indexing and iteration rebuild one equal to it.
+    that combination's position in an ``array('I')``.  Indexing and iteration
+    rebuild a ``PacketOutcome`` of the written fields.
     """
 
     __slots__ = ("_ints", "_shared_at", "_shared", "_shared_index")
@@ -144,11 +144,6 @@ class OutcomeLog(Sequence[PacketOutcome]):
         self._ints.fromlist([uid, trigger_us, _ABSENT if start_us is None else start_us,
                              _ABSENT if end_us is None else end_us,
                              _ABSENT if delivered_at_us is None else delivered_at_us])
-
-    def append(self, outcome: PacketOutcome) -> None:
-        self.write(outcome.uid, outcome.device, outcome.trigger_us, outcome.start_us,
-                   outcome.end_us, outcome.delivered, outcome.delivered_at_us, outcome.cause,
-                   outcome.per_gateway)
 
     def __len__(self) -> int:
         return len(self._shared_at)

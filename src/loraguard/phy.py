@@ -4,8 +4,8 @@ Covers four concerns:
 
 * time-on-air for a LoRa frame (exact, in integer microseconds);
 * the EU868 channel plan with per-sub-band duty-cycle limits;
-* a duty-cycle ledger enforcing either the per-transmission off-time rule or
-  the sliding-window hourly budget;
+* per-(transmitter, sub-band) duty-cycle budgets enforcing either the
+  per-transmission off-time rule or the sliding-window hourly budget;
 * co-channel reception outcomes under an empirical or threshold capture model.
 """
 
@@ -172,10 +172,12 @@ WINDOW_US = 3_600 * US_PER_SECOND  # the hourly budget window
 
 
 class OfftimeBudget:
-    """Off-time rule for one (transmitter, sub-band).
+    """Off-time rule (policy ``"offtime"``) for one (transmitter, sub-band).
 
-    After a transmission of airtime t the sub-band stays blocked until
-    ``end + t*(duty_one_in - 1)``, i.e. the off-time is ``t*(1/d - 1)``.
+    After a transmission of airtime t the sub-band is blocked for that
+    transmitter until ``end + t*(duty_one_in - 1)``, i.e. the off-time is
+    ``t*(1/d - 1)``.  This is the rule LoRaWAN device stacks implement.
+    ``record`` re-validates in one comparison.
     """
 
     __slots__ = ("transmitter", "band", "next_allowed")
@@ -198,12 +200,19 @@ class OfftimeBudget:
 
 
 class WindowBudget:
-    """Sliding-window rule for one (transmitter, sub-band).
+    """Sliding-window rule (policy ``"window"``) for one (transmitter, sub-band).
 
     A transmission is permitted while the airtime whose end lies inside the
-    trailing window stays within ``WINDOW_US // duty_one_in``.  ``history``
-    holds ``(end, airtime)`` of every recorded frame; entries before
-    ``start`` have slid out of the window and ``used`` sums the rest.
+    trailing window (one hour) stays within ``WINDOW_US // duty_one_in``.
+    This is the hourly-budget reading of the regulation and suits gateways
+    serving many downlinks: short, widely spaced frames are never blocked
+    while the long-run busy fraction still cannot exceed the limit.  A
+    transmission counts against the window until its end slides out of it,
+    which over-counts at the boundary and keeps the audit conservative.
+    ``history`` holds ``(end, airtime)`` of every recorded frame; entries
+    before ``start`` have slid out of the window and ``used`` sums the rest.
+    ``record`` reuses the clearance last computed at the same
+    ``(start, airtime)`` and re-checks otherwise.
     """
 
     __slots__ = ("transmitter", "band", "limit_us", "history", "start", "used", "_checked")
@@ -272,81 +281,10 @@ def _overdraw(budget: OfftimeBudget | WindowBudget, start: SimTime,
                        f"at {start}; clear at {allowed_at}")
 
 
-class DutyCycleLedger:
-    """Per-(transmitter, sub-band) duty-cycle accounting.
-
-    Two enforcement policies are supported, selectable per transmitter:
-
-    * ``"offtime"`` (default): after a transmission of airtime t the sub-band
-      is blocked for that transmitter until ``end + t*(duty_one_in - 1)``,
-      i.e. the off-time is ``t*(1/d - 1)``.  This is the rule LoRaWAN device
-      stacks implement.
-    * ``"window"``: a transmission is permitted while the sub-band's
-      accumulated airtime over the trailing window (one hour) stays within
-      ``window/duty_one_in``.  This is the hourly-budget reading of the
-      regulation and suits gateways serving many downlinks: short, widely
-      spaced frames are never blocked while the long-run busy fraction still
-      cannot exceed the limit.  A transmission counts against the window
-      until its end slides out of it, which over-counts at the boundary and
-      keeps the audit conservative.
-
-    The ledger is a façade over one budget object per (transmitter,
-    sub-band), an ``OfftimeBudget`` or a ``WindowBudget`` after the
-    transmitter's policy.  ``budget`` binds it on first use.  A simulation
-    takes every budget it can spend from ``budget`` while it is built and
-    calls their ``clearance`` and ``record`` directly; ``check`` and
-    ``record`` here look the budget up through ``budget`` on each call, for
-    one-off accounting.
-    A budget's ``record`` re-validates in O(1): the off-time rule is one
-    comparison, and the window rule reuses the clearance it last computed at
-    the same ``(start, airtime)``, re-checking otherwise.
-
-    Sub-bands are independent: spending on one never blocks another.
-    """
-
-    POLICIES = ("offtime", "window")
-
-    def __init__(self, default_policy: str = "offtime") -> None:
-        if default_policy not in self.POLICIES:
-            raise ValueError(f"unknown duty-cycle policy {default_policy!r}")
-        self.default_policy = default_policy
-        self._policy: dict[str, str] = {}
-        self._budgets: dict[tuple[str, str], OfftimeBudget | WindowBudget] = {}
-
-    def set_policy(self, transmitter: str, policy: str) -> None:
-        if policy not in self.POLICIES:
-            raise ValueError(f"unknown duty-cycle policy {policy!r}")
-        if any(owner == transmitter for owner, _band in self._budgets):
-            raise ValueError(f"{transmitter} already holds duty-cycle budgets; "
-                             "set its policy before it transmits")
-        self._policy[transmitter] = policy
-
-    def budget(self, transmitter: str, band: SubBand) -> OfftimeBudget | WindowBudget:
-        """The budget of ``transmitter`` on ``band``, bound on first use."""
-        budget = self._budgets.get((transmitter, band.name))
-        if budget is None:
-            if self._policy.get(transmitter, self.default_policy) == "offtime":
-                budget = OfftimeBudget(transmitter, band)
-            else:
-                budget = WindowBudget(transmitter, band)
-            self._budgets[(transmitter, band.name)] = budget
-        return budget
-
-    def check(self, transmitter: str, band: SubBand, now: SimTime,
-              airtime_us: SimTime = 0) -> SimTime:
-        """Earliest time >= ``now`` at which a frame of ``airtime_us`` may start."""
-        return self.budget(transmitter, band).clearance(now, airtime_us)
-
-    def record(self, transmitter: str, band: SubBand, start: SimTime,
-               airtime_us: SimTime) -> None:
-        """Account a transmission of ``airtime_us`` starting at ``start``.
-
-        Raises LedgerError if the transmission violates the transmitter's
-        policy, so callers cannot silently overdraw the budget.
-        """
-        if airtime_us <= 0:
-            raise ValueError(f"airtime_us must be > 0, got {airtime_us}")
-        self.budget(transmitter, band).record(start, airtime_us)
+# The budget class of each duty-cycle policy.  A transmitter holds one budget
+# per sub-band, so spending on one sub-band never blocks another, and a
+# budget's ``record`` raises LedgerError rather than overdraw.
+BUDGETS = {"offtime": OfftimeBudget, "window": WindowBudget}
 
 
 class TransmissionKind(str, Enum):

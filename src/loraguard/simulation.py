@@ -28,24 +28,25 @@ power travels on each of its frames.
 
 Everything else that depends only on the scenario is bound while the
 simulation is built, so a run resolves no sub-band, computes no airtime and
-looks up no duty-cycle budget.  Every budget comes from
-``DutyCycleLedger.budget``, so one (transmitter, sub-band) pair shares one
-object, and the run calls its ``clearance`` and ``record`` directly.  Bound
-are: each device's urgent-uplink resource (its id, channel, parameters,
-airtime, received power and budget), and each alarm source's tuple of the
-resources it triggers; each reporter's parameters and airtime, its budget on
-the sub-band of each of its report channels (indexed by the hop's position in
-``rp_channels``), its cluster's DCP gateway, that gateway's budget on each of
-those sub-bands and the airtime of its window-1 downlink, which goes out on
-the report's own channel and sub-band; and the gateway's window-2 budget and
-the window-2 downlink's airtime, the same for every device.  The
-urgent-uplink counters are bound when the first alarm triggers an uplink, so
-a run without urgent uplinks still reports no ``UP`` kind.  Reports and
-urgent uplinks end through one close-out: each distinct tuple of per-gateway
-outcomes (in scenario gateway order) is resolved once into a shared
-read-only per-gateway map, the earliest backhaul delay among the decoding
-gateways and the system-level loss cause, and every uplink with that tuple
-reuses them.
+looks up no duty-cycle budget.  Every transmitter gets one budget per
+sub-band, an ``OfftimeBudget`` or a ``WindowBudget`` after its policy (a
+gateway's own, the scenario's device policy for a device), so one
+(transmitter, sub-band) pair shares one object, and the run calls its
+``clearance`` and ``record`` directly.  Bound are: each device's urgent-uplink
+resource (its id, channel, parameters, airtime, received power and budget),
+and each alarm source's tuple of the resources it triggers; each reporter's
+parameters and airtime, its budget on the sub-band of each of its report
+channels (indexed by the hop's position in ``rp_channels``), its cluster's DCP
+gateway, that gateway's budget on each of those sub-bands and the airtime of
+its window-1 downlink, which goes out on the report's own channel and
+sub-band; and the gateway's window-2 budget and the window-2 downlink's
+airtime, the same for every device.  The urgent-uplink counters are bound when
+the first alarm triggers an uplink, so a run without urgent uplinks still
+reports no ``UP`` kind.  Reports and urgent uplinks end through one close-out:
+each distinct tuple of per-gateway outcomes (in scenario gateway order) is
+resolved once into a shared read-only per-gateway map, the earliest backhaul
+delay among the decoding gateways and the system-level loss cause, and every
+uplink with that tuple reuses them.
 
 An urgent uplink in flight is its ``Transmission`` and its ``up-end``
 action, which carries the alarm's trigger instant; no outcome object is
@@ -69,8 +70,8 @@ from .engine import Engine, RandomStreams, SimTime, Stream
 from .gateway import Gateway
 from .metrics import (CAUSE_DUTY_CYCLE, NO_GATEWAYS, KindStats, MetricsCollector,
                       OutcomeLog, build_report, system_cause)
-from .phy import (CaptureModel, DutyCycleLedger, OfftimeBudget, RadioParams, RX2_FREQ_HZ,
-                  RX2_SF, Transmission, TransmissionKind, WindowBudget, airtime_us,
+from .phy import (BUDGETS, CaptureModel, OfftimeBudget, RadioParams, RX2_FREQ_HZ, RX2_SF,
+                  Transmission, TransmissionKind, WindowBudget, airtime_us,
                   default_eu868_plan)
 from .scenario import Scenario, scenario_digest, validate_scenario
 from .sensor import GasEvent, alarm_check, generate_events
@@ -136,12 +137,12 @@ class Simulation:
 
         self.capture = CaptureModel(self.scenario.capture)
 
-        self.ledger = DutyCycleLedger(default_policy=self.scenario.device_duty_policy)
-        self.gateways: dict[str, Gateway] = {}
-        for spec in self.scenario.gateways:
-            self.gateways[spec.id] = Gateway(spec)
-            self.ledger.set_policy(spec.id, spec.duty_policy)
-        budget = self.ledger.budget  # one object per (transmitter, sub-band)
+        self.gateways = {spec.id: Gateway(spec) for spec in self.scenario.gateways}
+        policy = {d.id: self.scenario.device_duty_policy for d in self.scenario.devices}
+        policy.update((g.id, g.duty_policy) for g in self.scenario.gateways)
+        # One budget per (transmitter, sub-band), of the transmitter's policy.
+        budgets = {(t, band.name): BUDGETS[p](t, band)
+                   for t, p in policy.items() for band in self.plan.subbands}
         dcp_gateway = {c.id: self.gateways[c.dcp_gateway] for c in self.scenario.clusters}
         dcp_len = self.scenario.dcp_payload_len
         rx2_band = self.plan.subband_of(RX2_FREQ_HZ)
@@ -160,7 +161,7 @@ class Simulation:
             params = RadioParams(sf=sf)
             self._up_resources[dspec.id] = (
                 device, dspec.id, freq_hz, params, airtime_us(params, dspec.up_payload_len),
-                dspec.rx_power_dbm, budget(dspec.id, self.plan.subband_of(freq_hz)))
+                dspec.rx_power_dbm, budgets[dspec.id, self.plan.subband_of(freq_hz).name])
             if dspec.rp_period_us is None:
                 continue
             params = RadioParams(sf=dspec.rp_sf)
@@ -168,10 +169,10 @@ class Simulation:
             gw = dcp_gateway[dspec.cluster]
             reporter = _Reporter(device, self.streams.stream(f"rp:{dspec.id}"), params,
                                  airtime_us(params, dspec.rp_payload_len),
-                                 tuple(budget(dspec.id, band) for band in bands), gw,
-                                 tuple(budget(gw.spec.id, band) for band in bands),
+                                 tuple(budgets[dspec.id, band.name] for band in bands), gw,
+                                 tuple(budgets[gw.spec.id, band.name] for band in bands),
                                  airtime_us(params, dcp_len),
-                                 (budget(gw.spec.id, rx2_band), rx2_airtime_us))
+                                 (budgets[gw.spec.id, rx2_band.name], rx2_airtime_us))
             reporter.handler = partial(self._attempt_rp, reporter)
             self._reporters.append(reporter)
         # (gateway id, gateway, its capture stream), in scenario order.

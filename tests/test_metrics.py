@@ -186,12 +186,19 @@ LOST_TO_DUTY_CYCLE = PacketOutcome(uid=0, device="ed1", trigger_us=15_000_000,
                                    cause=CAUSE_DUTY_CYCLE)
 
 
+def write(log, outcome):
+    """Write ``outcome``'s fields, as a run writes a finalized uplink."""
+    log.write(outcome.uid, outcome.device, outcome.trigger_us, outcome.start_us,
+              outcome.end_us, outcome.delivered, outcome.delivered_at_us, outcome.cause,
+              outcome.per_gateway)
+
+
 class TestOutcomeLog:
     @pytest.fixture
     def log(self):
         log = OutcomeLog()
         for outcome in (DELIVERED, LOST_ON_AIR, LOST_TO_DUTY_CYCLE):
-            log.append(outcome)
+            write(log, outcome)
         return log
 
     @pytest.mark.parametrize("index,outcome", [
@@ -219,16 +226,16 @@ class TestOutcomeLog:
         other = replace(DELIVERED, per_gateway=MappingProxyType({"gw1": "decoded",
                                                                  "gw2": "decoded"}))
         copy = replace(DELIVERED, per_gateway=MappingProxyType(dict(DELIVERED.per_gateway)))
-        log.append(other)
-        log.append(copy)
+        write(log, other)
+        write(log, copy)
         assert log[0].per_gateway is DELIVERED.per_gateway
         assert log[3].per_gateway is other.per_gateway
         assert log[4].per_gateway is copy.per_gateway
 
     def test_unpacking(self):
         log = OutcomeLog()
-        log.append(DELIVERED)
-        log.append(LOST_TO_DUTY_CYCLE)
+        write(log, DELIVERED)
+        write(log, LOST_TO_DUTY_CYCLE)
         first, second = log
         assert (first, second) == (DELIVERED, LOST_TO_DUTY_CYCLE)
 

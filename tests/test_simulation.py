@@ -12,8 +12,8 @@ import jsonschema
 import pytest
 
 from loraguard.metrics import CAUSE_DUTY_CYCLE, emit_report, latency_of
-from loraguard.phy import (ChannelPlan, DutyCycleLedger, RadioParams, Transmission,
-                           TransmissionKind, airtime_us, default_eu868_plan)
+from loraguard.phy import (BUDGETS, ChannelPlan, RadioParams, Transmission, TransmissionKind,
+                           airtime_us, default_eu868_plan)
 from loraguard.scenario import (ScenarioError, StopSpec, load_scenario, parse_scenario,
                                 shipped_scenario_path, validate_scenario)
 from loraguard.simulation import Simulation
@@ -398,8 +398,26 @@ def test_a_run_resolves_no_subband_and_no_airtime(monkeypatch):
     monkeypatch.setattr("loraguard.simulation.airtime_us",
                         counted("airtime_us", airtime_us))
     # Every duty-cycle budget is bound while the simulation is built.
-    for name in ("budget", "check", "record"):
-        monkeypatch.setattr(DutyCycleLedger, name,
-                            counted(name, getattr(DutyCycleLedger, name)))
+    for cls in BUDGETS.values():
+        monkeypatch.setattr(cls, "__init__", counted(cls.__name__, cls.__init__))
     assert sim.run()["dcp"]["sent_rx2"] > 0
     assert calls == {}
+
+
+@pytest.mark.parametrize("name", ["dcp_fallback", "demo_small"])
+def test_budgets_are_bound_once_per_transmitter_and_band(name):
+    scenario = (dcp_fallback_scenario() if name == "dcp_fallback"
+                else load_scenario(shipped_scenario_path(name)))
+    sim = Simulation(scenario)
+    held = [resource[-1] for resource in sim._up_resources.values()]
+    for reporter in sim._reporters:
+        held += [*reporter.budgets, *reporter.dcp_budgets, reporter.rx2_dcp[0]]
+    policy = {g.id: g.duty_policy for g in scenario.gateways}
+    bound = {}
+    for budget in held:
+        # One (transmitter, sub-band) pair holds one object, of its
+        # transmitter's policy.
+        assert bound.setdefault((budget.transmitter, budget.band.name), budget) is budget
+        assert type(budget) is BUDGETS[policy.get(budget.transmitter,
+                                                  scenario.device_duty_policy)]
+    assert len(bound) < len(held)  # the cluster's reporters share their gateway's
