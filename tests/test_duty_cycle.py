@@ -1,10 +1,15 @@
 """Duty-cycle budgets: off-time arithmetic, budget windows, saturation audits."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from loraguard.engine import US_PER_SECOND
-from loraguard.phy import BUDGETS, LedgerError, OfftimeBudget, WindowBudget, default_eu868_plan
+from loraguard.phy import (BUDGETS, VALID_BANDWIDTHS_HZ, LedgerError, OfftimeBudget, RadioParams,
+                           WindowBudget, airtime_us, default_eu868_plan)
+from loraguard.scenario import _DUTY_POLICIES, ScenarioError, parse_scenario
+from loraguard.simulation import Simulation
 
 PLAN = default_eu868_plan()
 G = PLAN.subband("g")      # 1%
@@ -130,6 +135,58 @@ class TestWindowPolicy:
             assert in_window <= limit
 
 
+def policy_doc(gateway_policy="window", device_policy="offtime"):
+    return {
+        "name": "policies",
+        "stop": {"ups": 5},
+        "device_duty_policy": device_policy,
+        "gateways": [{"id": "gw1", "duty_policy": gateway_policy}],
+        "clusters": [{"id": "c1", "members": ["ed1"], "dcp_gateway": "gw1"}],
+        "devices": [{"id": "ed1", "cluster": "c1"}],
+    }
+
+
+class TestPolicySelection:
+    def test_policy_registry(self):
+        assert BUDGETS == {"offtime": OfftimeBudget, "window": WindowBudget}
+        # Every policy a scenario accepts names a budget class, for gateways
+        # and devices alike.
+        assert set(BUDGETS) == set(_DUTY_POLICIES)
+        for gateway_policy, device_policy in itertools.product(_DUTY_POLICIES, repeat=2):
+            sim = Simulation(parse_scenario(policy_doc(gateway_policy, device_policy)))
+            (reporter,) = sim._reporters
+            assert type(sim._up_resources["ed1"][-1]) is BUDGETS[device_policy]
+            assert {type(b) for b in reporter.budgets} == {BUDGETS[device_policy]}
+            assert {type(b) for b in (*reporter.dcp_budgets, reporter.rx2_dcp[0])} == \
+                {BUDGETS[gateway_policy]}
+
+    @pytest.mark.parametrize("bad", ["hourly", "", "OFFTIME"])
+    def test_unknown_policies_are_rejected(self, bad):
+        assert bad not in BUDGETS
+        with pytest.raises(ScenarioError, match="device_duty_policy"):
+            parse_scenario(policy_doc(device_policy=bad))
+        with pytest.raises(ScenarioError, match="duty_policy"):
+            parse_scenario(policy_doc(gateway_policy=bad))
+
+
+@given(sf=st.integers(7, 12), cr=st.integers(1, 4), bw=st.sampled_from(VALID_BANDWIDTHS_HZ),
+       preamble=st.integers(1, 16), payload=st.integers(0, 255),
+       policy=st.sampled_from(sorted(BUDGETS)))
+def test_every_frame_a_run_records_spends_the_budget(sf, cr, bw, preamble, payload, policy):
+    """Property: a run records only airtimes from ``airtime_us``, which are
+    positive even for an empty payload, so each record spends the budget: a
+    frame that only an unspent budget could admit at once must now wait."""
+    air = airtime_us(RadioParams(sf=sf, bw_hz=bw, coding_rate=cr, preamble_symbols=preamble),
+                     payload)
+    assert air > 0
+    budget = BUDGETS[policy]("dev", G3)
+    budget.record(0, air)
+    rest = HOUR_US // G3.duty_one_in - air + 1  # one microsecond over what is left
+    assert budget.clearance(0, rest) > 0
+    with pytest.raises(LedgerError):
+        budget.record(0, rest)
+
+
 class TestRecordValidation:
     """``record`` re-validates whatever ``clearance`` came before it."""
 
@@ -216,3 +273,37 @@ def test_off_time_arithmetic_holds_for_every_frame(airtimes):
         end = now + air
         assert budget.clearance(end) == end + air * (G.duty_one_in - 1)
         now = end
+
+
+_BUDGET_OPS = st.lists(
+    st.tuples(st.sampled_from(("clearance", "record")),
+              st.integers(0, 3 * US_PER_SECOND),      # gap since the previous op
+              st.integers(1_000, 3 * US_PER_SECOND),  # airtime
+              st.integers(-US_PER_SECOND, US_PER_SECOND),  # record offset from clearance
+              st.none() | st.integers(1_000, 3 * US_PER_SECOND)),  # another airtime to record
+    min_size=1, max_size=80)
+
+
+@settings(max_examples=80, deadline=None)
+@given(policy=st.sampled_from(sorted(BUDGETS)), ops=_BUDGET_OPS)
+def test_clearance_and_record_agree(policy, ops):
+    """Property: over any sequence of clearances and records at times that
+    never go back, a record is accepted exactly when it starts at or after
+    the clearance for its airtime, asked of an identical budget just before.
+    The record may follow a clearance asked for another airtime."""
+    budget, shadow = BUDGETS[policy]("dev", G), BUDGETS[policy]("dev", G)
+    now = 0
+    for op, gap, air, offset, other_air in ops:
+        now += gap
+        if op == "clearance":
+            assert budget.clearance(now, air) >= now
+            continue
+        start = max(now, budget.clearance(now, air) + offset)
+        air = other_air or air
+        if shadow.clearance(start, air) <= start:
+            budget.record(start, air)
+            shadow.record(start, air)
+        else:
+            with pytest.raises(LedgerError):
+                budget.record(start, air)
+        now = start

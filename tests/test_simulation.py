@@ -421,3 +421,19 @@ def test_budgets_are_bound_once_per_transmitter_and_band(name):
         assert type(budget) is BUDGETS[policy.get(budget.transmitter,
                                                   scenario.device_duty_policy)]
     assert len(bound) < len(held)  # the cluster's reporters share their gateway's
+
+
+def test_simulations_share_no_budget():
+    """Each simulation builds its own budgets, so what one run spends never
+    delays another run of the same scenario."""
+    scenario = dcp_fallback_scenario()
+    first, second = Simulation(scenario), Simulation(scenario)
+
+    def held(sim):
+        budgets = [resource[-1] for resource in sim._up_resources.values()]
+        for reporter in sim._reporters:
+            budgets += [*reporter.budgets, *reporter.dcp_budgets, reporter.rx2_dcp[0]]
+        return {id(budget) for budget in budgets}
+
+    assert held(first) and not held(first) & held(second)
+    assert first.run() == second.run()
