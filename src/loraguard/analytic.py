@@ -66,7 +66,11 @@ def _g(u: float) -> float:
 
 
 def residual_density(x: float, period_s: float, sigma_s: float) -> float:
-    """Density w(x) of the residual time to the next renewal."""
+    """Density w(x) of the residual time to the next renewal.
+
+    It is the density the closed form of ``survivor_integral`` integrates; the
+    quadrature tests integrate it numerically as that closed form's reference.
+    """
     _validate_process(period_s, sigma_s)
     if not x >= 0:
         raise ValueError(f"residual time must be >= 0, got {x}")
@@ -256,13 +260,11 @@ def model_inputs(scenario: Scenario) -> ModelInputs | None:
     Every reporting device provokes one control-downlink stream at its report
     SF.  The urgent airtime is the longest among the devices an alarm
     triggers, at their assigned SF.  The model takes one report period and
-    jitter, so reporters that differ in either raise ValueError, as does an
-    invalid scenario (ScenarioError).
+    jitter, so reporters that differ in either raise ValueError.
     """
     # Lazy, so that importing the model loads neither the radio layer nor YAML.
     from .engine import US_PER_SECOND
     from .phy import RadioParams, airtime_us
-    from .scenario import validate_scenario
 
     reporters = [d for d in scenario.devices if d.rp_period_us is not None]
     if not reporters:
@@ -274,11 +276,11 @@ def model_inputs(scenario: Scenario) -> ModelInputs | None:
         raise ValueError(f"reporters {', '.join(differing)} differ from {first.id} in "
                          f"report period or clock jitter; the model needs one shared "
                          f"(T, sigma)")
-    assignments = validate_scenario(scenario)
     triggered = {d for trig in scenario.triggers for d in scenario.alarm_scope(trig)}
     return ModelInputs(
         tuple(airtime_us(RadioParams(sf=d.rp_sf), scenario.dcp_payload_len) / US_PER_SECOND
               for d in reporters),
-        max((airtime_us(RadioParams(sf=assignments[d][1]), scenario.device(d).up_payload_len)
-             / US_PER_SECOND for d in triggered), default=None),
+        max((airtime_us(RadioParams(sf=scenario.assignments[d][1]),
+                        scenario.device(d).up_payload_len) / US_PER_SECOND
+             for d in triggered), default=None),
         first.rp_period_us / US_PER_SECOND, first.clock_sigma_us / US_PER_SECOND)

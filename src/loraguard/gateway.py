@@ -103,8 +103,6 @@ class Gateway:
         While the radio transmits, no reception is active.  Returns the number
         of receptions preempted at this instant.
         """
-        if self.spec.role == "rx_only":
-            raise RuntimeError(f"{self.spec.id} is receive-only and cannot transmit")
         for uid in self.active:
             self.finished[uid] = CAUSE_GW_PREEMPTED
         preempted = len(self.active)

@@ -399,7 +399,11 @@ class SensorProfile:
 
 @dataclass(frozen=True)
 class Scenario:
-    """A complete, validated simulation input."""
+    """A complete simulation input, validated whenever one is built (``replace`` too).
+
+    ``assignments`` holds each cluster member's urgent (channel, SF).  It is not a
+    field, so parsing, serialising, the digest and the range checks skip it.
+    """
 
     name: str = _field("name", _STR)
     stop: StopSpec = _field("stop", _spec(StopSpec))
@@ -420,12 +424,11 @@ class Scenario:
     device_duty_policy: str = _field("device_duty_policy", _STR, "offtime",
                                      choices=_DUTY_POLICIES)
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "assignments", validate_scenario(self))
+
     def with_seed(self, seed: int) -> "Scenario":
-        """This scenario with another seed, held to the declared seed range."""
-        meta = next(f.metadata for f in fields(self) if f.name == "seed")
-        problem = _value_problem(meta, seed, "seed")
-        if problem is not None:
-            raise ScenarioError(problem)
+        """This scenario with another seed, validated like any other."""
         return replace(self, seed=seed)
 
     def device(self, device_id: str) -> DeviceSpec:
@@ -479,10 +482,8 @@ def _value_problem(meta: Mapping[str, Any], value: object, where: str) -> str | 
 
 
 def parse_scenario(data: object) -> Scenario:
-    """Build a Scenario from a parsed YAML document, then cross-validate it."""
-    scenario = _parse_spec(Scenario, data, "")
-    validate_scenario(scenario)
-    return scenario
+    """Build a Scenario, which validates itself, from a parsed YAML document."""
+    return _parse_spec(Scenario, data, "")
 
 
 def validate_scenario(scenario: Scenario) -> dict[str, tuple[int, int]]:

@@ -19,12 +19,11 @@ is on the air loses it (``missed_device_busy``).
 Urgent uplinks are triggered by gas alarms, use the (channel, SF) assignment
 the device was commissioned with, and are never retransmitted.
 
-The scenario is validated when a simulation is built, and the validation
-returns each member's assignment, which holds for the run.  Devices,
-gateways and the capture model hold their scenario specs and keep only what
-the run resolves (a device's report channels and urgent assignment, the
-merged survival table) besides their mutable state; a sender's received
-power travels on each of its frames.
+The scenario was validated when it was built and carries each member's
+assignment, which holds for the run.  Devices, gateways and the capture model
+hold their scenario specs and keep only what the run resolves (a device's
+report channels and urgent assignment, the merged survival table) besides
+their mutable state; a sender's received power travels on each of its frames.
 
 Everything else that depends only on the scenario is bound while the
 simulation is built, so a run resolves no sub-band, computes no airtime and
@@ -73,7 +72,7 @@ from .metrics import (CAUSE_DUTY_CYCLE, NO_GATEWAYS, KindStats, MetricsCollector
 from .phy import (BUDGETS, CaptureModel, OfftimeBudget, RadioParams, RX2_FREQ_HZ, RX2_SF,
                   Transmission, TransmissionKind, WindowBudget, airtime_us,
                   default_eu868_plan)
-from .scenario import Scenario, scenario_digest, validate_scenario
+from .scenario import Scenario, scenario_digest
 from .sensor import GasEvent, alarm_check, generate_events
 from .server import NetworkServer
 
@@ -117,10 +116,10 @@ class _Reporter:
 
 
 class Simulation:
-    """One runnable instance of a scenario, which is validated first."""
+    """One runnable instance of a scenario, which was validated when it was built."""
 
     def __init__(self, scenario: Scenario) -> None:
-        self.server = NetworkServer(validate_scenario(scenario))
+        self.server = NetworkServer(scenario.assignments)
         self.scenario = scenario
         self.plan = default_eu868_plan()
         self.engine = Engine()
@@ -155,7 +154,7 @@ class Simulation:
             # Commissioning: the device powers up knowing its assignment,
             # which holds for the rest of the run.
             device = EndDevice(dspec, dspec.rp_channels or rp_band.channels,
-                               self.server.assignments[dspec.id])
+                               scenario.assignments[dspec.id])
             self.devices[dspec.id] = device
             freq_hz, sf = device.assignment
             params = RadioParams(sf=sf)
@@ -231,7 +230,7 @@ class Simulation:
             seed=self.scenario.seed,
             scenario_digest=scenario_digest(self.scenario),
             ended_at_us=self.engine.now,
-            assignments=self.server.assignments,
+            assignments=self.scenario.assignments,
         )
 
     # -- alarm handling ---------------------------------------------------------

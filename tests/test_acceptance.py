@@ -25,11 +25,7 @@ from loraguard.cli import main
 from loraguard.engine import US_PER_SECOND
 from loraguard.metrics import CAUSE_PRIORITY, emit_report, wilson_interval
 from loraguard.phy import OfftimeBudget, RadioParams, airtime_us, default_eu868_plan
-from loraguard.scenario import (
-    load_scenario,
-    shipped_scenario_path,
-    validate_scenario,
-)
+from loraguard.scenario import load_scenario, shipped_scenario_path
 from loraguard.sensor import (
     COMBUSTIBLE_ALARM_VOLTS,
     COMBUSTIBLE_GASES,
@@ -131,9 +127,7 @@ def test3_sf8_run():
     devices = tuple(
         replace(d, assignment=(d.assignment[0], 8)) if d.id == "ed8" else d
         for d in base.devices)
-    variant = replace(base, name="test3_dual_gw_sf8", devices=devices)
-    validate_scenario(variant)
-    return timed_run(variant)
+    return timed_run(replace(base, name="test3_dual_gw_sf8", devices=devices))
 
 
 def test_criterion_01_analytic_prediction_under_one_second(capsys):
@@ -370,6 +364,5 @@ def test_every_urgent_uplink_ends_with_exactly_one_outcome(shipped_runs, name):
 @pytest.mark.parametrize("name", SHIPPED)
 def test_resolved_assignments_are_the_reported_ones(shipped_runs, name):
     scenario, _sim, report, _elapsed = shipped_runs[name]
-    assignments = validate_scenario(scenario)
     assert report["assignments"] == {device: {"channel_hz": freq, "sf": sf}
-                                     for device, (freq, sf) in assignments.items()}
+                                     for device, (freq, sf) in scenario.assignments.items()}

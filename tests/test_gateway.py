@@ -3,7 +3,6 @@
 import itertools
 
 import numpy as np
-import pytest
 
 from loraguard.gateway import Gateway
 from loraguard.metrics import (
@@ -14,6 +13,7 @@ from loraguard.metrics import (
 )
 from loraguard.phy import CaptureModel, RadioParams, Transmission, TransmissionKind
 from loraguard.scenario import CaptureSpec, GatewaySpec
+from loraguard.simulation import Simulation
 
 ALWAYS_COLLIDE = CaptureModel(CaptureSpec(survival=(((7, 7), 0.0),)))
 RNG = np.random.default_rng(0)
@@ -85,10 +85,15 @@ class TestHalfDuplex:
         assert gw.on_uplink_end(a, 10_000, ALWAYS_COLLIDE, RNG) == CAUSE_GW_PREEMPTED
         assert gw.on_uplink_end(b, 10_000, ALWAYS_COLLIDE, RNG) == CAUSE_GW_PREEMPTED
 
-    def test_receive_only_gateways_never_transmit(self):
-        gw = make_gateway(role="rx_only")
-        with pytest.raises(RuntimeError):
-            gw.start_downlink(0, 1_000)
+    def test_receive_only_gateways_never_transmit(self, two_gateway_scenario):
+        # A valid scenario sends every downlink through a full gateway.
+        sim = Simulation(two_gateway_scenario)
+        report = sim.run()
+        assert sim.gateways["gw1"].tx_busy_until > 0
+        assert sim.gateways["gw2"].tx_busy_until == 0
+        gw2_causes = {cause for causes in report["gateways"]["gw2"]["losses"].values()
+                      for cause in causes}
+        assert not gw2_causes & {CAUSE_TX_BUSY, CAUSE_GW_PREEMPTED}
 
     def test_tx_busy_frames_still_radiate_interference(self):
         gw = make_gateway()

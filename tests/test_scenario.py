@@ -1,13 +1,17 @@
 """Scenario documents: unit-suffixed quantities, validation, round-trips."""
 
 import dataclasses
+import pickle
 import re
+import sys
 from pathlib import Path
 
 import pytest
 import yaml
 
 from loraguard import scenario as scenario_module
+from loraguard.analytic import model_inputs
+from loraguard.cli import main
 from loraguard.device import EndDevice
 from loraguard.gateway import Gateway
 from loraguard.phy import CaptureModel, default_eu868_plan
@@ -26,7 +30,6 @@ from loraguard.scenario import (
     scenario_digest,
     scenario_to_dict,
     shipped_scenario_path,
-    validate_scenario,
 )
 from loraguard.server import assign_resources
 from loraguard.simulation import Simulation
@@ -121,6 +124,57 @@ class TestRoundTrip:
         assert scenario.device("ed1").cluster == "c1"
         with pytest.raises(KeyError):
             scenario.device("ghost")
+
+
+class TestValidatedWhenBuilt:
+    """A Scenario validates itself once, when it is built, and keeps its table."""
+
+    @pytest.fixture
+    def validations(self, monkeypatch):
+        """The names of the scenarios validated, from every namespace holding the check."""
+        original, names = scenario_module.validate_scenario, []
+
+        def counted(scenario):
+            names.append(scenario.name)
+            return original(scenario)
+
+        for name, module in list(sys.modules.items()):
+            if (name.startswith("loraguard")
+                    and getattr(module, "validate_scenario", None) is original):
+                monkeypatch.setattr(module, "validate_scenario", counted)
+        return names
+
+    def test_the_validate_command_validates_once(self, validations, capsys):
+        assert main(["validate", str(shipped_scenario_path("demo_small"))]) == 0
+        assert "validate: OK" in capsys.readouterr().out
+        assert validations == ["demo_small"]
+
+    def test_simulation_and_model_do_not_validate_again(self, validations):
+        scenario = load_scenario(shipped_scenario_path("demo_small"))
+        assert validations == ["demo_small"]
+        Simulation(scenario)
+        model_inputs(scenario)
+        assert validations == ["demo_small"]
+
+    def test_a_replaced_scenario_is_validated_by_the_replace(self):
+        scenario = parse_scenario(minimal_doc())
+        device = dataclasses.replace(scenario.devices[0], rp_period_us=0)
+        with pytest.raises(ScenarioError,
+                           match=re.escape("devices(ed1).rp_period: 0 s below 1 us")):
+            dataclasses.replace(scenario, devices=(device,))
+
+    @pytest.mark.parametrize("name", SHIPPED)
+    def test_a_scenario_survives_pickling(self, name):
+        scenario = load_scenario(shipped_scenario_path(name))
+        copy = pickle.loads(pickle.dumps(scenario))
+        assert copy == scenario
+        assert copy.assignments == scenario.assignments
+        assert scenario_digest(copy) == scenario_digest(scenario)
+
+    def test_the_table_is_not_serialised(self):
+        scenario = load_scenario(shipped_scenario_path("demo_small"))
+        assert scenario.assignments
+        assert "assignments" not in scenario_to_dict(scenario)
 
 
 def minimal_doc():
@@ -547,19 +601,19 @@ def cluster_doc(n):
 
 class TestUrgentResources:
     def test_without_explicit_assignments_the_table_is_the_automatic_rule(self):
-        table = validate_scenario(parse_scenario(cluster_doc(6)))
+        table = parse_scenario(cluster_doc(6)).assignments
         assert table == assign_resources([f"ed{i:02d}" for i in range(1, 7)], URGENT_CHANNELS)
 
     def test_listed_up_channels_replace_the_urgent_subband(self):
         doc = cluster_doc(3)
         doc["clusters"][0]["up_channels"] = ["867.5 MHz", "867.9 MHz"]
-        table = validate_scenario(parse_scenario(doc))
+        table = parse_scenario(doc).assignments
         assert table == assign_resources(("ed01", "ed02", "ed03"), (867_500_000, 867_900_000))
 
     def test_explicit_assignments_are_kept_and_the_others_filled_in(self):
         doc = cluster_doc(3)
         doc["devices"][0]["assignment"] = {"channel": "867.9 MHz", "sf": 10}
-        table = validate_scenario(parse_scenario(doc))
+        table = parse_scenario(doc).assignments
         automatic = assign_resources(("ed01", "ed02", "ed03"), URGENT_CHANNELS)
         assert table == {"ed01": (867_900_000, 10),
                          "ed02": automatic["ed02"], "ed03": automatic["ed03"]}
@@ -573,14 +627,13 @@ class TestUrgentResources:
         doc = cluster_doc(2)
         doc["devices"][0]["assignment"] = {"channel": "867.9 MHz", "sf": 10}
         doc["devices"][1]["assignment"] = {"channel": "867.9 MHz", "sf": 9}
-        scenario = parse_scenario(doc)
 
         def refuse(*_args):
             raise AssertionError("automatic rule called")
 
         monkeypatch.setattr("loraguard.scenario.assign_resources", refuse)
-        assert validate_scenario(scenario) == {"ed01": (867_900_000, 10),
-                                               "ed02": (867_900_000, 9)}
+        assert parse_scenario(doc).assignments == {"ed01": (867_900_000, 10),
+                                                   "ed02": (867_900_000, 9)}
 
     def test_alarm_scope_is_its_devices_else_its_clusters_members(self):
         doc = cluster_doc(3)
