@@ -10,11 +10,13 @@ The per-uplink contract is: ``on_uplink_start`` at the frame's first sample,
 ``on_uplink_end`` at its last, which returns the gateway's final outcome for
 the frame (``None`` = decoded, otherwise a loss cause).
 
-A frame holding a demodulation path is kept only as the list of the
-``(sf, rx power)`` of every co-channel frame that overlapped it, under its
-uid in ``active``; the frame itself comes back with ``on_uplink_end``.  A
-frame that heard no interferer is decoded without calling the capture
-model: both of its modes decode such a frame, and neither draws for it.
+A gateway is built with the run's capture model.  A frame holding a
+demodulation path is kept only as the list of the ``(sf, rx power)`` of its
+lethal interferers, the co-channel frames that overlapped it in an SF pair
+of ``CaptureModel.lethal``, under its uid in ``active``; the frame itself
+comes back with ``on_uplink_end``.  Any other interferer cannot change its
+outcome nor cause a draw, so a frame that heard no lethal interferer is
+decoded without consulting the capture model.
 """
 
 from __future__ import annotations
@@ -30,14 +32,15 @@ from .scenario import GatewaySpec
 
 @dataclass(slots=True)
 class Gateway:
-    """One gateway radio during a run: its spec and its state."""
+    """One gateway radio during a run: its spec, the run's capture model and its state."""
 
     spec: GatewaySpec
+    capture: CaptureModel
 
     # runtime state
     tx_busy_until: SimTime = 0
-    # uid -> (sf, rx power) of every co-channel frame that overlapped it, for
-    # each frame holding a demod path
+    # uid -> (sf, rx power) of every lethal co-channel frame that overlapped
+    # it, for each frame holding a demod path
     active: dict[int, list[tuple[int, float]]] = field(default_factory=dict)
     finished: dict[int, str] = field(default_factory=dict)  # early loss causes
     # uid -> (end_us, (sf, power)) per channel for every frame on the air,
@@ -49,29 +52,35 @@ class Gateway:
         """Register an arriving uplink.
 
         The frame joins the channel's interference set and is stamped onto
-        every overlapping reception regardless of whether it wins a
-        demodulation path itself.  A busy channel is scanned once: frames
-        that ended by ``now`` are pruned and take no part, each live
-        reception is stamped with the newcomer, and the live frames, in
-        arrival order, become the newcomer's interferers.
+        every overlapping reception it can destroy, regardless of whether it
+        wins a demodulation path itself.  A busy channel is scanned once:
+        frames that ended by ``now`` are pruned and take no part, each live
+        reception is stamped with the newcomer if their SF pair is lethal,
+        and the live frames that can destroy the newcomer, in arrival order,
+        become its interferers.
         """
         uid = tx.uid
         channel = self.on_air.get(tx.freq_hz)
         if channel is None:
             channel = self.on_air[tx.freq_hz] = {}
-        signal = (tx.params.sf, tx.rx_power_dbm)
+        sf = tx.params.sf
+        signal = (sf, tx.rx_power_dbm)
         interferers_seen = []
         active = self.active
         if channel:  # empty is the common case: nothing else on the air
+            lethal = self.capture.lethal
             ended = []
             for other_uid, (end, other) in channel.items():
                 if end <= now:
                     ended.append(other_uid)
                     continue
-                heard = active.get(other_uid)
-                if heard is not None:
-                    heard.append(signal)
-                interferers_seen.append(other)
+                other_sf = other[0]
+                if (other_sf, sf) in lethal:
+                    heard = active.get(other_uid)
+                    if heard is not None:
+                        heard.append(signal)
+                if (sf, other_sf) in lethal:
+                    interferers_seen.append(other)
             for other_uid in ended:
                 del channel[other_uid]
         channel[uid] = (tx.end_us, signal)
@@ -83,8 +92,7 @@ class Gateway:
         else:
             active[uid] = interferers_seen
 
-    def on_uplink_end(self, tx: Transmission, now: SimTime, model: CaptureModel,
-                      rng) -> str | None:
+    def on_uplink_end(self, tx: Transmission, now: SimTime, rng) -> str | None:
         """Close out an uplink; returns this gateway's loss cause, None if decoded."""
         uid = tx.uid
         # A frame that ended may already have been pruned by a later arrival.
@@ -92,8 +100,8 @@ class Gateway:
         interferers = self.active.pop(uid, None)
         if interferers is None:
             return self.finished.pop(uid)  # lost before its end
-        if interferers and not decodes_against(model, tx.params.sf, tx.rx_power_dbm,
-                                               interferers, rng):
+        if interferers and not decodes_against(self.capture, tx.params.sf,
+                                               tx.rx_power_dbm, interferers, rng):
             return CAUSE_COLLISION
         return None
 

@@ -13,9 +13,9 @@ per-gateway map) combination, of which a run has few, in an ``array('I')``.
 No ``PacketOutcome`` exists until the log is read, which rebuilds one per
 row.  Latencies are counted in a dict keyed by integer microseconds, from
 which the nearest-rank quantiles and the mean come out exactly, and gateway
-outcomes in one dict keyed ``(gateway, kind, cause)``, which the report
-groups by gateway.  Both are plain dicts: a ``Counter`` increment costs about
-twice a dict's.
+outcomes in nested dicts, gateway -> kind -> cause, which hash one string
+each where a ``(gateway, kind, cause)`` key would be hashed whole twice.
+All are plain dicts: a ``Counter`` increment costs about twice a dict's.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ import io
 import json
 import math
 import operator
+import struct
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, field
@@ -107,6 +108,10 @@ def _time(value: int) -> SimTime | None:
     return None if value == _ABSENT else value
 
 
+# One outcome's five integers as the bytes of five array('q') items.
+_ROW = struct.Struct("5q")
+
+
 class OutcomeLog(Sequence[PacketOutcome]):
     """Read-only sequence of finalized uplink outcomes, stored by column.
 
@@ -140,10 +145,11 @@ class OutcomeLog(Sequence[PacketOutcome]):
             at = self._shared_index[key] = len(self._shared)
             self._shared.append((device, delivered, cause, per_gateway))
         self._shared_at.append(at)
-        # fromlist is faster than extend, which takes any iterable item by item.
-        self._ints.fromlist([uid, trigger_us, _ABSENT if start_us is None else start_us,
-                             _ABSENT if end_us is None else end_us,
-                             _ABSENT if delivered_at_us is None else delivered_at_us])
+        # Packing the row is faster than fromlist, which converts item by item.
+        self._ints.frombytes(_ROW.pack(uid, trigger_us,
+                                       _ABSENT if start_us is None else start_us,
+                                       _ABSENT if end_us is None else end_us,
+                                       _ABSENT if delivered_at_us is None else delivered_at_us))
 
     def __len__(self) -> int:
         return len(self._shared_at)
@@ -204,8 +210,8 @@ class MetricsCollector:
 
     def __init__(self) -> None:
         self.kinds: dict[str, KindStats] = {}
-        # (gateway, kind, loss cause or None = decoded) -> uplinks
-        self.gateway_outcomes: dict[tuple[str, str, str | None], int] = {}
+        # gateway -> kind -> loss cause (None = decoded) -> uplinks
+        self.gateway_outcomes: dict[str, dict[str, dict[str | None, int]]] = {}
         self.up_latencies_us: dict[int, int] = {}  # latency in us -> uplinks
         self.dcp: dict[str, int] = {
             "requested": 0, "sent_rx1": 0, "sent_rx2": 0, "received": 0,
@@ -220,8 +226,11 @@ class MetricsCollector:
 
     def on_gateway_outcome(self, kind: str, gateway: str, cause: str | None) -> None:
         """Record one gateway's view of an uplink (cause None = decoded)."""
-        key = (gateway, kind, cause)
-        self.gateway_outcomes[key] = self.gateway_outcomes.get(key, 0) + 1
+        try:
+            causes = self.gateway_outcomes[gateway][kind]
+        except KeyError:
+            causes = self.gateway_outcomes.setdefault(gateway, {}).setdefault(kind, {})
+        causes[cause] = causes.get(cause, 0) + 1
 
     def latency_summary(self) -> dict[str, float] | None:
         """Mean and nearest-rank quantiles of the UP latencies, exact on integers."""
@@ -268,20 +277,17 @@ def build_report(collector: MetricsCollector, *, scenario_name: str, seed: int,
     if collector.kinds.get("UP") and (latency := collector.latency_summary()):
         kinds["UP"]["latency"] = latency
 
-    decoded: dict[str, dict[str, int]] = {}
-    losses: dict[str, dict[str, dict[str, int]]] = {}
-    for (gw, kind, cause), count in collector.gateway_outcomes.items():
-        if cause is None:
-            decoded.setdefault(gw, {})[kind] = count
-        else:
-            losses.setdefault(gw, {}).setdefault(kind, {})[cause] = count
     gateways: dict[str, dict[str, object]] = {}
-    for gw in sorted(decoded.keys() | losses.keys()):
-        gateways[gw] = {
-            "decoded": dict(sorted(decoded.get(gw, {}).items())),
-            "losses": {k: dict(sorted(v.items()))
-                       for k, v in sorted(losses.get(gw, {}).items())},
-        }
+    for gw, by_kind in sorted(collector.gateway_outcomes.items()):
+        decoded: dict[str, int] = {}
+        losses: dict[str, dict[str, int]] = {}
+        for kind, causes in sorted(by_kind.items()):
+            if None in causes:
+                decoded[kind] = causes[None]
+            lost = sorted((c, n) for c, n in causes.items() if c is not None)
+            if lost:
+                losses[kind] = dict(lost)
+        gateways[gw] = {"decoded": decoded, "losses": losses}
 
     return {
         "scenario": scenario_name,

@@ -374,14 +374,26 @@ class CaptureModel:
     orthogonal (survival 1).  ``"threshold"`` keeps a frame only if it beats
     every same-SF interferer by the spec's ``co_sf_margin_db``; different SFs
     never destroy each other in this mode.
+
+    ``lethal`` holds the (own SF, interferer SF) pairs in which the
+    interferer can destroy the frame, computed once from the mode: the pairs
+    whose survival is below 1 in empirical mode, the same-SF pairs in
+    threshold mode.  Any other interferer leaves the outcome and the draws
+    unchanged, so a gateway records only interferers of lethal pairs.
     """
 
     spec: CaptureSpec = CaptureSpec()
     survival: Mapping[tuple[int, int], float] = field(init=False)
+    lethal: frozenset[tuple[int, int]] = field(init=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "survival",
-                           {**DEFAULT_SURVIVAL, **dict(self.spec.survival)})
+        survival = {**DEFAULT_SURVIVAL, **dict(self.spec.survival)}
+        if self.spec.mode == "threshold":
+            lethal = frozenset((sf, sf) for sf in range(7, 13))
+        else:
+            lethal = frozenset(pair for pair, p in survival.items() if p < 1.0)
+        object.__setattr__(self, "survival", survival)
+        object.__setattr__(self, "lethal", lethal)
 
     def survival_probability(self, own_sf: int, other_sf: int) -> float:
         return self.survival.get((own_sf, other_sf), 1.0)
@@ -389,7 +401,10 @@ class CaptureModel:
 
 def decodes_against(model: CaptureModel, own_sf: int, own_power_dbm: float,
                     interferers: Iterable[tuple[int, float]], rng) -> bool:
-    """Whether a frame survives the given (sf, power_dbm) interferers."""
+    """Whether a frame survives the given (sf, power_dbm) interferers.
+
+    An interferer of a pair outside ``model.lethal`` is skipped without a draw.
+    """
     if model.spec.mode == "threshold":
         for sf, power in interferers:
             if sf == own_sf and own_power_dbm < power + model.spec.co_sf_margin_db:

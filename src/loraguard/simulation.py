@@ -47,10 +47,17 @@ resolved once into a shared read-only per-gateway map, the earliest backhaul
 delay among the decoding gateways and the system-level loss cause, and every
 uplink with that tuple reuses them.
 
-An urgent uplink in flight is its ``Transmission`` and its ``up-end``
-action, which carries the alarm's trigger instant; no outcome object is
-built.  Once finalized, its fields are written by column into
-``up_outcomes``, a ``metrics.OutcomeLog`` that keeps about 44 bytes per
+The urgent uplinks an alarm starts at one instant and that end at one
+instant are one group, closed out by one ``up-end`` action that carries the
+alarm's trigger instant: a burst of 15 uplinks on three SFs makes three.
+Each started uplink is its ``Transmission`` in its group's list; no outcome
+object is built.  The group's first member schedules the action, so it runs
+where the members' own close-outs would have run one after another, and it
+closes them out in the order they started.  A member that must wait for its
+device's own transmission is retried alone, a group of one, and the members
+after it start new groups: its retry may run at their end instant, before
+their close-out.  Once finalized, an uplink's fields are written by column
+into ``up_outcomes``, a ``metrics.OutcomeLog`` that keeps about 44 bytes per
 uplink and rebuilds a ``PacketOutcome`` whenever it is read.  A delivered
 uplink's latency is counted straight into the collector's latency counts;
 nothing else is kept per uplink.
@@ -78,6 +85,9 @@ from .server import NetworkServer
 
 
 _Budget = OfftimeBudget | WindowBudget
+
+# An enum member read through its class costs about ten plain name lookups.
+_RP, _UP = TransmissionKind.RP, TransmissionKind.UP
 
 # What an urgent uplink of one device needs, bound once per run: the device,
 # its id, the urgent channel, radio parameters, airtime, received power and
@@ -135,8 +145,8 @@ class Simulation:
         self._verdicts: dict[tuple[str | None, ...], _Verdict] = {}
 
         self.capture = CaptureModel(self.scenario.capture)
-
-        self.gateways = {spec.id: Gateway(spec) for spec in self.scenario.gateways}
+        self.gateways = {spec.id: Gateway(spec, self.capture)
+                         for spec in self.scenario.gateways}
         policy = {d.id: self.scenario.device_duty_policy for d in self.scenario.devices}
         policy.update((g.id, g.duty_policy) for g in self.scenario.gateways)
         # One budget per (transmitter, sub-band), of the transmitter's policy.
@@ -258,21 +268,30 @@ class Simulation:
             stats.generated += burst
             self._ups_generated += burst
             now = self.engine.now
+            ending: dict[SimTime, list[Transmission]] = {}
             for resource in source.resources:
-                self._attempt_up(resource, now)
+                self._attempt_up(resource, now, ending)
         self._schedule_next_alarm(source)
 
     # -- urgent uplinks -----------------------------------------------------------
 
-    def _attempt_up(self, resource: _Resource, trigger_us: SimTime) -> None:
-        """Send the urgent uplink on ``resource`` of the alarm triggered at ``trigger_us``."""
+    def _attempt_up(self, resource: _Resource, trigger_us: SimTime,
+                    ending: dict[SimTime, list[Transmission]]) -> None:
+        """Send the urgent uplink on ``resource`` of the alarm triggered at ``trigger_us``.
+
+        A started uplink joins its group in ``ending`` (end instant ->
+        members), or starts one and schedules the group's close-out.
+        """
         now = self.engine.now
         device, dev_id, freq_hz, params, air, rx_power_dbm, budget = resource
         if not device.idle_at(now):
-            # Half-duplex: wait out the device's own transmission.
+            # Half-duplex: wait out the device's own transmission.  The
+            # retry may run at a later member's end, before its close-out,
+            # so later members start new groups.
             self._up_stats.deferrals += 1
+            ending.clear()
             self.engine.schedule(device.busy_until,
-                                 partial(self._attempt_up, resource, trigger_us), "up")
+                                 partial(self._attempt_up, resource, trigger_us, {}), "up")
             return
         if budget.clearance(now, air) > now:
             # An urgent alarm is stale by the time the band frees; count it lost.
@@ -283,24 +302,38 @@ class Simulation:
             if self._ups_finalized == self._ups_generated:
                 self._stop_if_done()
             return
-        tx = Transmission(dev_id, TransmissionKind.UP, freq_hz, params, now, air,
+        tx = Transmission(dev_id, _UP, freq_hz, params, now, air,
                           next(self._uids), rx_power_dbm)
         self._start_uplink(device, tx, budget)
-        self.engine.schedule(tx.end_us, partial(self._finish_up, tx, trigger_us), "up-end")
+        group = ending.get(tx.end_us)
+        if group is None:
+            group = ending[tx.end_us] = []
+            self.engine.schedule(tx.end_us, partial(self._finish_ups, group, trigger_us),
+                                 "up-end")
+        group.append(tx)
 
-    def _finish_up(self, tx: Transmission, trigger_us: SimTime) -> None:
-        per_gateway, delay, cause = self._close_out(tx, "UP")
-        if cause is None:
-            delivered_at = self.engine.now + delay
-            self._up_stats.delivered += 1
-            latencies, latency = self.metrics.up_latencies_us, delivered_at - trigger_us
-            latencies[latency] = latencies.get(latency, 0) + 1
-        else:
-            delivered_at = None
-            self._up_stats.add_loss(cause)
-        self.up_outcomes.write(tx.uid, tx.source, trigger_us, tx.start_us, tx.end_us,
-                               cause is None, delivered_at, cause, per_gateway)
-        self._ups_finalized += 1
+    def _finish_ups(self, group: list[Transmission], trigger_us: SimTime) -> None:
+        """Close out the uplinks of ``group``, which end now, in the order they started."""
+        now = self.engine.now
+        stats = self._up_stats
+        latencies = self.metrics.up_latencies_us
+        write = self.up_outcomes.write
+        close_out = self._close_out
+        delivered = 0
+        for tx in group:
+            per_gateway, delay, cause = close_out(tx, "UP")
+            if cause is None:
+                delivered += 1
+                delivered_at = now + delay
+                latency = delivered_at - trigger_us
+                latencies[latency] = latencies.get(latency, 0) + 1
+            else:
+                delivered_at = None
+                stats.add_loss(cause)
+            write(tx.uid, tx.source, trigger_us, tx.start_us, tx.end_us, cause is None,
+                  delivered_at, cause, per_gateway)
+        stats.delivered += delivered
+        self._ups_finalized += len(group)
         if self._ups_finalized == self._ups_generated:
             self._stop_if_done()
 
@@ -320,7 +353,7 @@ class Simulation:
             self.metrics.kind("RP").deferrals += 1
             self.engine.schedule(clear_at, reporter.handler, "rp")
             return
-        tx = Transmission(device.spec.id, TransmissionKind.RP, device.rp_channels[hop],
+        tx = Transmission(device.spec.id, _RP, device.rp_channels[hop],
                           reporter.params, now, air, next(self._uids), device.spec.rx_power_dbm)
         self._start_uplink(device, tx, budget)
         self.engine.schedule(tx.end_us, partial(self._finish_rp, reporter, tx, hop), "rp-end")
@@ -353,7 +386,7 @@ class Simulation:
         now = self.engine.now
         causes: tuple[str | None, ...] = ()
         for gw_id, gw, rng in self._receivers:
-            cause = gw.on_uplink_end(tx, now, self.capture, rng)
+            cause = gw.on_uplink_end(tx, now, rng)
             self.metrics.on_gateway_outcome(kind, gw_id, cause)
             causes += (cause,)
         verdict = self._verdicts.get(causes)

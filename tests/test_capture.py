@@ -50,6 +50,14 @@ class TestCalibratedTable:
         assert model.survival_probability(11, 7) == 1.0
         assert model.survival_probability(7, 12) == 1.0
 
+    def test_lethal_pairs_are_those_with_survival_below_one(self):
+        model = CaptureModel(CaptureSpec(survival=(((9, 10), 0.75), ((7, 7), 1.0))))
+        assert model.lethal == {pair for pair, p in model.survival.items() if p < 1.0}
+        assert (9, 10) in model.lethal and (10, 9) not in model.lethal
+        assert (7, 7) not in model.lethal and (8, 8) in model.lethal
+        assert CaptureModel().lethal == {pair for pair, p in DEFAULT_SURVIVAL.items()
+                                         if p < 1.0}
+
     def test_spec_overrides_are_merged_over_the_calibrated_table(self):
         model = CaptureModel(CaptureSpec(survival=(((7, 7), 0.25), ((11, 7), 0.5))))
         assert model.survival == {**DEFAULT_SURVIVAL, (7, 7): 0.25, (11, 7): 0.5}
@@ -66,6 +74,13 @@ class TestThresholdMode:
 
     def test_different_sf_never_destroys(self):
         assert decodes_against(self.MODEL, 7, -120.0, [(8, 20.0)], BoomRng())
+
+    def test_lethal_pairs_are_the_same_sf_pairs(self):
+        same_sf = {(sf, sf) for sf in range(7, 13)}
+        assert self.MODEL.lethal == same_sf
+        # The survival table plays no part in this mode.
+        model = CaptureModel(CaptureSpec(mode="threshold", survival=(((7, 8), 0.5),)))
+        assert model.lethal == same_sf
 
     def test_power_asymmetry_resolves_a_pairwise_overlap(self):
         # A 10 dBm frame and a 0 dBm frame at SF7, each against the other.

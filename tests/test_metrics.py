@@ -125,9 +125,8 @@ class TestCollector:
         coll.on_gateway_outcome("UP", "gw1", CAUSE_COLLISION)
         coll.on_gateway_outcome("RP", "gw2", CAUSE_TX_BUSY)
         assert coll.gateway_outcomes == {
-            ("gw1", "UP", None): 2,
-            ("gw1", "UP", CAUSE_COLLISION): 1,
-            ("gw2", "RP", CAUSE_TX_BUSY): 1,
+            "gw1": {"UP": {None: 2, CAUSE_COLLISION: 1}},
+            "gw2": {"RP": {CAUSE_TX_BUSY: 1}},
         }
         report = build_report(coll, scenario_name="unit", seed=1, scenario_digest="0" * 16,
                               ended_at_us=0, assignments={})

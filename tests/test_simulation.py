@@ -10,6 +10,7 @@ from dataclasses import replace
 import jsonschema
 import pytest
 
+from loraguard.engine import Engine
 from loraguard.metrics import CAUSE_DUTY_CYCLE, emit_report, latency_of
 from loraguard.phy import (BUDGETS, ChannelPlan, RadioParams, Transmission, TransmissionKind,
                            airtime_us, default_eu868_plan)
@@ -415,3 +416,95 @@ def test_simulations_share_no_budget():
 
     assert held(first) and not held(first) & held(second)
     assert first.run() == second.run()
+
+
+SHIPPED = ["test1_sf_pairs", "test2_dl_priority", "test3_dual_gw", "calibration_pairs_sf7",
+           "calibration_pairs_sf7_sf8", "demo_small", "burst_cluster15"]
+
+
+def scheduled_kinds(monkeypatch):
+    """Record the ``(kind, at)`` of every event any engine schedules from now on."""
+    scheduled = []
+    schedule = Engine.schedule
+
+    def recording(engine, at, action, kind=""):
+        scheduled.append((kind, at))
+        schedule(engine, at, action, kind)
+
+    monkeypatch.setattr(Engine, "schedule", recording)
+    return scheduled
+
+
+class TestBurstCloseOut:
+    def test_one_close_out_per_distinct_end_instant_of_a_burst(self, monkeypatch):
+        # 15 simultaneous uplinks on SFs 8/9/10 end at three instants.
+        scheduled = scheduled_kinds(monkeypatch)
+        sim = Simulation(shipped_with_ups("burst_cluster15", 600))
+        up = sim.run()["kinds"]["UP"]
+        alarms, rest = divmod(up["generated"], 15)
+        assert alarms >= 40 and rest == 0 and up["deferrals"] == 0
+        assert len({o.end_us - o.start_us for o in sim.up_outcomes}) == 3
+        kinds = collections.Counter(kind for kind, _at in scheduled)
+        assert kinds["up-end"] == 3 * alarms
+        assert kinds["up"] == 0
+
+    def test_a_deferred_member_is_closed_out_alone_and_later_members_regroup(
+            self, monkeypatch):
+        # ed1 is still sending its report when the alarm fires: its uplink is
+        # retried when the report ends.  ed0, ed2 and ed3 send equally long
+        # uplinks at the alarm instant, but ed2 and ed3 start after the
+        # deferral and form a group of their own.
+        def scenario(alarm_at_us, end_us):
+            return parse_scenario({
+                "name": "deferred_burst_member",
+                "seed": 3,
+                "stop": {"duration": f"{end_us} us"},
+                "gateways": [{"id": "gw1"}],
+                "clusters": [{"id": "c1", "members": ["ed0", "ed1", "ed2", "ed3"],
+                              "dcp_gateway": "gw1"}],
+                "devices": [{"id": f"ed{i}", "cluster": "c1",
+                             "rp_period": "100 s" if i == 1 else None,
+                             "clock_sigma": "0 s", "rp_channels": ["868.1 MHz"],
+                             "assignment": {"channel": channel, "sf": 9}}
+                            for i, channel in enumerate(
+                                ["867.1 MHz", "867.3 MHz", "867.5 MHz", "867.7 MHz"])],
+                "alarms": [{"kind": "script", "species": "methane", "level": "1.2 %vol",
+                            "devices": ["ed0", "ed1", "ed2", "ed3"],
+                            "times": [f"{alarm_at_us} us"]}] if alarm_at_us else [],
+            })
+
+        probe = Simulation(scenario(None, 100_000_000))
+        probe.transmission_log = []
+        probe.run()
+        report_tx = probe.transmission_log[0]
+        alarm_at = report_tx.start_us + 1_000
+        scheduled = scheduled_kinds(monkeypatch)
+        sim = Simulation(scenario(alarm_at, report_tx.end_us + 10_000_000))
+        sim.transmission_log = []
+        up = sim.run()["kinds"]["UP"]
+        assert (up["generated"], up["deferrals"]) == (4, 1)
+
+        ups = [tx for tx in sim.transmission_log if tx.kind == TransmissionKind.UP]
+        assert [tx.source for tx in ups] == ["ed0", "ed2", "ed3", "ed1"]
+        air = ups[0].airtime_us
+        assert [tx.start_us for tx in ups] == [alarm_at] * 3 + [report_tx.end_us]
+        assert [at for kind, at in scheduled if kind == "up-end"] == [
+            alarm_at + air, alarm_at + air, report_tx.end_us + air]
+        assert [at for kind, at in scheduled if kind == "up"] == [report_tx.end_us]
+        # One outcome per uplink, in close-out order, with its frame's fields.
+        assert [(o.uid, o.device, o.trigger_us, o.start_us, o.end_us)
+                for o in sim.up_outcomes] == [
+            (tx.uid, tx.source, alarm_at, tx.start_us, tx.end_us) for tx in ups]
+        assert all(o.delivered for o in sim.up_outcomes)
+
+    @pytest.mark.parametrize("name", SHIPPED)
+    def test_uplinks_are_finalized_in_end_then_start_order(self, name):
+        sim = Simulation(shipped_with_ups(name, 300))
+        sim.transmission_log = []
+        sim.run()
+        # A frame's uid is drawn when it starts.  Uplinks lost to the duty
+        # cycle never reach the air and are finalized when they are attempted.
+        aired = [(o.end_us, o.uid) for o in sim.up_outcomes if o.end_us is not None]
+        assert aired == sorted(aired)
+        assert len(aired) == sum(tx.kind == TransmissionKind.UP
+                                 for tx in sim.transmission_log)
