@@ -18,7 +18,6 @@ from loraguard.sensor import (
     O2_RANGE_PCT,
     O2_RESOLUTION_PCT,
     PROPANE_BUTANE_SCALE,
-    GasEvent,
     SensorProfile,
     alarm_check,
     bridge_voltage,
@@ -42,7 +41,7 @@ def main() -> None:
 
     print("\nAround the methane trip point:")
     for conc in (0.99, 1.00, 1.20):
-        fired = alarm_check(profile, GasEvent(0, "methane", conc))
+        fired = alarm_check(profile, "methane", conc)
         volts = bridge_voltage("methane", conc)
         print(f"  {conc:.2f} %vol -> {volts:.3f} V -> {'ALARM' if fired else 'quiet'}")
 
@@ -51,7 +50,7 @@ def main() -> None:
           f"range {CO_RANGE_PPM[0]:.0f}-{CO_RANGE_PPM[1]:.0f} ppm):")
     for ppm in (98.9, 99.1, 600.0):
         reading, clamped = quantize(ppm, CO_RESOLUTION_PPM, *CO_RANGE_PPM)
-        fired = alarm_check(profile, GasEvent(0, "co", ppm))
+        fired = alarm_check(profile, "co", ppm)
         note = " (clamped to range)" if clamped else ""
         print(f"  raw {ppm:>6.1f} ppm -> reading {reading:>5.1f} ppm{note} "
               f"-> {'ALARM' if fired else 'quiet'}")
@@ -60,7 +59,7 @@ def main() -> None:
           f"{O2_RESOLUTION_PCT:.1f} % resolution):")
     for pct in (20.9, 19.2, 19.3):
         reading, _ = quantize(pct, O2_RESOLUTION_PCT, *O2_RANGE_PCT)
-        fired = alarm_check(profile, GasEvent(0, "o2", pct))
+        fired = alarm_check(profile, "o2", pct)
         print(f"  raw {pct:>5.1f} % -> reading {reading:>4.1f} % "
               f"-> {'ALARM' if fired else 'quiet'}")
 

@@ -12,11 +12,11 @@ from .engine import Engine, RandomStreams, SimTime, Stream, sample_gaussian
 from .device import EndDevice
 from .gateway import Gateway
 from .metrics import MetricsCollector, PacketOutcome, emit_report, plr, wilson_interval
-from .phy import (CaptureModel, ChannelPlan, RadioParams, SubBand, Transmission,
-                  TransmissionKind, airtime_us, default_eu868_plan)
+from .phy import (CaptureModel, ChannelPlan, RadioParams, SubBand, Transmission, airtime_us,
+                  default_eu868_plan)
 from .scenario import (Scenario, ScenarioError, SensorProfile, TriggerSpec, load_scenario,
                        parse_scenario, save_scenario, scenario_digest)
-from .sensor import GasEvent, alarm_check, bridge_voltage, generate_events, lel_voltage
+from .sensor import alarm_check, bridge_voltage, generate_events, lel_voltage
 from .server import NetworkServer, assign_resources
 from .simulation import Simulation
 
@@ -24,10 +24,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CaptureModel", "ChannelPlan", "EndDevice",
-    "Engine", "GasEvent", "Gateway", "MetricsCollector", "NetworkServer",
+    "Engine", "Gateway", "MetricsCollector", "NetworkServer",
     "PacketOutcome", "PlrModelParams", "PlrResult", "RadioParams", "RandomStreams",
     "Scenario", "ScenarioError", "SensorProfile", "SimTime", "SubBand",
-    "Simulation", "Stream", "Transmission", "TransmissionKind", "TriggerSpec",
+    "Simulation", "Stream", "Transmission", "TriggerSpec",
     "airtime_us", "alarm_check", "assign_resources", "bridge_voltage",
     "default_eu868_plan", "emit_report", "generate_events", "lel_voltage",
     "load_scenario", "parse_scenario", "plr", "plr_approx", "plr_exact_fixed",

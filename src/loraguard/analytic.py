@@ -249,7 +249,7 @@ class ModelInputs(NamedTuple):
     """What a scenario gives ``plr_exact_fixed``, in its argument order, in seconds."""
 
     dcp_airtimes_s: tuple[float, ...]  # one per reporting device, in scenario order
-    up_airtime_s: float | None  # None when no alarm triggers any device
+    up_airtime_s: float | None  # None when no alarm that trips triggers any device
     period_s: float
     sigma_s: float
 
@@ -258,13 +258,14 @@ def model_inputs(scenario: Scenario) -> ModelInputs | None:
     """The exact model's inputs implied by a scenario; None when no device reports.
 
     Every reporting device provokes one control-downlink stream at its report
-    SF.  The urgent airtime is the longest among the devices an alarm
-    triggers, at their assigned SF.  The model takes one report period and
+    SF.  The urgent airtime is the longest among the devices an alarm that
+    trips its sensors triggers, at their assigned SF.  The model takes one report period and
     jitter, so reporters that differ in either raise ValueError.
     """
     # Lazy, so that importing the model loads neither the radio layer nor YAML.
     from .engine import US_PER_SECOND
     from .phy import RadioParams, airtime_us
+    from .sensor import alarm_check
 
     reporters = [d for d in scenario.devices if d.rp_period_us is not None]
     if not reporters:
@@ -276,7 +277,9 @@ def model_inputs(scenario: Scenario) -> ModelInputs | None:
         raise ValueError(f"reporters {', '.join(differing)} differ from {first.id} in "
                          f"report period or clock jitter; the model needs one shared "
                          f"(T, sigma)")
-    triggered = {d for trig in scenario.triggers for d in scenario.alarm_scope(trig)}
+    triggered = {d for trig in scenario.triggers
+                 if alarm_check(scenario.sensor, trig.species, trig.level.value)
+                 for d in scenario.alarm_scope(trig)}
     return ModelInputs(
         tuple(airtime_us(RadioParams(sf=d.rp_sf), scenario.dcp_payload_len) / US_PER_SECOND
               for d in reporters),

@@ -20,7 +20,6 @@ class EndDevice:
 
     spec: DeviceSpec
     rp_channels: tuple[int, ...]  # the spec's report channels, else the report sub-band's
-    assignment: tuple[int, int]  # (freq_hz, sf) for urgent uplinks
 
     # runtime state
     busy_until: SimTime = 0

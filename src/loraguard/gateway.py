@@ -63,7 +63,7 @@ class Gateway:
         channel = self.on_air.get(tx.freq_hz)
         if channel is None:
             channel = self.on_air[tx.freq_hz] = {}
-        sf = tx.params.sf
+        sf = tx.sf
         signal = (sf, tx.rx_power_dbm)
         interferers_seen = []
         active = self.active
@@ -100,7 +100,7 @@ class Gateway:
         interferers = self.active.pop(uid, None)
         if interferers is None:
             return self.finished.pop(uid)  # lost before its end
-        if interferers and not decodes_against(self.capture, tx.params.sf,
+        if interferers and not decodes_against(self.capture, tx.sf,
                                                tx.rx_power_dbm, interferers, rng):
             return CAUSE_COLLISION
         return None

@@ -46,6 +46,9 @@ CAUSE_GW_PREEMPTED = "gw-preempted"
 CAUSE_PRIORITY = (CAUSE_DUTY_CYCLE, CAUSE_COLLISION, CAUSE_NO_DEMOD_PATH,
                   CAUSE_TX_BUSY, CAUSE_GW_PREEMPTED)
 
+# Uplink kinds a run counts: periodic report, urgent alarm uplink.
+KINDS = ("RP", "UP")
+
 WILSON_Z = 1.96  # two-sided 95%
 
 

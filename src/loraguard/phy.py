@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import Iterable, Mapping
 
 from .engine import SimTime, US_PER_SECOND
@@ -287,27 +286,20 @@ def _overdraw(budget: OfftimeBudget | WindowBudget, start: SimTime,
 BUDGETS = {"offtime": OfftimeBudget, "window": WindowBudget}
 
 
-class TransmissionKind(str, Enum):
-    RP = "RP"  # periodic report uplink
-    UP = "UP"  # urgent alarm uplink
-
-    def __str__(self) -> str:  # pragma: no cover
-        return self.value
-
-
 @dataclass(slots=True, init=False)
 class Transmission:
     """One frame on the air; ``end_us`` is fixed at construction.
 
-    ``uid`` is given by whoever builds the frame: a ``Simulation`` numbers its
-    own frames, so no counter is shared between runs.  ``rx_power_dbm`` is
-    the sender's received power at every gateway.
+    ``kind`` is one of ``metrics.KINDS``.  ``uid`` is given by whoever builds
+    the frame: a ``Simulation`` numbers its own frames, so no counter is
+    shared between runs.  ``rx_power_dbm`` is the sender's received power at
+    every gateway.
     """
 
     source: str
-    kind: TransmissionKind
+    kind: str
     freq_hz: int
-    params: RadioParams
+    sf: int
     start_us: SimTime
     airtime_us: SimTime
     uid: int
@@ -316,13 +308,12 @@ class Transmission:
 
     # Written out so that building a frame is one call: a generated __init__
     # would call __post_init__ to set end_us.
-    def __init__(self, source: str, kind: TransmissionKind, freq_hz: int,
-                 params: RadioParams, start_us: SimTime, airtime_us: SimTime, uid: int,
-                 rx_power_dbm: float) -> None:
+    def __init__(self, source: str, kind: str, freq_hz: int, sf: int, start_us: SimTime,
+                 airtime_us: SimTime, uid: int, rx_power_dbm: float) -> None:
         self.source = source
         self.kind = kind
         self.freq_hz = freq_hz
-        self.params = params
+        self.sf = sf
         self.start_us = start_us
         self.airtime_us = airtime_us
         self.uid = uid

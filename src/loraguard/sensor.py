@@ -10,13 +10,14 @@ The bridge scale, the combustible trip voltage and the CO/O2 ranges and
 resolutions are calibration constants of the sensor head, fixed below.  The
 CO and O2 trip points are site configuration: ``SensorProfile``, declared
 with the scenario's ``sensor`` section.  Alarm sources are declared there too,
-as ``TriggerSpec``.
+as ``TriggerSpec``.  A source exposes its devices to one species at one
+level, so ``alarm_check`` is asked once per source and ``generate_events``
+yields only the instants of its exposures.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 from typing import Iterator
 
 from .engine import SimTime, Stream
@@ -37,19 +38,6 @@ CO_RANGE_PPM = (0.0, 500.0)
 CO_RESOLUTION_PPM = 2.0
 O2_RANGE_PCT = (15.0, 21.0)
 O2_RESOLUTION_PCT = 0.5
-
-
-@dataclass(frozen=True)
-class GasEvent:
-    """A gas exposure at a given time.
-
-    ``level`` is %vol for combustible gases, ppm for CO, %O2 for oxygen.  The
-    devices it reaches are its trigger's scope (``Scenario.alarm_scope``).
-    """
-
-    at_us: SimTime
-    species: str
-    level: float
 
 
 def bridge_voltage(species: str, concentration_pct_vol: float) -> float:
@@ -80,42 +68,41 @@ def quantize(value: float, resolution: float, lo: float, hi: float) -> tuple[flo
     return lo + steps * resolution, clamped
 
 
-def alarm_check(profile: SensorProfile, event: GasEvent) -> bool:
-    """Would this exposure trip the alarm?
+def alarm_check(profile: SensorProfile, species: str, level: float) -> bool:
+    """Would an exposure to ``species`` at ``level`` trip the alarm?
 
+    ``level`` is %vol for combustible gases, ppm for CO, %O2 for oxygen.
     Combustibles alarm at bridge voltage >= the trip voltage; CO alarms at or
     above its trip ppm; O2 alarms at or below the deficiency level.  CO and O2
     readings are quantized to the sensor resolution first, and out-of-range
     readings are clamped (logged, still evaluated).
     """
-    if event.species in COMBUSTIBLE_GASES:
-        return bridge_voltage(event.species, event.level) >= COMBUSTIBLE_ALARM_VOLTS
-    if event.species == "co":
-        reading, clamped = quantize(event.level, CO_RESOLUTION_PPM, *CO_RANGE_PPM)
+    if species in COMBUSTIBLE_GASES:
+        return bridge_voltage(species, level) >= COMBUSTIBLE_ALARM_VOLTS
+    if species == "co":
+        reading, clamped = quantize(level, CO_RESOLUTION_PPM, *CO_RANGE_PPM)
         if clamped:
-            log.warning("CO reading %.1f ppm clamped to %.1f", event.level, reading)
+            log.warning("CO reading %.1f ppm clamped to %.1f", level, reading)
         return reading >= profile.co_alarm_ppm
-    if event.species == "o2":
-        reading, clamped = quantize(event.level, O2_RESOLUTION_PCT, *O2_RANGE_PCT)
+    if species == "o2":
+        reading, clamped = quantize(level, O2_RESOLUTION_PCT, *O2_RANGE_PCT)
         if clamped:
-            log.warning("O2 reading %.1f%% clamped to %.1f%%", event.level, reading)
+            log.warning("O2 reading %.1f%% clamped to %.1f%%", level, reading)
         return reading <= profile.o2_deficiency_pct
-    raise ValueError(f"unknown gas species {event.species!r}")
+    raise ValueError(f"unknown gas species {species!r}")
 
 
-def generate_events(spec: TriggerSpec, rng: Stream | None) -> Iterator[GasEvent]:
-    """Yield the gas events of one trigger source in time order.
+def generate_events(spec: TriggerSpec, rng: Stream | None) -> Iterator[SimTime]:
+    """Yield the exposure instants of one trigger source in time order.
 
     Scripted sources are finite; random sources are endless (the caller stops
     consuming when its packet budget is met).
     """
-    level = spec.level.value
     if spec.kind == "script":
-        for at in sorted(spec.times_us):
-            yield GasEvent(at, spec.species, level)
+        yield from sorted(spec.times_us)
         return
     lo, hi = spec.interarrival_us
     at: SimTime = 0
     while True:
         at += lo + rng.below(hi + 1 - lo)
-        yield GasEvent(at, spec.species, level)
+        yield at

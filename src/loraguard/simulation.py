@@ -20,10 +20,11 @@ Urgent uplinks are triggered by gas alarms, use the (channel, SF) assignment
 the device was commissioned with, and are never retransmitted.
 
 The scenario was validated when it was built and carries each member's
-assignment, which holds for the run.  Devices, gateways and the capture model
-hold their scenario specs and keep only what the run resolves (a device's
-report channels and urgent assignment, the merged survival table) besides
-their mutable state; a sender's received power travels on each of its frames.
+assignment, which holds for the run and is read once, into the device's
+urgent resource.  Devices, gateways and the capture model hold their scenario
+specs and keep only what the run resolves (a device's report channels, the
+merged survival table) besides their mutable state; a sender's received power
+and SF travel on each of its frames.
 
 Everything else that depends only on the scenario is bound while the
 simulation is built, so a run resolves no sub-band, computes no airtime and
@@ -32,16 +33,25 @@ sub-band, an ``OfftimeBudget`` or a ``WindowBudget`` after its policy (a
 gateway's own, the scenario's device policy for a device), so one
 (transmitter, sub-band) pair shares one object, and the run calls its
 ``clearance`` and ``record`` directly.  Bound are: each device's urgent-uplink
-resource (its id, channel, parameters, airtime, received power and budget),
-and each alarm source's tuple of the resources it triggers; each reporter's
-parameters and airtime, its budget on the sub-band of each of its report
+resource (its id, channel, SF, airtime, received power and budget); each
+reporter's SF and airtime, its budget on the sub-band of each of its report
 channels (indexed by the hop's position in ``rp_channels``), its cluster's DCP
 gateway, that gateway's budget on each of those sub-bands and the airtime of
 its window-1 downlink, which goes out on the report's own channel and
 sub-band; and the gateway's window-2 budget and the window-2 downlink's
-airtime, the same for every device.  The urgent-uplink counters are bound when
-the first alarm triggers an uplink, so a run without urgent uplinks still
-reports no ``UP`` kind.  Reports and urgent uplinks end through one close-out:
+airtime, the same for every device.
+
+Two decisions the scenario fixes are made there too, once.  A trigger exposes
+its devices to one species at one level, so ``alarm_check`` is asked once per
+trigger: one that trips becomes an alarm source holding the resources it
+triggers and its one ``alarm`` action; one that cannot trip gets no source, no
+stream and no events, as if it were absent.  A report is closed out at its
+end, so the server's command reaches the gateway one backhaul round trip
+later: each reporter binds the first receive window that round trip makes (1,
+else 2, else none), and a report whose round trip misses window 1 counts as
+``skipped_too_late``.  The urgent-uplink counters are bound when the first
+alarm triggers an uplink, so a run without urgent uplinks still reports no
+``UP`` kind.  Reports and urgent uplinks end through one close-out:
 each distinct tuple of per-gateway outcomes (in scenario gateway order) is
 resolved once into a shared read-only per-gateway map, the earliest backhaul
 delay among the decoding gateways and the system-level loss cause, and every
@@ -69,7 +79,7 @@ import itertools
 from dataclasses import dataclass
 from functools import partial
 from types import MappingProxyType
-from typing import Callable, Mapping
+from typing import Callable, Iterator, Mapping
 
 from .device import EndDevice
 from .engine import Engine, RandomStreams, SimTime, Stream
@@ -77,28 +87,27 @@ from .gateway import Gateway
 from .metrics import (CAUSE_DUTY_CYCLE, NO_GATEWAYS, KindStats, MetricsCollector,
                       OutcomeLog, build_report, system_cause)
 from .phy import (BUDGETS, CaptureModel, OfftimeBudget, RadioParams, RX2_FREQ_HZ, RX2_SF,
-                  Transmission, TransmissionKind, WindowBudget, airtime_us,
-                  default_eu868_plan)
+                  Transmission, WindowBudget, airtime_us, default_eu868_plan)
 from .scenario import Scenario, scenario_digest
-from .sensor import GasEvent, alarm_check, generate_events
+from .sensor import alarm_check, generate_events
 from .server import NetworkServer
 
 
 _Budget = OfftimeBudget | WindowBudget
 
-# An enum member read through its class costs about ten plain name lookups.
-_RP, _UP = TransmissionKind.RP, TransmissionKind.UP
-
 # What an urgent uplink of one device needs, bound once per run: the device,
-# its id, the urgent channel, radio parameters, airtime, received power and
-# the device's duty-cycle budget on the urgent sub-band.
-_Resource = tuple[EndDevice, str, int, RadioParams, SimTime, float, _Budget]
+# its id, the urgent channel and SF, airtime, received power and the device's
+# duty-cycle budget on the urgent sub-band.
+_Resource = tuple[EndDevice, str, int, int, SimTime, float, _Budget]
 
 
-@dataclass
+@dataclass(slots=True)
 class _AlarmSource:
+    """A trigger whose exposure trips its sensors, bound once per run."""
+
     resources: tuple[_Resource, ...]  # of the devices it triggers, in scope order
-    events: object  # iterator of GasEvent
+    instants: Iterator[SimTime]  # of its exposures, in time order
+    handler: Callable[[], None] | None = None  # the source's one "alarm" action
 
 
 # What one tuple of per-gateway outcomes means for an uplink: its read-only
@@ -114,7 +123,7 @@ class _Reporter:
 
     device: EndDevice
     rng: Stream
-    params: RadioParams
+    sf: int
     airtime_us: SimTime
     budgets: tuple[_Budget, ...]  # the device's, on each report channel's sub-band
     dcp_gateway: Gateway  # the cluster's gateway, which answers each decoded report
@@ -122,6 +131,7 @@ class _Reporter:
     dcp_airtime_us: SimTime  # a window-1 downlink's, at the report SF
     # the gateway's budget on the window-2 sub-band and a window-2 downlink's airtime
     rx2_dcp: tuple[_Budget, SimTime]
+    dcp_window: int | None  # 1, 2 or None: the first window a backhaul round trip makes
     handler: Callable[[], None] | None = None  # the device's one "rp" action
 
 
@@ -161,27 +171,27 @@ class Simulation:
         self.devices: dict[str, EndDevice] = {}
         self._reporters: list[_Reporter] = []
         for dspec in self.scenario.devices:
-            # Commissioning: the device powers up knowing its assignment,
-            # which holds for the rest of the run.
-            device = EndDevice(dspec, dspec.rp_channels or rp_band.channels,
-                               scenario.assignments[dspec.id])
+            device = EndDevice(dspec, dspec.rp_channels or rp_band.channels)
             self.devices[dspec.id] = device
-            freq_hz, sf = device.assignment
-            params = RadioParams(sf=sf)
+            freq_hz, sf = scenario.assignments[dspec.id]
             self._up_resources[dspec.id] = (
-                device, dspec.id, freq_hz, params, airtime_us(params, dspec.up_payload_len),
+                device, dspec.id, freq_hz, sf,
+                airtime_us(RadioParams(sf=sf), dspec.up_payload_len),
                 dspec.rx_power_dbm, budgets[dspec.id, self.plan.subband_of(freq_hz).name])
             if dspec.rp_period_us is None:
                 continue
             params = RadioParams(sf=dspec.rp_sf)
             bands = tuple(map(self.plan.subband_of, device.rp_channels))
             gw = dcp_gateway[dspec.cluster]
-            reporter = _Reporter(device, self.streams.stream(f"rp:{dspec.id}"), params,
+            round_trip = 2 * gw.spec.backhaul_delay_us
+            window = (1 if round_trip <= dspec.receive_delay1_us
+                      else 2 if round_trip <= dspec.receive_delay2_us else None)
+            reporter = _Reporter(device, self.streams.stream(f"rp:{dspec.id}"), dspec.rp_sf,
                                  airtime_us(params, dspec.rp_payload_len),
                                  tuple(budgets[dspec.id, band.name] for band in bands), gw,
                                  tuple(budgets[gw.spec.id, band.name] for band in bands),
                                  airtime_us(params, dcp_len),
-                                 (budgets[gw.spec.id, rx2_band.name], rx2_airtime_us))
+                                 (budgets[gw.spec.id, rx2_band.name], rx2_airtime_us), window)
             reporter.handler = partial(self._attempt_rp, reporter)
             self._reporters.append(reporter)
         # (gateway id, gateway, its capture stream), in scenario order.
@@ -193,11 +203,16 @@ class Simulation:
         self._up_target = self.scenario.stop.ups
         self._end_at = self.scenario.stop.at_us
 
+        # A trigger that cannot trip gets no source; a source's stream keeps
+        # its trigger's index.
         self._alarm_sources: list[_AlarmSource] = []
         for i, trig in enumerate(self.scenario.triggers):
+            if not alarm_check(self.scenario.sensor, trig.species, trig.level.value):
+                continue
             source = _AlarmSource(
-                resources=tuple(map(self._up_resources.get, self.scenario.alarm_scope(trig))),
-                events=generate_events(trig, self.streams.stream(f"alarm:{i}")))
+                tuple(map(self._up_resources.get, self.scenario.alarm_scope(trig))),
+                generate_events(trig, self.streams.stream(f"alarm:{i}")))
+            source.handler = partial(self._fire_alarm, source)
             self._alarm_sources.append(source)
         self._live_alarm_sources = len(self._alarm_sources)
 
@@ -248,29 +263,27 @@ class Simulation:
     def _schedule_next_alarm(self, source: _AlarmSource) -> None:
         if self._up_target is not None and self._ups_generated >= self._up_target:
             return
-        for event in source.events:
-            if self._end_at is not None and event.at_us > self._end_at:
+        for at in source.instants:
+            if self._end_at is not None and at > self._end_at:
                 return
-            self.engine.schedule(event.at_us, partial(self._fire_alarm, source, event),
-                                 "alarm")
+            self.engine.schedule(at, source.handler, "alarm")
             return
         self._live_alarm_sources -= 1  # generator exhausted
         self._stop_if_done()
 
-    def _fire_alarm(self, source: _AlarmSource, event: GasEvent) -> None:
-        if alarm_check(self.scenario.sensor, event):
-            stats = self._up_stats
-            if stats is None:
-                stats = self._up_stats = self.metrics.kind("UP")
-            # Count the whole burst first: an uplink lost at once to the duty
-            # cycle must not look like the last one in flight and stop the run.
-            burst = len(source.resources)
-            stats.generated += burst
-            self._ups_generated += burst
-            now = self.engine.now
-            ending: dict[SimTime, list[Transmission]] = {}
-            for resource in source.resources:
-                self._attempt_up(resource, now, ending)
+    def _fire_alarm(self, source: _AlarmSource) -> None:
+        stats = self._up_stats
+        if stats is None:
+            stats = self._up_stats = self.metrics.kind("UP")
+        # Count the whole burst first: an uplink lost at once to the duty
+        # cycle must not look like the last one in flight and stop the run.
+        burst = len(source.resources)
+        stats.generated += burst
+        self._ups_generated += burst
+        now = self.engine.now
+        ending: dict[SimTime, list[Transmission]] = {}
+        for resource in source.resources:
+            self._attempt_up(resource, now, ending)
         self._schedule_next_alarm(source)
 
     # -- urgent uplinks -----------------------------------------------------------
@@ -283,7 +296,7 @@ class Simulation:
         members), or starts one and schedules the group's close-out.
         """
         now = self.engine.now
-        device, dev_id, freq_hz, params, air, rx_power_dbm, budget = resource
+        device, dev_id, freq_hz, sf, air, rx_power_dbm, budget = resource
         if not device.idle_at(now):
             # Half-duplex: wait out the device's own transmission.  The
             # retry may run at a later member's end, before its close-out,
@@ -302,8 +315,7 @@ class Simulation:
             if self._ups_finalized == self._ups_generated:
                 self._stop_if_done()
             return
-        tx = Transmission(dev_id, _UP, freq_hz, params, now, air,
-                          next(self._uids), rx_power_dbm)
+        tx = Transmission(dev_id, "UP", freq_hz, sf, now, air, next(self._uids), rx_power_dbm)
         self._start_uplink(device, tx, budget)
         group = ending.get(tx.end_us)
         if group is None:
@@ -321,7 +333,7 @@ class Simulation:
         close_out = self._close_out
         delivered = 0
         for tx in group:
-            per_gateway, delay, cause = close_out(tx, "UP")
+            per_gateway, delay, cause = close_out(tx)
             if cause is None:
                 delivered += 1
                 delivered_at = now + delay
@@ -353,14 +365,14 @@ class Simulation:
             self.metrics.kind("RP").deferrals += 1
             self.engine.schedule(clear_at, reporter.handler, "rp")
             return
-        tx = Transmission(device.spec.id, _RP, device.rp_channels[hop],
-                          reporter.params, now, air, next(self._uids), device.spec.rx_power_dbm)
+        tx = Transmission(device.spec.id, "RP", device.rp_channels[hop],
+                          reporter.sf, now, air, next(self._uids), device.spec.rx_power_dbm)
         self._start_uplink(device, tx, budget)
         self.engine.schedule(tx.end_us, partial(self._finish_rp, reporter, tx, hop), "rp-end")
         self.engine.schedule(device.next_rp_time(now, reporter.rng), reporter.handler, "rp")
 
     def _finish_rp(self, reporter: _Reporter, tx: Transmission, hop: int) -> None:
-        _per_gateway, _delay, cause = self._close_out(tx, "RP")
+        _per_gateway, _delay, cause = self._close_out(tx)
         stats = self._rp_stats
         if stats is None:
             stats = self._rp_stats = self.metrics.kind("RP")
@@ -381,9 +393,10 @@ class Simulation:
         for _gw_id, gw, _rng in self._receivers:
             gw.on_uplink_start(tx, tx.start_us)
 
-    def _close_out(self, tx: Transmission, kind: str) -> _Verdict:
+    def _close_out(self, tx: Transmission) -> _Verdict:
         """End ``tx`` at every gateway, in scenario order, and return its verdict."""
         now = self.engine.now
+        kind = tx.kind
         causes: tuple[str | None, ...] = ()
         for gw_id, gw, rng in self._receivers:
             cause = gw.on_uplink_end(tx, now, rng)
@@ -409,23 +422,23 @@ class Simulation:
 
     def _request_dcp(self, reporter: _Reporter, rp: Transmission, hop: int) -> None:
         """Answer decoded report ``rp``, sent on report channel ``hop``, with a downlink."""
-        spec = reporter.device.spec
-        self.metrics.dcp["requested"] += 1
-        rx1_at = rp.end_us + spec.receive_delay1_us
-        rx2_at = rp.end_us + spec.receive_delay2_us
-        # Uplink to server and command back to the gateway: one backhaul
-        # round trip must beat the receive window.
-        ready_at = self.engine.now + 2 * reporter.dcp_gateway.spec.backhaul_delay_us
-        if ready_at <= rx1_at:
+        dcp = self.metrics.dcp
+        dcp["requested"] += 1
+        if reporter.dcp_window == 1:
+            rx1_at = rp.end_us + reporter.device.spec.receive_delay1_us
             self.engine.schedule(rx1_at, partial(self._attempt_dcp, reporter, rp, 1,
                                                  reporter.dcp_budgets[hop],
                                                  reporter.dcp_airtime_us), "dl")
-        elif ready_at <= rx2_at:
-            self.metrics.dcp["skipped_too_late"] += 1
-            self.engine.schedule(
-                rx2_at, partial(self._attempt_dcp, reporter, rp, 2, *reporter.rx2_dcp), "dl")
-        else:
-            self.metrics.dcp["skipped_too_late"] += 1
+            return
+        dcp["skipped_too_late"] += 1
+        if reporter.dcp_window == 2:
+            self._schedule_rx2(reporter, rp)
+
+    def _schedule_rx2(self, reporter: _Reporter, rp: Transmission) -> None:
+        """Try to answer ``rp`` in its second receive window, on the high-duty band."""
+        rx2_at = rp.end_us + reporter.device.spec.receive_delay2_us
+        self.engine.schedule(
+            rx2_at, partial(self._attempt_dcp, reporter, rp, 2, *reporter.rx2_dcp), "dl")
 
     def _attempt_dcp(self, reporter: _Reporter, rp: Transmission, window: int,
                      budget: _Budget, air: SimTime) -> None:
@@ -438,11 +451,8 @@ class Simulation:
             return
         if budget.clearance(now, air) > now:
             if window == 1:
-                # Window 1 blocked by the sub-band budget: retry in window 2,
-                # which lives on the high-duty band.
-                rx2_at = rp.end_us + device.spec.receive_delay2_us
-                self.engine.schedule(
-                    rx2_at, partial(self._attempt_dcp, reporter, rp, 2, *reporter.rx2_dcp), "dl")
+                # Window 1 blocked by the sub-band budget: retry in window 2.
+                self._schedule_rx2(reporter, rp)
             else:
                 self.metrics.dcp["skipped_duty_cycle"] += 1
             return

@@ -32,7 +32,6 @@ from loraguard.sensor import (
     LEL_PCT_VOL,
     METHANE_PCT_PER_VOLT,
     PROPANE_BUTANE_SCALE,
-    GasEvent,
     SensorProfile,
     alarm_check,
     lel_voltage,
@@ -305,8 +304,8 @@ def test_criterion_09_sensor_thresholds():
                 pct_per_volt *= PROPANE_BUTANE_SCALE
             trip_conc = COMBUSTIBLE_ALARM_VOLTS * pct_per_volt
             assert trip_conc < LEL_PCT_VOL[species]
-            assert alarm_check(profile, GasEvent(0, species, trip_conc))
-            assert not alarm_check(profile, GasEvent(0, species, trip_conc * 0.99))
+            assert alarm_check(profile, species, trip_conc)
+            assert not alarm_check(profile, species, trip_conc * 0.99)
 
 
 def test_criterion_10_seeded_runs_are_byte_identical(shipped_runs, replayed_reports):

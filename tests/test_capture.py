@@ -9,9 +9,7 @@ from loraguard.metrics import wilson_interval
 from loraguard.phy import (
     DEFAULT_SURVIVAL,
     CaptureModel,
-    RadioParams,
     Transmission,
-    TransmissionKind,
     decodes_against,
 )
 from loraguard.scenario import CaptureSpec
@@ -132,7 +130,6 @@ class TestTransmission:
     def test_end_time_and_unique_ids(self):
         # uid numbering belongs to the simulation and is tested there
         # (test_uid_sequences_do_not_depend_on_other_simulations).
-        tx = Transmission(source="x", kind=TransmissionKind.UP, freq_hz=867_100_000,
-                          params=RadioParams(sf=7), start_us=5_000, airtime_us=25_856, uid=1,
+        tx = Transmission(source="x", kind="UP", freq_hz=867_100_000, sf=7, start_us=5_000, airtime_us=25_856, uid=1,
                           rx_power_dbm=0.0)
         assert tx.end_us == 30_856

@@ -11,7 +11,7 @@ from loraguard.metrics import (
     CAUSE_NO_DEMOD_PATH,
     CAUSE_TX_BUSY,
 )
-from loraguard.phy import CaptureModel, RadioParams, Transmission, TransmissionKind
+from loraguard.phy import CaptureModel, Transmission
 from loraguard.scenario import CaptureSpec, GatewaySpec
 from loraguard.simulation import Simulation
 
@@ -37,8 +37,7 @@ def make_gateway(model=ALWAYS_COLLIDE, **spec_fields):
 
 
 def make_tx(source, freq_hz, start, airtime=100, sf=7, power=0.0):
-    return Transmission(source=source, kind=TransmissionKind.UP, freq_hz=freq_hz,
-                        params=RadioParams(sf=sf), start_us=start,
+    return Transmission(source=source, kind="UP", freq_hz=freq_hz, sf=sf, start_us=start,
                         airtime_us=airtime, uid=next(_UIDS), rx_power_dbm=power)
 
 

@@ -17,6 +17,7 @@ from loraguard.metrics import (
     CAUSE_NO_DEMOD_PATH,
     CAUSE_PRIORITY,
     CAUSE_TX_BUSY,
+    KINDS,
     WILSON_Z,
     KindStats,
     MetricsCollector,
@@ -29,7 +30,6 @@ from loraguard.metrics import (
     system_cause,
     wilson_interval,
 )
-from loraguard.phy import TransmissionKind
 
 
 class TestWilsonInterval:
@@ -307,7 +307,7 @@ class TestReport:
         causes = schema["definitions"]["cause_histogram"]["propertyNames"]["enum"]
         kinds = schema["properties"]["kinds"]["propertyNames"]["enum"]
         assert sorted(causes) == sorted(CAUSE_PRIORITY)
-        assert sorted(kinds) == sorted(kind.value for kind in TransmissionKind)
+        assert sorted(kinds) == sorted(KINDS)
 
     def test_json_emission_is_deterministic(self):
         report = make_report()

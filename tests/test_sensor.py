@@ -1,4 +1,4 @@
-"""Gas-sensor model: bridge voltages, quantized thresholds, trigger streams."""
+"""Gas-sensor model: bridge voltages, quantized thresholds, trigger instants."""
 
 import itertools
 import re
@@ -13,7 +13,6 @@ from loraguard.sensor import (
     COMBUSTIBLE_ALARM_VOLTS,
     COMBUSTIBLE_GASES,
     LEL_PCT_VOL,
-    GasEvent,
     SensorProfile,
     TriggerSpec,
     alarm_check,
@@ -38,11 +37,11 @@ class TestCombustibleBridge:
             pct_per_volt = 2.0 * (1.5 if species != "methane" else 1.0)
             alarm_conc = COMBUSTIBLE_ALARM_VOLTS * pct_per_volt
             assert alarm_conc < LEL_PCT_VOL[species]
-            assert alarm_check(PROFILE, GasEvent(0, species, alarm_conc))
+            assert alarm_check(PROFILE, species, alarm_conc)
 
     def test_methane_alarm_boundary(self):
-        assert alarm_check(PROFILE, GasEvent(0, "methane", 1.0))      # 0.5 V
-        assert not alarm_check(PROFILE, GasEvent(0, "methane", 0.999))
+        assert alarm_check(PROFILE, "methane", 1.0)      # 0.5 V
+        assert not alarm_check(PROFILE, "methane", 0.999)
 
     def test_propane_reads_at_two_thirds_the_methane_voltage(self):
         c = 1.2
@@ -69,23 +68,23 @@ class TestQuantizedChannels:
         assert quantize(98.9, 2.0, 0.0, 500.0) == (98.0, False)
 
     def test_co_alarm_respects_rounding(self):
-        assert alarm_check(PROFILE, GasEvent(0, "co", 99.9))       # reads 100
-        assert not alarm_check(PROFILE, GasEvent(0, "co", 98.9))   # reads 98
+        assert alarm_check(PROFILE, "co", 99.9)       # reads 100
+        assert not alarm_check(PROFILE, "co", 98.9)   # reads 98
 
     def test_co_out_of_range_is_clamped_but_still_evaluated(self):
         assert quantize(600.0, 2.0, 0.0, 500.0) == (500.0, True)
         assert quantize(-5.0, 2.0, 0.0, 500.0) == (0.0, True)
-        assert alarm_check(PROFILE, GasEvent(0, "co", 600.0))
-        assert not alarm_check(PROFILE, GasEvent(0, "co", -5.0))
+        assert alarm_check(PROFILE, "co", 600.0)
+        assert not alarm_check(PROFILE, "co", -5.0)
 
     def test_o2_deficiency_boundary(self):
-        assert alarm_check(PROFILE, GasEvent(0, "o2", 19.0))
-        assert alarm_check(PROFILE, GasEvent(0, "o2", 19.2))       # reads 19.0
-        assert not alarm_check(PROFILE, GasEvent(0, "o2", 19.3))   # reads 19.5
+        assert alarm_check(PROFILE, "o2", 19.0)
+        assert alarm_check(PROFILE, "o2", 19.2)       # reads 19.0
+        assert not alarm_check(PROFILE, "o2", 19.3)   # reads 19.5
 
     def test_unknown_species_rejected(self):
         with pytest.raises(ValueError):
-            alarm_check(PROFILE, GasEvent(0, "helium", 1.0))
+            alarm_check(PROFILE, "helium", 1.0)
 
     @given(st.floats(-50.0, 550.0))
     def test_quantized_reading_sits_on_the_grid_near_the_input(self, value):
@@ -101,16 +100,14 @@ class TestTriggers:
     def test_scripted_events_come_back_sorted(self):
         spec = TriggerSpec(kind="script", species="methane", level=GasLevel(1.2, "%vol"),
                            devices=("ed1",), times_us=(30_000_000, 10_000_000, 20_000_000))
-        events = list(generate_events(spec, rng=None))
-        assert [e.at_us for e in events] == [10_000_000, 20_000_000, 30_000_000]
-        assert all(e.species == "methane" and e.level == 1.2 for e in events)
+        assert list(generate_events(spec, rng=None)) == [10_000_000, 20_000_000, 30_000_000]
 
     def test_random_events_are_strictly_increasing_and_well_spaced(self):
         spec = TriggerSpec(kind="random", species="co", level=GasLevel(150.0, "ppm"),
                            cluster="c1")
         assert spec.interarrival_us == (120 * US_PER_SECOND, 130 * US_PER_SECOND)
         rng = RandomStreams(5).stream("alarms")
-        times = [e.at_us for e in itertools.islice(generate_events(spec, rng), 10_000)]
+        times = list(itertools.islice(generate_events(spec, rng), 10_000))
         gaps = np.diff([0] + times)
         assert gaps.min() >= 120 * US_PER_SECOND
         assert gaps.max() <= 130 * US_PER_SECOND

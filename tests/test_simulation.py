@@ -3,18 +3,23 @@
 import collections
 import gc
 import hashlib
+import itertools
 import json
+import logging
+import signal
 import tracemalloc
 from dataclasses import replace
 
 import jsonschema
 import pytest
 
-from loraguard.engine import Engine
-from loraguard.metrics import CAUSE_DUTY_CYCLE, emit_report, latency_of
-from loraguard.phy import (BUDGETS, ChannelPlan, RadioParams, Transmission, TransmissionKind,
-                           airtime_us, default_eu868_plan)
+from loraguard.analytic import model_inputs
+from loraguard.engine import Engine, RandomStreams
+from loraguard.metrics import CAUSE_DUTY_CYCLE, KINDS, emit_report, latency_of
+from loraguard.phy import (BUDGETS, ChannelPlan, RadioParams, Transmission, airtime_us,
+                           default_eu868_plan)
 from loraguard.scenario import StopSpec, load_scenario, parse_scenario, shipped_scenario_path
+from loraguard.sensor import generate_events
 from loraguard.simulation import Simulation
 
 
@@ -223,15 +228,15 @@ class TestDemoRun:
         for tx in sim.transmission_log:
             kinds_seen.add(tx.kind)
             assert tx.airtime_us > 0 and tx.end_us > tx.start_us
-            if tx.kind == TransmissionKind.RP:
+            if tx.kind == "RP":
                 assert tx.freq_hz in rp_channels
-                assert tx.params.sf == 7
-            elif tx.kind == TransmissionKind.UP:
+                assert tx.sf == 7
+            elif tx.kind == "UP":
                 assert tx.freq_hz in up_channels
-                assert 7 <= tx.params.sf <= 10
+                assert 7 <= tx.sf <= 10
                 # Every urgent frame uses its sender's commissioned resource.
-                assert (tx.freq_hz, tx.params.sf) == scenario.assignments[tx.source]
-        assert kinds_seen == {TransmissionKind.RP, TransmissionKind.UP}
+                assert (tx.freq_hz, tx.sf) == scenario.assignments[tx.source]
+        assert kinds_seen == set(KINDS)
 
     def test_report_matches_the_published_schema(self, demo_run, docs_dir):
         _scenario, _sim, report = demo_run
@@ -259,8 +264,8 @@ def test_uid_sequences_do_not_depend_on_other_simulations():
     first, second = Simulation(scenario), Simulation(scenario)
     first.transmission_log, second.transmission_log = [], []
     first.run()
-    Transmission(source="x", kind=TransmissionKind.UP, freq_hz=867_100_000,
-                 params=RadioParams(sf=7), start_us=0, airtime_us=1, uid=1, rx_power_dbm=0.0)
+    Transmission(source="x", kind="UP", freq_hz=867_100_000, sf=7, start_us=0, airtime_us=1,
+                 uid=1, rx_power_dbm=0.0)
     second.run()
     uids = [tx.uid for tx in first.transmission_log]
     assert uids == list(range(1, len(uids) + 1))
@@ -319,7 +324,7 @@ def _dcp_counts(backhaul, alarm_offsets, reports):
     sim.transmission_log = []
     dcp = sim.run()["dcp"]
     assert [tx.start_us for tx in sim.transmission_log
-            if tx.kind == TransmissionKind.RP] == [rp.start_us for rp in rps]
+            if tx.kind == "RP"] == [rp.start_us for rp in rps]
     return dcp
 
 
@@ -335,6 +340,15 @@ def test_dcp_receipt_paths():
     dcp = _dcp_counts("600 ms", {}, reports=1)
     assert (dcp["requested"], dcp["skipped_too_late"]) == (1, 1)
     assert (dcp["sent_rx1"], dcp["sent_rx2"], dcp["received"]) == (0, 1, 1)
+
+
+def test_a_round_trip_longer_than_rx2_sends_no_downlink(monkeypatch):
+    # 2 x 1.5 s misses the 2 s RX2 as well: the report is answered by nothing.
+    scheduled = scheduled_kinds(monkeypatch)
+    dcp = _dcp_counts("1.5 s", {}, reports=1)
+    assert dcp["requested"] == dcp["skipped_too_late"] == 1
+    assert dcp["sent_rx1"] == dcp["sent_rx2"] == dcp["received"] == 0
+    assert not any(kind in ("dl", "dl-end") for kind, _at in scheduled)
 
 
 def dcp_fallback_scenario():
@@ -484,7 +498,7 @@ class TestBurstCloseOut:
         up = sim.run()["kinds"]["UP"]
         assert (up["generated"], up["deferrals"]) == (4, 1)
 
-        ups = [tx for tx in sim.transmission_log if tx.kind == TransmissionKind.UP]
+        ups = [tx for tx in sim.transmission_log if tx.kind == "UP"]
         assert [tx.source for tx in ups] == ["ed0", "ed2", "ed3", "ed1"]
         air = ups[0].airtime_us
         assert [tx.start_us for tx in ups] == [alarm_at] * 3 + [report_tx.end_us]
@@ -506,5 +520,92 @@ class TestBurstCloseOut:
         # cycle never reach the air and are finalized when they are attempted.
         aired = [(o.end_us, o.uid) for o in sim.up_outcomes if o.end_us is not None]
         assert aired == sorted(aired)
-        assert len(aired) == sum(tx.kind == TransmissionKind.UP
+        assert len(aired) == sum(tx.kind == "UP"
                                  for tx in sim.transmission_log)
+
+
+# A CO exposure of 50 ppm reads below the 100 ppm trip point.
+QUIET_CO = {"kind": "random", "species": "co", "level": "50 ppm", "devices": ["ed2"],
+            "interarrival": {"min": "5 s", "max": "6 s"}}
+
+
+def two_device_scenario(alarms, stop):
+    """ed1 (SF9) reports every 10 s; ed2 (SF10) only sends urgent uplinks."""
+    return parse_scenario({
+        "name": "two_devices",
+        "seed": 4,
+        "stop": stop,
+        "gateways": [{"id": "gw1"}],
+        "clusters": [{"id": "c1", "members": ["ed1", "ed2"], "dcp_gateway": "gw1"}],
+        "devices": [{"id": "ed1", "cluster": "c1", "rp_period": "10 s",
+                     "assignment": {"channel": "867.1 MHz", "sf": 9}},
+                    {"id": "ed2", "cluster": "c1", "rp_period": None,
+                     "assignment": {"channel": "867.3 MHz", "sf": 10}}],
+        "alarms": alarms,
+    })
+
+
+SCRIPTED_ED1 = {"kind": "script", "species": "methane", "level": "1.2 %vol",
+                "devices": ["ed1"], "times": ["10 s", "40 s"]}
+
+
+class TestNonTrippingSources:
+    def test_a_source_that_cannot_trip_schedules_no_alarm(self, monkeypatch):
+        scheduled = scheduled_kinds(monkeypatch)
+        stop = {"duration": "120 s"}
+        report = Simulation(two_device_scenario([SCRIPTED_ED1, QUIET_CO], stop)).run()
+        kinds = collections.Counter(kind for kind, _at in scheduled)
+        assert kinds["alarm"] == 2  # the scripted source's two exposures
+        alone = Simulation(two_device_scenario([SCRIPTED_ED1], stop)).run()
+        assert report["scenario_digest"] != alone["scenario_digest"]
+        del report["scenario_digest"], alone["scenario_digest"]
+        assert report == alone
+        assert report["kinds"]["UP"]["generated"] == 2
+
+    def test_a_stop_ups_run_ends_despite_an_endless_quiet_source(self):
+        # stop.ups is out of reach once the scripted source runs dry; the
+        # random CO source never trips, so the run ends with the last uplink.
+        def timed_out(_signum, _frame):
+            raise TimeoutError("the run did not end")
+
+        scenario = scripted_scenario(
+            ["10 s"], stop={"ups": 3},
+            clusters=[{"id": "c1", "members": ["ed1", "ed2"], "dcp_gateway": "gw1"}],
+            devices=[{"id": f"ed{i}", "cluster": "c1", "rp_period": None,
+                      "assignment": {"channel": channel, "sf": 9}}
+                     for i, channel in ((1, "867.1 MHz"), (2, "867.3 MHz"))],
+            alarms=[{"kind": "script", "species": "methane", "level": "1.2 %vol",
+                     "devices": ["ed1"], "times": ["10 s"]}, QUIET_CO])
+        previous = signal.signal(signal.SIGALRM, timed_out)
+        signal.setitimer(signal.ITIMER_REAL, 10)
+        try:
+            report = Simulation(scenario).run()
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        assert report["kinds"]["UP"]["generated"] == 1
+        assert report["ended_at_us"] == 10_000_000 + 267_264
+
+    def test_a_tripping_source_keeps_its_trigger_index_stream(self):
+        tripping = {**QUIET_CO, "species": "methane", "level": "1.2 %vol"}
+        scenario = two_device_scenario([QUIET_CO, tripping], {"ups": 3})
+        sim = Simulation(scenario)
+        sim.run()
+        stream = RandomStreams(scenario.seed).stream("alarm:1")
+        expected = list(itertools.islice(generate_events(scenario.triggers[1], stream), 3))
+        assert [o.trigger_us for o in sim.up_outcomes] == expected
+
+    def test_a_clamped_reading_warns_once_per_source(self, caplog):
+        clamped = {"kind": "script", "species": "co", "level": "600 ppm",
+                   "devices": ["ed2"], "times": ["10 s", "20 s", "30 s"]}
+        scenario = two_device_scenario([clamped], {"duration": "60 s"})
+        with caplog.at_level(logging.WARNING, logger="loraguard.sensor"):
+            report = Simulation(scenario).run()
+        assert report["kinds"]["UP"]["generated"] == 3  # 600 ppm reads 500 ppm
+        assert [r.getMessage() for r in caplog.records] == [
+            "CO reading 600.0 ppm clamped to 500.0"]
+
+    def test_the_model_ignores_the_scope_of_a_source_that_cannot_trip(self):
+        # ed2's SF10 uplink would be the longer one, but its alarm never trips.
+        inputs = model_inputs(two_device_scenario([SCRIPTED_ED1, QUIET_CO], {"ups": 2}))
+        assert inputs.up_airtime_s == airtime_us(RadioParams(sf=9), 37) / 1e6
