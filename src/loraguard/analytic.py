@@ -32,14 +32,15 @@ the marginal evaluator makes one term per (tau, D) pair.
 
 Three evaluators are provided: exact per-sender airtimes, independent
 discrete mixtures of airtimes, and the small-loss linear approximation
-PLR = N (E[tau] + E[D]) / T.
+PLR = N (E[tau] + E[D]) / T.  ``verdict`` checks a run's urgent-uplink PLR
+against the exact evaluator on the scenario's ``model_inputs``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
 if TYPE_CHECKING:
     from .scenario import Scenario
@@ -258,14 +259,13 @@ def model_inputs(scenario: Scenario) -> ModelInputs | None:
     """The exact model's inputs implied by a scenario; None when no device reports.
 
     Every reporting device provokes one control-downlink stream at its report
-    SF.  The urgent airtime is the longest among the devices an alarm that
-    trips its sensors triggers, at their assigned SF.  The model takes one report period and
-    jitter, so reporters that differ in either raise ValueError.
+    SF.  The urgent airtime is the longest among the devices the scenario's
+    tripping triggers trigger, at their assigned SF.  The model takes one report
+    period and jitter, so reporters that differ in either raise ValueError.
     """
     # Lazy, so that importing the model loads neither the radio layer nor YAML.
     from .engine import US_PER_SECOND
     from .phy import RadioParams, airtime_us
-    from .sensor import alarm_check
 
     reporters = [d for d in scenario.devices if d.rp_period_us is not None]
     if not reporters:
@@ -277,9 +277,7 @@ def model_inputs(scenario: Scenario) -> ModelInputs | None:
         raise ValueError(f"reporters {', '.join(differing)} differ from {first.id} in "
                          f"report period or clock jitter; the model needs one shared "
                          f"(T, sigma)")
-    triggered = {d for trig in scenario.triggers
-                 if alarm_check(scenario.sensor, trig.species, trig.level.value)
-                 for d in scenario.alarm_scope(trig)}
+    triggered = {d for _i, trig in scenario.tripping for d in scenario.alarm_scope(trig)}
     return ModelInputs(
         tuple(airtime_us(RadioParams(sf=d.rp_sf), scenario.dcp_payload_len) / US_PER_SECOND
               for d in reporters),
@@ -287,3 +285,25 @@ def model_inputs(scenario: Scenario) -> ModelInputs | None:
                         scenario.device(d).up_payload_len) / US_PER_SECOND
              for d in triggered), default=None),
         first.rp_period_us / US_PER_SECOND, first.clock_sigma_us / US_PER_SECOND)
+
+
+class ModelCheck(NamedTuple):
+    """A run's urgent-uplink PLR checked against the exact model's prediction."""
+
+    inputs: ModelInputs
+    predicted: float  # plr_exact_fixed's PLR
+    observed: float  # the run's UP PLR
+    ci95: tuple[float, float]  # the report's 95% interval of ``observed``
+    inside: bool  # whether ``predicted`` lies in ``ci95``
+
+
+def verdict(scenario: Scenario, report: Mapping) -> ModelCheck | None:
+    """Check a run's ``report`` against the exact model of its ``scenario``; None
+    when the model does not apply (no device reports) or no urgent uplink was sent."""
+    inputs = model_inputs(scenario)
+    up = report["kinds"].get("UP")
+    if inputs is None or not up or up["generated"] == 0:
+        return None
+    predicted = plr_exact_fixed(*inputs).plr
+    lo, hi = up["plr_ci95"]
+    return ModelCheck(inputs, predicted, up["plr"], (lo, hi), lo <= predicted <= hi)

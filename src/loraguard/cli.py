@@ -14,8 +14,8 @@ import time
 from pathlib import Path
 
 from .analytic import (PlrModelParams, model_inputs, plr_approx, plr_exact_fixed,
-                       plr_marginal)
-from .metrics import emit_report, wilson_interval
+                       plr_marginal, verdict)
+from .metrics import emit_report
 from .phy import RadioParams, airtime_us
 from .scenario import Scenario, ScenarioError, load_scenario
 from .simulation import Simulation
@@ -35,14 +35,13 @@ def _say(args: argparse.Namespace, text: str) -> None:
 
 
 def _load(args: argparse.Namespace) -> Scenario | int:
-    """The scenario file with the ``--seed`` override applied and checked.
+    """The scenario file, built once with the ``--seed`` override in place.
 
     If it cannot be loaded, the reason goes to stderr and the exit code is
     returned instead.
     """
     try:
-        scenario = load_scenario(args.scenario)
-        return scenario if args.seed is None else scenario.with_seed(args.seed)
+        return load_scenario(args.scenario, args.seed)
     except OSError as exc:
         print(f"error: cannot read {args.scenario}: {exc}", file=sys.stderr)
         return EXIT_READ_ERROR
@@ -151,20 +150,17 @@ def cmd_validate(args: argparse.Namespace) -> int:
         print("validate: not applicable (no gateway sends control downlinks)")
         return EXIT_OK
 
-    report = Simulation(scenario).run()
-    up = report["kinds"].get("UP")
-    if not up or up["generated"] == 0:
+    check = verdict(scenario, Simulation(scenario).run())
+    if check is None:
         print("error: scenario produced no urgent uplinks to validate", file=sys.stderr)
         return EXIT_RUNTIME
-    predicted = plr_exact_fixed(*inputs)
-    observed = up["plr"]
-    lo, hi = wilson_interval(up["lost"], up["generated"])
-    line = (f"observed UP PLR {100 * observed:.3f}% "
+    lo, hi = check.ci95
+    line = (f"observed UP PLR {100 * check.observed:.3f}% "
             f"(CI {100 * lo:.3f}%..{100 * hi:.3f}%), "
-            f"predicted {100 * predicted.plr:.3f}%")
-    ok = lo <= predicted.plr <= hi
-    if args.rel_tolerance is not None and observed > 0:
-        rel = abs(observed - predicted.plr) / predicted.plr
+            f"predicted {100 * check.predicted:.3f}%")
+    ok = check.inside
+    if args.rel_tolerance is not None:
+        rel = abs(check.observed - check.predicted) / check.predicted
         ok = rel <= args.rel_tolerance
         line += f", relative gap {100 * rel:.1f}%"
     print(line)

@@ -401,8 +401,9 @@ class SensorProfile:
 class Scenario:
     """A complete simulation input, validated whenever one is built (``replace`` too).
 
-    ``assignments`` holds each cluster member's urgent (channel, SF).  It is not a
-    field, so parsing, serialising, the digest and the range checks skip it.
+    ``assignments`` holds each cluster member's urgent (channel, SF), ``tripping`` the
+    (index, trigger) pairs whose exposure trips the sensors.  Neither is a field,
+    so parsing, serialising, the digest and the range checks skip them.
     """
 
     name: str = _field("name", _STR)
@@ -425,7 +426,12 @@ class Scenario:
                                      choices=_DUTY_POLICIES)
 
     def __post_init__(self) -> None:
+        from .sensor import alarm_check  # lazy: sensor imports this module
+
         object.__setattr__(self, "assignments", validate_scenario(self))
+        object.__setattr__(self, "tripping", tuple(
+            (i, trig) for i, trig in enumerate(self.triggers)
+            if alarm_check(self.sensor, trig.species, trig.level.value)))
 
     def with_seed(self, seed: int) -> "Scenario":
         """This scenario with another seed, validated like any other."""
@@ -644,13 +650,15 @@ def validate_scenario(scenario: Scenario) -> dict[str, tuple[int, int]]:
     return assignments
 
 
-def load_scenario(path: str | Path) -> Scenario:
-    """Read and validate a scenario YAML file."""
+def load_scenario(path: str | Path, seed: int | None = None) -> Scenario:
+    """Read and validate a scenario YAML file, with ``seed``, if given, for its own."""
     text = Path(path).read_text(encoding="utf-8")
     try:
         data = yaml.safe_load(text)
     except yaml.YAMLError as exc:
         raise ScenarioError(f"{path}: not valid YAML: {exc}") from exc
+    if seed is not None and isinstance(data, dict):
+        data["seed"] = seed
     return parse_scenario(data)
 
 

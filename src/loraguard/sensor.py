@@ -10,8 +10,8 @@ The bridge scale, the combustible trip voltage and the CO/O2 ranges and
 resolutions are calibration constants of the sensor head, fixed below.  The
 CO and O2 trip points are site configuration: ``SensorProfile``, declared
 with the scenario's ``sensor`` section.  Alarm sources are declared there too,
-as ``TriggerSpec``.  A source exposes its devices to one species at one
-level, so ``alarm_check`` is asked once per source and ``generate_events``
+as ``TriggerSpec``.  A source exposes one species at one level, so its
+scenario asks ``alarm_check`` once, when it is built, and ``generate_events``
 yields only the instants of its exposures.
 """
 

@@ -41,9 +41,8 @@ its window-1 downlink, which goes out on the report's own channel and
 sub-band; and the gateway's window-2 budget and the window-2 downlink's
 airtime, the same for every device.
 
-Two decisions the scenario fixes are made there too, once.  A trigger exposes
-its devices to one species at one level, so ``alarm_check`` is asked once per
-trigger: one that trips becomes an alarm source holding the resources it
+Each trigger that trips its sensors, as the scenario decided when it was built
+(``Scenario.tripping``), becomes an alarm source holding the resources it
 triggers and its one ``alarm`` action; one that cannot trip gets no source, no
 stream and no events, as if it were absent.  A report is closed out at its
 end, so the server's command reaches the gateway one backhaul round trip
@@ -51,11 +50,11 @@ later: each reporter binds the first receive window that round trip makes (1,
 else 2, else none), and a report whose round trip misses window 1 counts as
 ``skipped_too_late``.  The urgent-uplink counters are bound when the first
 alarm triggers an uplink, so a run without urgent uplinks still reports no
-``UP`` kind.  Reports and urgent uplinks end through one close-out:
-each distinct tuple of per-gateway outcomes (in scenario gateway order) is
-resolved once into a shared read-only per-gateway map, the earliest backhaul
-delay among the decoding gateways and the system-level loss cause, and every
-uplink with that tuple reuses them.
+``UP`` kind.  Reports and urgent uplinks end through one close-out: each
+distinct tuple of per-gateway outcomes (in scenario gateway order) is resolved
+once into a shared read-only per-gateway map, the earliest backhaul delay
+among the decoding gateways and the system-level loss cause, and every uplink
+with that tuple reuses them.
 
 The urgent uplinks an alarm starts at one instant and that end at one
 instant are one group, closed out by one ``up-end`` action that carries the
@@ -89,7 +88,7 @@ from .metrics import (CAUSE_DUTY_CYCLE, NO_GATEWAYS, KindStats, MetricsCollector
 from .phy import (BUDGETS, CaptureModel, OfftimeBudget, RadioParams, RX2_FREQ_HZ, RX2_SF,
                   Transmission, WindowBudget, airtime_us, default_eu868_plan)
 from .scenario import Scenario, scenario_digest
-from .sensor import alarm_check, generate_events
+from .sensor import generate_events
 from .server import NetworkServer
 
 
@@ -203,12 +202,9 @@ class Simulation:
         self._up_target = self.scenario.stop.ups
         self._end_at = self.scenario.stop.at_us
 
-        # A trigger that cannot trip gets no source; a source's stream keeps
-        # its trigger's index.
+        # A source's stream keeps its trigger's index.
         self._alarm_sources: list[_AlarmSource] = []
-        for i, trig in enumerate(self.scenario.triggers):
-            if not alarm_check(self.scenario.sensor, trig.species, trig.level.value):
-                continue
+        for i, trig in self.scenario.tripping:
             source = _AlarmSource(
                 tuple(map(self._up_resources.get, self.scenario.alarm_scope(trig))),
                 generate_events(trig, self.streams.stream(f"alarm:{i}")))

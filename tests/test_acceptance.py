@@ -19,8 +19,8 @@ from dataclasses import replace
 
 import pytest
 
-from loraguard.analytic import (PlrModelParams, model_inputs, plr_approx, plr_exact_fixed,
-                               plr_marginal)
+from loraguard.analytic import (PlrModelParams, plr_approx, plr_exact_fixed, plr_marginal,
+                               verdict)
 from loraguard.cli import main
 from loraguard.engine import US_PER_SECOND
 from loraguard.metrics import CAUSE_PRIORITY, emit_report, wilson_interval
@@ -147,16 +147,40 @@ def test_criterion_01_analytic_prediction_under_one_second(capsys):
 def test_criterion_02_simulation_matches_the_exact_model(shipped_runs):
     with criterion(2, "downlink-priority PLR agrees with the renewal model"):
         scenario, sim, report, elapsed = shipped_runs["test2_dl_priority"]
-        up = report["kinds"]["UP"]
-        assert up["generated"] == 20_000
-        inputs = model_inputs(scenario)
-        assert len(inputs.dcp_airtimes_s) == 8
-        assert inputs.up_airtime_s == airtime_us(RadioParams(sf=9), 37) / US_PER_SECOND
-        predicted = plr_exact_fixed(*inputs)
-        lo, hi = up["plr_ci95"]
-        assert lo <= predicted.plr <= hi
-        assert 0.030 <= up["plr"] <= 0.048
+        assert report["kinds"]["UP"]["generated"] == 20_000
+        check = verdict(scenario, report)
+        assert len(check.inputs.dcp_airtimes_s) == 8
+        assert check.inputs.up_airtime_s == airtime_us(RadioParams(sf=9), 37) / US_PER_SECOND
+        assert check.inside
+        assert 0.030 <= check.observed <= 0.048
         assert elapsed < 60.0
+
+
+# ``loraguard validate``'s verdict on each shipped run, at its printed precision:
+# (prediction inside the interval, observed %, interval %, predicted %), or None
+# where the model does not apply.  test1's system PLR also counts UP-vs-UP
+# collisions and test3's uplinks are rescued by the receive-only gw2, which the
+# one-gateway model does not see (ROADMAP D1 and K).
+SHIPPED_VERDICTS = {
+    "test1_sf_pairs": (False, "54.590", "53.899", "55.279", "0.469"),
+    "test2_dl_priority": (True, "3.725", "3.471", "3.996", "3.925"),
+    "test3_dual_gw": (False, "0.000", "0.000", "0.019", "1.863"),
+    "calibration_pairs_sf7": None,
+    "calibration_pairs_sf7_sf8": None,
+    "demo_small": (True, "4.000", "3.120", "5.115", "3.925"),
+    "burst_cluster15": None,
+}
+
+
+def test_the_model_verdict_on_every_shipped_run(shipped_runs):
+    def printed(check):
+        if check is None:
+            return None
+        return (check.inside, *(f"{100 * x:.3f}" for x in
+                                (check.observed, *check.ci95, check.predicted)))
+
+    assert {name: printed(verdict(scenario, report))
+            for name, (scenario, _sim, report, _s) in shipped_runs.items()} == SHIPPED_VERDICTS
 
 
 def test_criterion_03_receive_only_gateway_rescues_urgent_uplinks(

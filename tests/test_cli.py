@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, formats, exit codes."""
 
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -176,6 +177,25 @@ class TestValidate:
     def test_impossible_tolerance_reports_a_mismatch(self, capsys):
         assert main(["validate", DEMO, "--rel-tolerance", "1e-9"]) == EXIT_MISMATCH
         assert "validate: MISMATCH" in capsys.readouterr().out
+
+    def test_a_tolerance_applies_to_a_run_that_lost_nothing(self, tmp_path, capsys):
+        # 0 of 50 lost puts the prediction inside the interval, 100% from it.
+        doc = yaml.safe_load(shipped_scenario_path("test3_dual_gw").read_text(encoding="utf-8"))
+        doc["stop"] = {"ups": 50}
+        assert main(["validate", write_doc(tmp_path, doc),
+                     "--rel-tolerance", "0.5"]) == EXIT_MISMATCH
+        out = capsys.readouterr().out
+        assert "observed UP PLR 0.000% (CI 0.000%..7.135%)" in out
+        assert ", relative gap 100.0%" in out and "validate: MISMATCH" in out
+
+    def test_a_clamped_alarm_level_warns_once(self, tmp_path, caplog, capsys):
+        doc = yaml.safe_load(Path(DEMO).read_text(encoding="utf-8"))
+        doc["alarms"][0].update(species="co", level="600 ppm")
+        with caplog.at_level(logging.WARNING, logger="loraguard.sensor"):
+            assert main(["validate", write_doc(tmp_path, doc)]) == EXIT_OK
+        assert [r.getMessage() for r in caplog.records] == [
+            "CO reading 600.0 ppm clamped to 500.0"]
+        assert "validate: OK" in capsys.readouterr().out
 
     def test_scenario_without_report_traffic_is_not_applicable(
             self, tiny_scenario, capsys):

@@ -598,9 +598,9 @@ class TestNonTrippingSources:
     def test_a_clamped_reading_warns_once_per_source(self, caplog):
         clamped = {"kind": "script", "species": "co", "level": "600 ppm",
                    "devices": ["ed2"], "times": ["10 s", "20 s", "30 s"]}
-        scenario = two_device_scenario([clamped], {"duration": "60 s"})
+        # The scenario decides which sources trip, so building it warns.
         with caplog.at_level(logging.WARNING, logger="loraguard.sensor"):
-            report = Simulation(scenario).run()
+            report = Simulation(two_device_scenario([clamped], {"duration": "60 s"})).run()
         assert report["kinds"]["UP"]["generated"] == 3  # 600 ppm reads 500 ppm
         assert [r.getMessage() for r in caplog.records] == [
             "CO reading 600.0 ppm clamped to 500.0"]
