@@ -10,7 +10,7 @@ Run: python3 demos/04_sim_vs_model.py   (about 10 s; it prints when the run is d
 
 import time
 
-from loraguard.analytic import verdict
+from loraguard.analytic import model_inputs, verdict
 from loraguard.scenario import load_scenario, shipped_scenario_path
 from loraguard.simulation import Simulation
 
@@ -20,7 +20,7 @@ def main() -> None:
     started = time.perf_counter()
     report = Simulation(scenario).run()
     elapsed = time.perf_counter() - started
-    check = verdict(scenario, report)
+    check = verdict(model_inputs(scenario), report)
     inputs, (lo, hi) = check.inputs, check.ci95
     up = report["kinds"]["UP"]
 

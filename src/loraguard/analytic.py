@@ -297,10 +297,10 @@ class ModelCheck(NamedTuple):
     inside: bool  # whether ``predicted`` lies in ``ci95``
 
 
-def verdict(scenario: Scenario, report: Mapping) -> ModelCheck | None:
-    """Check a run's ``report`` against the exact model of its ``scenario``; None
-    when the model does not apply (no device reports) or no urgent uplink was sent."""
-    inputs = model_inputs(scenario)
+def verdict(inputs: ModelInputs | None, report: Mapping) -> ModelCheck | None:
+    """Check a run's ``report`` against the exact model on ``inputs``, its scenario's
+    ``model_inputs``; None when the model does not apply (no device reports) or no
+    urgent uplink was sent."""
     up = report["kinds"].get("UP")
     if inputs is None or not up or up["generated"] == 0:
         return None

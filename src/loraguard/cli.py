@@ -150,7 +150,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
         print("validate: not applicable (no gateway sends control downlinks)")
         return EXIT_OK
 
-    check = verdict(scenario, Simulation(scenario).run())
+    check = verdict(inputs, Simulation(scenario).run())
     if check is None:
         print("error: scenario produced no urgent uplinks to validate", file=sys.stderr)
         return EXIT_RUNTIME

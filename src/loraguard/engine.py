@@ -37,7 +37,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 from heapq import heappop, heappush
-from math import exp, log1p
+from math import exp, inf, log1p
 from types import ModuleType
 from typing import Callable, Iterable
 
@@ -76,13 +76,14 @@ class Engine:
 
     Events at the same timestamp are processed in scheduling order: the queue
     is keyed by ``(at, seq)`` where ``seq`` is a monotone counter, so ordering
-    never depends on hash order or callback identity.
+    never depends on hash order or callback identity.  ``run_until`` is the
+    one loop; an event's kind names it only in the scheduling error.
     """
 
     def __init__(self) -> None:
         self.now: SimTime = 0
         self._stopped = False
-        self._queue: list[tuple[SimTime, int, str, Callable[[], None]]] = []
+        self._queue: list[tuple[SimTime, int, Callable[[], None]]] = []
         self._seq = itertools.count()
 
     def __len__(self) -> int:
@@ -92,31 +93,26 @@ class Engine:
         """Enqueue ``action`` to run at time ``at`` (which may equal ``now``)."""
         if at < self.now:
             raise SchedulingError(f"cannot schedule {kind or 'event'} at {at} (now={self.now})")
-        heappush(self._queue, (at, next(self._seq), kind, action))
+        heappush(self._queue, (at, next(self._seq), action))
 
     def stop(self) -> None:
-        """End ``run_while`` once the running action returns; it cannot resume."""
+        """End ``run_until``, with or without an end, once the running action
+        returns; the engine cannot resume."""
         self._stopped = True
 
-    def run_until(self, end: SimTime) -> None:
-        """Process every event with timestamp <= ``end``, then set now = end."""
-        if end < self.now:
+    def run_until(self, end: SimTime | None = None) -> None:
+        """Run events in time order until ``stop``, an empty queue or the first
+        event after ``end``; then, if ``end`` was given, set now = end."""
+        if end is not None and end < self.now:
             raise SchedulingError(f"cannot run backwards to {end} (now={self.now})")
         queue = self._queue
-        while queue and queue[0][0] <= end:
-            at, _seq, _kind, action = heappop(queue)
+        bound = inf if end is None else end
+        while queue and not self._stopped and queue[0][0] <= bound:
+            at, _seq, action = heappop(queue)
             self.now = at
             action()
-        self.now = end
-
-    def run_while(self) -> None:
-        """Drain the queue while events remain and ``stop`` has not been called."""
-        queue = self._queue
-        pop = heappop
-        while queue and not self._stopped:
-            at, _seq, _kind, action = pop(queue)
-            self.now = at
-            action()
+        if end is not None:
+            self.now = end
 
 
 class Stream:

@@ -12,6 +12,7 @@ Covers four concerns:
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
@@ -208,20 +209,20 @@ class WindowBudget:
     while the long-run busy fraction still cannot exceed the limit.  A
     transmission counts against the window until its end slides out of it,
     which over-counts at the boundary and keeps the audit conservative.
-    ``history`` holds ``(end, airtime)`` of every recorded frame; entries
-    before ``start`` have slid out of the window and ``used`` sums the rest.
+    ``history`` holds ``(end, airtime)`` of the recorded frames whose end lies
+    inside the window trailing the last check, oldest first, and ``used``
+    sums their airtime; each check drops the frames that have slid out.
     ``record`` reuses the clearance last computed at the same
     ``(start, airtime)`` and re-checks otherwise.
     """
 
-    __slots__ = ("transmitter", "band", "limit_us", "history", "start", "used", "_checked")
+    __slots__ = ("transmitter", "band", "limit_us", "history", "used", "_checked")
 
     def __init__(self, transmitter: str, band: SubBand) -> None:
         self.transmitter = transmitter
         self.band = band
         self.limit_us = WINDOW_US // band.duty_one_in
-        self.history: list[tuple[SimTime, SimTime]] = []
-        self.start = 0
+        self.history: deque[tuple[SimTime, SimTime]] = deque()
         self.used: SimTime = 0
         # (now, airtime_us, clearance) of the last check since the last record.
         self._checked: tuple[SimTime, SimTime, SimTime] | None = None
@@ -234,30 +235,21 @@ class WindowBudget:
                 f"a {airtime_us} us frame can never fit the {limit} us per-window "
                 f"budget of {self.band.name}")
         history = self.history
-        i = self.start
         used = self.used
-        if i < len(history):
-            horizon = now - WINDOW_US
-            while i < len(history) and history[i][0] <= horizon:
-                used -= history[i][1]
-                i += 1
-            if i > 4096 and i * 2 > len(history):
-                del history[:i]
-                i = 0
-            self.start = i
-            self.used = used
+        horizon = now - WINDOW_US
+        while history and history[0][0] <= horizon:
+            used -= history.popleft()[1]
+        self.used = used
         clear = now
         if used + airtime_us > limit:
             # Slide forward until enough old airtime has left the trailing window.
-            while True:
-                if i >= len(history):  # pragma: no cover
-                    raise AssertionError("window accounting out of sync")
-                end_i, spent_i = history[i]
+            for end_i, spent_i in history:
                 used -= spent_i
-                i += 1
                 if used + airtime_us <= limit:
                     clear = end_i + WINDOW_US
                     break
+            else:  # pragma: no cover
+                raise AssertionError("window accounting out of sync")
         self._checked = (now, airtime_us, clear)
         return clear
 

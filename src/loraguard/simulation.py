@@ -140,9 +140,9 @@ class Simulation:
     def __init__(self, scenario: Scenario) -> None:
         self.server = NetworkServer(scenario.assignments)
         self.scenario = scenario
-        self.plan = default_eu868_plan()
+        plan = default_eu868_plan()
         self.engine = Engine()
-        self.streams = RandomStreams(self.scenario.seed)
+        streams = RandomStreams(self.scenario.seed)
         self.metrics = MetricsCollector()
         self.up_outcomes = OutcomeLog()
         self.transmission_log: list[Transmission] | None = None  # enable for tests
@@ -160,13 +160,13 @@ class Simulation:
         policy.update((g.id, g.duty_policy) for g in self.scenario.gateways)
         # One budget per (transmitter, sub-band), of the transmitter's policy.
         budgets = {(t, band.name): BUDGETS[p](t, band)
-                   for t, p in policy.items() for band in self.plan.subbands}
+                   for t, p in policy.items() for band in plan.subbands}
         dcp_gateway = {c.id: self.gateways[c.dcp_gateway] for c in self.scenario.clusters}
         dcp_len = self.scenario.dcp_payload_len
-        rx2_band = self.plan.subband_of(RX2_FREQ_HZ)
+        rx2_band = plan.subband_of(RX2_FREQ_HZ)
         rx2_airtime_us = airtime_us(RadioParams(sf=RX2_SF), dcp_len)
 
-        rp_band = self.plan.subband(self.scenario.rp_subband)
+        rp_band = plan.subband(self.scenario.rp_subband)
         self.devices: dict[str, EndDevice] = {}
         self._reporters: list[_Reporter] = []
         for dspec in self.scenario.devices:
@@ -176,16 +176,16 @@ class Simulation:
             self._up_resources[dspec.id] = (
                 device, dspec.id, freq_hz, sf,
                 airtime_us(RadioParams(sf=sf), dspec.up_payload_len),
-                dspec.rx_power_dbm, budgets[dspec.id, self.plan.subband_of(freq_hz).name])
+                dspec.rx_power_dbm, budgets[dspec.id, plan.subband_of(freq_hz).name])
             if dspec.rp_period_us is None:
                 continue
             params = RadioParams(sf=dspec.rp_sf)
-            bands = tuple(map(self.plan.subband_of, device.rp_channels))
+            bands = tuple(map(plan.subband_of, device.rp_channels))
             gw = dcp_gateway[dspec.cluster]
             round_trip = 2 * gw.spec.backhaul_delay_us
             window = (1 if round_trip <= dspec.receive_delay1_us
                       else 2 if round_trip <= dspec.receive_delay2_us else None)
-            reporter = _Reporter(device, self.streams.stream(f"rp:{dspec.id}"), dspec.rp_sf,
+            reporter = _Reporter(device, streams.stream(f"rp:{dspec.id}"), dspec.rp_sf,
                                  airtime_us(params, dspec.rp_payload_len),
                                  tuple(budgets[dspec.id, band.name] for band in bands), gw,
                                  tuple(budgets[gw.spec.id, band.name] for band in bands),
@@ -194,7 +194,7 @@ class Simulation:
             reporter.handler = partial(self._attempt_rp, reporter)
             self._reporters.append(reporter)
         # (gateway id, gateway, its capture stream), in scenario order.
-        self._receivers = [(g, gw, self.streams.stream(f"capture:{g}"))
+        self._receivers = [(g, gw, streams.stream(f"capture:{g}"))
                            for g, gw in self.gateways.items()]
 
         self._ups_generated = 0
@@ -207,7 +207,7 @@ class Simulation:
         for i, trig in self.scenario.tripping:
             source = _AlarmSource(
                 tuple(map(self._up_resources.get, self.scenario.alarm_scope(trig))),
-                generate_events(trig, self.streams.stream(f"alarm:{i}")))
+                generate_events(trig, streams.stream(f"alarm:{i}")))
             source.handler = partial(self._fire_alarm, source)
             self._alarm_sources.append(source)
         self._live_alarm_sources = len(self._alarm_sources)
@@ -215,7 +215,11 @@ class Simulation:
     # -- run loop ---------------------------------------------------------------
 
     def run(self) -> dict:
-        """Execute the scenario and return its report."""
+        """Execute the scenario and return its report.
+
+        The engine's one loop ends at the scenario's duration, whose later
+        events never run, or when ``_stop_if_done`` stops it.
+        """
         for reporter in self._reporters:
             # Stationary start: each sender begins at a uniform random phase
             # of its report period.
@@ -224,11 +228,8 @@ class Simulation:
         for source in self._alarm_sources:
             self._schedule_next_alarm(source)
 
-        if self._end_at is not None:
-            self.engine.run_until(self._end_at)
-        else:
-            self._stop_if_done()
-            self.engine.run_while()
+        self._stop_if_done()
+        self.engine.run_until(self._end_at)
         return self.report()
 
     def _stop_if_done(self) -> None:
@@ -260,8 +261,6 @@ class Simulation:
         if self._up_target is not None and self._ups_generated >= self._up_target:
             return
         for at in source.instants:
-            if self._end_at is not None and at > self._end_at:
-                return
             self.engine.schedule(at, source.handler, "alarm")
             return
         self._live_alarm_sources -= 1  # generator exhausted

@@ -19,8 +19,8 @@ from dataclasses import replace
 
 import pytest
 
-from loraguard.analytic import (PlrModelParams, plr_approx, plr_exact_fixed, plr_marginal,
-                               verdict)
+from loraguard.analytic import (PlrModelParams, model_inputs, plr_approx, plr_exact_fixed,
+                               plr_marginal, verdict)
 from loraguard.cli import main
 from loraguard.engine import US_PER_SECOND
 from loraguard.metrics import CAUSE_PRIORITY, emit_report, wilson_interval
@@ -148,7 +148,7 @@ def test_criterion_02_simulation_matches_the_exact_model(shipped_runs):
     with criterion(2, "downlink-priority PLR agrees with the renewal model"):
         scenario, sim, report, elapsed = shipped_runs["test2_dl_priority"]
         assert report["kinds"]["UP"]["generated"] == 20_000
-        check = verdict(scenario, report)
+        check = verdict(model_inputs(scenario), report)
         assert len(check.inputs.dcp_airtimes_s) == 8
         assert check.inputs.up_airtime_s == airtime_us(RadioParams(sf=9), 37) / US_PER_SECOND
         assert check.inside
@@ -179,7 +179,7 @@ def test_the_model_verdict_on_every_shipped_run(shipped_runs):
         return (check.inside, *(f"{100 * x:.3f}" for x in
                                 (check.observed, *check.ci95, check.predicted)))
 
-    assert {name: printed(verdict(scenario, report))
+    assert {name: printed(verdict(model_inputs(scenario), report))
             for name, (scenario, _sim, report, _s) in shipped_runs.items()} == SHIPPED_VERDICTS
 
 

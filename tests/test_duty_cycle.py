@@ -134,6 +134,19 @@ class TestWindowPolicy:
             in_window = sum(a for end, a in sent if probe - HOUR_US < end <= probe)
             assert in_window <= limit
 
+    def test_budget_holds_only_the_frames_inside_the_trailing_window(self):
+        budget = WindowBudget("gw1", G1)
+        air = 82_176
+        sent = []  # (end, airtime)
+        for k in range(1_000):
+            now = k * 8_750_000  # 1,000 frames over 2.4 hours
+            budget.record(now, air)
+            sent.append((now + air, air))
+        inside = [frame for frame in sent if frame[0] > now - HOUR_US]
+        assert 0 < len(inside) < len(sent)
+        assert list(budget.history) == inside
+        assert budget.used == len(inside) * air
+
 
 def policy_doc(gateway_policy="window", device_policy="offtime"):
     return {

@@ -18,7 +18,7 @@ class TestEngine:
         eng.schedule(30, lambda: seen.append("c"))
         eng.schedule(10, lambda: seen.append("a"))
         eng.schedule(20, lambda: seen.append("b"))
-        eng.run_while()
+        eng.run_until()
         assert seen == ["a", "b", "c"]
         assert eng.now == 30
 
@@ -27,7 +27,7 @@ class TestEngine:
         seen = []
         for tag in "abcdef":
             eng.schedule(5, lambda t=tag: seen.append(t))
-        eng.run_while()
+        eng.run_until()
         assert seen == list("abcdef")
 
     def test_scheduling_in_the_past_raises(self):
@@ -41,7 +41,7 @@ class TestEngine:
         eng = Engine()
         seen = []
         eng.schedule(10, lambda: eng.schedule(10, lambda: seen.append("nested")))
-        eng.run_while()
+        eng.run_until()
         assert seen == ["nested"]
 
     def test_run_until_processes_due_events_and_advances_clock(self):
@@ -61,7 +61,7 @@ class TestEngine:
         with pytest.raises(SchedulingError):
             eng.run_until(99)
 
-    def test_run_while_stops_after_the_action_that_calls_stop(self):
+    def test_run_until_stops_after_the_action_that_calls_stop(self):
         eng = Engine()
         seen = []
 
@@ -74,24 +74,41 @@ class TestEngine:
 
         for t in range(10):
             eng.schedule(t, lambda t=t: action(t))
-        eng.run_while()
+        eng.run_until()
         assert seen == [0, "after 0", 1, "after 1", 2, "after 2", 3]
         assert eng.now == 3 and len(eng) == 7
-        eng.run_while()  # a stopped engine does not resume
+        eng.run_until()  # a stopped engine does not resume
         assert len(seen) == 7 and len(eng) == 7
+
+    def test_run_until_with_an_end_stops_after_the_action_that_calls_stop(self):
+        eng = Engine()
+        seen = []
+
+        def action(t):
+            if t == 3:
+                eng.stop()
+            seen.append(t)
+
+        for t in range(10):
+            eng.schedule(t, lambda t=t: action(t))
+        eng.run_until(8)
+        assert seen == [0, 1, 2, 3]
+        assert eng.now == 8 and len(eng) == 6
+        eng.run_until(9)  # a stopped engine does not resume
+        assert seen == [0, 1, 2, 3] and eng.now == 9 and len(eng) == 6
 
     def test_stop_before_running_runs_nothing(self):
         eng = Engine()
         seen = []
         eng.schedule(0, lambda: seen.append(0))
         eng.stop()
-        eng.run_while()
+        eng.run_until()
         assert seen == [] and eng.now == 0 and len(eng) == 1
 
-    def test_run_while_stops_when_the_queue_empties(self):
+    def test_run_until_stops_when_the_queue_empties(self):
         eng = Engine()
         eng.schedule(7, lambda: None)
-        eng.run_while()
+        eng.run_until()
         assert eng.now == 7 and len(eng) == 0
 
 

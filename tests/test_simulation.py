@@ -115,7 +115,8 @@ class TestScriptedRuns:
         assert report["ended_at_us"] == 50_000_000 + 267_264
 
     def test_stop_duration_is_exact(self):
-        scenario = scripted_scenario(["10 s"], stop={"duration": "45 s"})
+        # The alarm at 50 s lies after the end and never runs.
+        scenario = scripted_scenario(["10 s", "50 s"], stop={"duration": "45 s"})
         report = Simulation(scenario).run()
         assert report["ended_at_us"] == 45_000_000
         assert report["kinds"]["UP"]["generated"] == 1
