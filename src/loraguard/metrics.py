@@ -6,16 +6,18 @@ at each radio.  The system-level loss histogram assigns one cause per lost
 packet using a fixed priority (the device-side duty-cycle first, then
 collision > no-demod-path > tx-busy > gw-preempted).
 
-A run retains about 44 bytes per finalized urgent uplink.  Its outcome is
-written by column into an ``OutcomeLog``: five integers (uid and times) in one
-``array('q')`` and the position of its (device, delivery, loss cause,
-per-gateway map) combination, of which a run has few, in an ``array('I')``.
-No ``PacketOutcome`` exists until the log is read, which rebuilds one per
-row.  Latencies are counted in a dict keyed by integer microseconds, from
-which the nearest-rank quantiles and the mean come out exactly, and gateway
-outcomes in nested dicts, gateway -> kind -> cause, which hash one string
-each where a ``(gateway, kind, cause)`` key would be hashed whole twice.
-All are plain dicts: a ``Counter`` increment costs about twice a dict's.
+A run retains about 20 bytes per finalized urgent uplink.  Its outcome is
+written by column into an ``OutcomeLog``: its uid and trigger instant in one
+``array('q')`` and the position of its shape in an ``array('I')``.  A shape is
+the device, delivery, loss cause and per-gateway map with the offsets that
+give the other times from the trigger (the wait before the start, the airtime
+and the backhaul delay); a run has few.  No ``PacketOutcome`` exists until the
+log is read, which rebuilds one per row.  Latencies are counted in a dict
+keyed by integer microseconds, from which the nearest-rank quantiles and the
+mean come out exactly, and gateway outcomes in nested dicts, gateway -> kind
+-> cause, which hash one string each where a ``(gateway, kind, cause)`` key
+would be hashed whole twice.  All are plain dicts: a ``Counter`` increment
+costs about twice a dict's.
 """
 
 from __future__ import annotations
@@ -102,77 +104,83 @@ class PacketOutcome:
     per_gateway: Mapping[str, str] = field(default_factory=lambda: NO_GATEWAYS)
 
 
-# An absent time (``None``) in an ``OutcomeLog`` column; simulated times are
-# never negative.
-_ABSENT = -1
+# One outcome's uid and trigger instant as the bytes of two array('q') items.
+_ROW = struct.Struct("2q")
+
+# What an ``OutcomeLog`` row shares with others: device, delivered, cause,
+# per-gateway map, then the wait (start - trigger), the airtime (end - start)
+# and the delay (delivered-at - end), each None where its time is absent.
+_Shape = tuple[str, bool, str | None, Mapping[str, str],
+               SimTime | None, SimTime | None, SimTime | None]
 
 
-def _time(value: int) -> SimTime | None:
-    return None if value == _ABSENT else value
-
-
-# One outcome's five integers as the bytes of five array('q') items.
-_ROW = struct.Struct("5q")
+def _outcome(uid: int, trigger: SimTime, shape: _Shape) -> PacketOutcome:
+    """Rebuild the outcome of a row from its uid, trigger instant and shape."""
+    device, delivered, cause, per_gateway, wait, airtime, delay = shape
+    if wait is None:  # never reached the air
+        return PacketOutcome(uid, device, trigger, None, None, delivered, None, cause,
+                             per_gateway)
+    start = trigger + wait
+    end = start + airtime
+    return PacketOutcome(uid, device, trigger, start, end, delivered,
+                         None if delay is None else end + delay, cause, per_gateway)
 
 
 class OutcomeLog(Sequence[PacketOutcome]):
     """Read-only sequence of finalized uplink outcomes, stored by column.
 
-    ``write`` takes an outcome's fields.  Its uid and four times go into one
-    ``array('q')``, five entries per outcome (``None`` as ``_ABSENT``).  Its
-    device, delivery flag, loss cause and per-gateway map take few distinct
-    values in a run, so each distinct combination is held once, by reference
-    (a shared per-gateway map stays the same object), and the outcome keeps
-    that combination's position in an ``array('I')``.  Indexing and iteration
-    rebuild a ``PacketOutcome`` of the written fields.
+    ``write`` takes an outcome's uid and trigger instant, which go into one
+    ``array('q')``, two entries per outcome, and the rest as its shape: the
+    device, loss cause and per-gateway map and three offsets, the wait
+    (start - trigger), the airtime (end - start) and the delay
+    (delivered-at - end).  An offset is None where its time is absent: the
+    airtime exactly when the wait is (the uplink never reached the air) and
+    the delay exactly when the outcome is not delivered.  A run's shapes are
+    few, so each distinct one is held once, by reference (a shared
+    per-gateway map stays the same object), and the outcome keeps its
+    position in an ``array('I')``: 20 bytes per outcome.  Indexing and
+    iteration rebuild a ``PacketOutcome`` with start = trigger + wait,
+    end = start + airtime and delivered-at = end + delay.
     """
 
-    __slots__ = ("_ints", "_shared_at", "_shared", "_shared_index")
+    __slots__ = ("_ints", "_shape_at", "_shapes", "_shape_index")
 
     def __init__(self) -> None:
-        # uid, trigger, start, end and delivered-at of each outcome, in turn
-        self._ints = array("q")
-        self._shared_at = array("I")  # position in _shared of each outcome's combination
-        # (device, delivered, cause, per_gateway) combinations, in order of first use
-        self._shared: list[tuple[str, bool, str | None, Mapping[str, str]]] = []
-        # The map's identity stands for it in the key; _shared keeps it alive.
-        self._shared_index: dict[tuple[str, bool, str | None, int], int] = {}
+        self._ints = array("q")  # uid and trigger instant of each outcome, in turn
+        self._shape_at = array("I")  # position in _shapes of each outcome's shape
+        self._shapes: list[_Shape] = []  # in order of first use
+        # The map's identity stands for it in the key; _shapes keeps it alive.
+        self._shape_index: dict[
+            tuple[str, str | None, int, SimTime | None, SimTime | None, SimTime | None], int] = {}
 
-    def write(self, uid: int, device: str, trigger_us: SimTime, start_us: SimTime | None,
-              end_us: SimTime | None, delivered: bool, delivered_at_us: SimTime | None,
-              cause: str | None, per_gateway: Mapping[str, str]) -> None:
-        """Append the outcome with these fields."""
-        key = (device, delivered, cause, id(per_gateway))
-        at = self._shared_index.get(key)
+    def write(self, uid: int, device: str, trigger_us: SimTime, wait_us: SimTime | None,
+              airtime_us: SimTime | None, delay_us: SimTime | None, cause: str | None,
+              per_gateway: Mapping[str, str]) -> None:
+        """Append the outcome with these fields; it is delivered iff ``delay_us`` is given."""
+        key = (device, cause, id(per_gateway), wait_us, airtime_us, delay_us)
+        at = self._shape_index.get(key)
         if at is None:
-            at = self._shared_index[key] = len(self._shared)
-            self._shared.append((device, delivered, cause, per_gateway))
-        self._shared_at.append(at)
-        # Packing the row is faster than fromlist, which converts item by item.
-        self._ints.frombytes(_ROW.pack(uid, trigger_us,
-                                       _ABSENT if start_us is None else start_us,
-                                       _ABSENT if end_us is None else end_us,
-                                       _ABSENT if delivered_at_us is None else delivered_at_us))
+            at = self._shape_index[key] = len(self._shapes)
+            self._shapes.append((device, delay_us is not None, cause, per_gateway,
+                                 wait_us, airtime_us, delay_us))
+        self._shape_at.append(at)
+        # Packing the row is faster than two appends or an extend.
+        self._ints.frombytes(_ROW.pack(uid, trigger_us))
 
     def __len__(self) -> int:
-        return len(self._shared_at)
+        return len(self._shape_at)
 
     def __getitem__(self, index: int) -> PacketOutcome:
         i = operator.index(index)  # no slices
-        device, delivered, cause, per_gateway = self._shared[self._shared_at[i]]
-        j = 5 * (i % len(self))  # i is in range: _shared_at took it
-        uid, trigger, start, end, delivered_at = self._ints[j:j + 5]
-        return PacketOutcome(uid, device, trigger, _time(start), _time(end), delivered,
-                             _time(delivered_at), cause, per_gateway)
+        shape = self._shapes[self._shape_at[i]]
+        j = 2 * (i % len(self))  # i is in range: _shape_at took it
+        return _outcome(self._ints[j], self._ints[j + 1], shape)
 
     def __iter__(self) -> Iterator[PacketOutcome]:
-        shared = self._shared
+        shapes = self._shapes
         ints = iter(self._ints)
-        for at, uid, trigger, start, end, delivered_at in zip(self._shared_at, ints, ints,
-                                                               ints, ints, ints):
-            device, delivered, cause, per_gateway = shared[at]
-            yield PacketOutcome(uid, device, trigger, _time(start), _time(end), delivered,
-                                _time(delivered_at), cause, per_gateway)
+        for at, uid, trigger in zip(self._shape_at, ints, ints):
+            yield _outcome(uid, trigger, shapes[at])
 
 
 def latency_of(outcome: PacketOutcome) -> SimTime:

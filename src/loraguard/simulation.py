@@ -65,11 +65,13 @@ where the members' own close-outs would have run one after another, and it
 closes them out in the order they started.  A member that must wait for its
 device's own transmission is retried alone, a group of one, and the members
 after it start new groups: its retry may run at their end instant, before
-their close-out.  Once finalized, an uplink's fields are written by column
-into ``up_outcomes``, a ``metrics.OutcomeLog`` that keeps about 44 bytes per
-uplink and rebuilds a ``PacketOutcome`` whenever it is read.  A delivered
-uplink's latency is counted straight into the collector's latency counts;
-nothing else is kept per uplink.
+their close-out.  Once finalized, an uplink is written into ``up_outcomes``,
+a ``metrics.OutcomeLog`` that keeps 20 bytes per uplink (its uid, its
+trigger instant and the position of its shape, which holds what it shares
+with others: the group's wait, its airtime and its verdict) and rebuilds a
+``PacketOutcome`` whenever it is read.  A delivered uplink's latency is
+counted straight into the collector's latency counts; nothing else is kept
+per uplink.
 """
 
 from __future__ import annotations
@@ -304,8 +306,8 @@ class Simulation:
         if budget.clearance(now, air) > now:
             # An urgent alarm is stale by the time the band frees; count it lost.
             self._up_stats.add_loss(CAUSE_DUTY_CYCLE)
-            self.up_outcomes.write(0, dev_id, trigger_us, None, None, False, None,
-                                   CAUSE_DUTY_CYCLE, NO_GATEWAYS)
+            self.up_outcomes.write(0, dev_id, trigger_us, None, None, None, CAUSE_DUTY_CYCLE,
+                                   NO_GATEWAYS)
             self._ups_finalized += 1
             if self._ups_finalized == self._ups_generated:
                 self._stop_if_done()
@@ -315,12 +317,17 @@ class Simulation:
         group = ending.get(tx.end_us)
         if group is None:
             group = ending[tx.end_us] = []
-            self.engine.schedule(tx.end_us, partial(self._finish_ups, group, trigger_us),
+            self.engine.schedule(tx.end_us,
+                                 partial(self._finish_ups, group, trigger_us, now - trigger_us),
                                  "up-end")
         group.append(tx)
 
-    def _finish_ups(self, group: list[Transmission], trigger_us: SimTime) -> None:
-        """Close out the uplinks of ``group``, which end now, in the order they started."""
+    def _finish_ups(self, group: list[Transmission], trigger_us: SimTime,
+                    wait_us: SimTime) -> None:
+        """Close out the uplinks of ``group``, which end now, in the order they started.
+
+        They started ``wait_us`` after the alarm triggered at ``trigger_us``.
+        """
         now = self.engine.now
         stats = self._up_stats
         latencies = self.metrics.up_latencies_us
@@ -331,14 +338,12 @@ class Simulation:
             per_gateway, delay, cause = close_out(tx)
             if cause is None:
                 delivered += 1
-                delivered_at = now + delay
-                latency = delivered_at - trigger_us
+                latency = now + delay - trigger_us
                 latencies[latency] = latencies.get(latency, 0) + 1
             else:
-                delivered_at = None
                 stats.add_loss(cause)
-            write(tx.uid, tx.source, trigger_us, tx.start_us, tx.end_us, cause is None,
-                  delivered_at, cause, per_gateway)
+            write(tx.uid, tx.source, trigger_us, wait_us, tx.airtime_us, delay, cause,
+                  per_gateway)
         stats.delivered += delivered
         self._ups_finalized += len(group)
         if self._ups_finalized == self._ups_generated:

@@ -18,6 +18,7 @@ from loraguard.metrics import (
     CAUSE_PRIORITY,
     CAUSE_TX_BUSY,
     KINDS,
+    NO_GATEWAYS,
     WILSON_Z,
     KindStats,
     MetricsCollector,
@@ -187,9 +188,14 @@ LOST_TO_DUTY_CYCLE = PacketOutcome(uid=0, device="ed1", trigger_us=15_000_000,
 
 def write(log, outcome):
     """Write ``outcome``'s fields, as a run writes a finalized uplink."""
-    log.write(outcome.uid, outcome.device, outcome.trigger_us, outcome.start_us,
-              outcome.end_us, outcome.delivered, outcome.delivered_at_us, outcome.cause,
-              outcome.per_gateway)
+    assert (outcome.start_us is None) == (outcome.end_us is None)
+    assert outcome.delivered == (outcome.delivered_at_us is not None)
+    aired = outcome.start_us is not None
+    log.write(outcome.uid, outcome.device, outcome.trigger_us,
+              outcome.start_us - outcome.trigger_us if aired else None,
+              outcome.end_us - outcome.start_us if aired else None,
+              outcome.delivered_at_us - outcome.end_us if outcome.delivered else None,
+              outcome.cause, outcome.per_gateway)
 
 
 class TestOutcomeLog:
@@ -238,6 +244,18 @@ class TestOutcomeLog:
         first, second = log
         assert (first, second) == (DELIVERED, LOST_TO_DUTY_CYCLE)
 
+    def test_rows_that_differ_only_in_wait_get_two_shapes(self):
+        # A deferred copy: its start, end and delivered-at all 1 us later.
+        deferred = replace(DELIVERED, start_us=DELIVERED.start_us + 1,
+                           end_us=DELIVERED.end_us + 1,
+                           delivered_at_us=DELIVERED.delivered_at_us + 1)
+        log = OutcomeLog()
+        write(log, DELIVERED)
+        write(log, deferred)
+        write(log, DELIVERED)
+        assert list(log) == [DELIVERED, deferred, DELIVERED]
+        assert len(log._shapes) == 2
+
     def test_out_of_range_and_slices_rejected(self, log):
         with pytest.raises(IndexError):
             log[3]
@@ -246,6 +264,51 @@ class TestOutcomeLog:
         with pytest.raises(TypeError):
             log[0:2]
         assert not OutcomeLog()
+
+
+# Per-gateway maps for the round trip: two equal but distinct objects.
+_MAPS = (NO_GATEWAYS, MappingProxyType({"gw1": "decoded"}),
+         MappingProxyType({"gw1": CAUSE_COLLISION}), MappingProxyType({"gw1": CAUSE_COLLISION}))
+
+
+@st.composite
+def outcomes(draw, uid):
+    trigger = draw(st.integers(0, 10**12))
+    wait = draw(st.one_of(st.none(), st.just(0), st.integers(1, 10**7)))
+    aired = wait is not None
+    delivered = aired and draw(st.booleans())
+    start = trigger + wait if aired else None
+    end = start + draw(st.sampled_from([1, 41_216, 267_264])) if aired else None
+    return PacketOutcome(
+        uid=uid, device=draw(st.sampled_from(["ed1", "ed2"])), trigger_us=trigger,
+        start_us=start, end_us=end, delivered=delivered,
+        delivered_at_us=end + draw(st.sampled_from([0, 20_000])) if delivered else None,
+        cause=None if delivered else draw(st.sampled_from(CAUSE_PRIORITY)),
+        per_gateway=draw(st.sampled_from(_MAPS)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 2**40).flatmap(outcomes), max_size=30))
+def test_outcome_log_returns_every_row_as_written(written):
+    log = OutcomeLog()
+    for outcome in written:
+        write(log, outcome)
+    n = len(written)
+    assert len(log) == n
+    for i, outcome in enumerate(written):
+        for item in (log[i], log[i - n]):
+            assert item == outcome
+            assert item.per_gateway is outcome.per_gateway
+    items = list(log)
+    assert items == written
+    assert all(a.per_gateway is b.per_gateway for a, b in zip(items, written))
+    # One shape per distinct (device, cause, map, wait, airtime, delay).
+    assert len(log._shapes) == len({
+        (o.device, o.cause, id(o.per_gateway),
+         None if o.start_us is None else o.start_us - o.trigger_us,
+         None if o.end_us is None else o.end_us - o.start_us,
+         None if o.delivered_at_us is None else o.delivered_at_us - o.end_us)
+        for o in written})
 
 
 def make_collector():

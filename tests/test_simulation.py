@@ -68,6 +68,11 @@ class TestScriptedRuns:
         # Deferred start at 10.267264 s + airtime + backhaul - 10.001 s trigger.
         assert latency_of(second) == 553_528
         assert second.start_us == first.end_us
+        # The deferred row's times come back exact from its trigger and shape.
+        assert (second.trigger_us, second.start_us) == (10_001_000, 10_267_264)
+        assert second.end_us - second.start_us == 267_264
+        assert second.delivered_at_us - second.end_us == 20_000
+        assert len(sim.up_outcomes._shapes) == 2
 
     def test_subthreshold_exposure_triggers_nothing(self):
         # 0.9 %vol methane reads 0.45 V, below the 0.5 V trip point: the
@@ -165,8 +170,8 @@ class TestRetainedOutcomes:
 
     def test_retained_memory_per_urgent_uplink_is_small(self):
         # What a run keeps per finalized urgent uplink (its columns in
-        # up_outcomes and nothing per uplink elsewhere) must stay well under
-        # one PacketOutcome object with its own integers (~250 B).
+        # up_outcomes and nothing per uplink elsewhere) must stay near the
+        # 20 bytes of its row: uid and trigger instant, and its shape's position.
         sim = Simulation(shipped_with_ups("burst_cluster15", 6_000))
         gc.collect()
         tracemalloc.start()  # traces only what run() allocates from here on
@@ -178,7 +183,7 @@ class TestRetainedOutcomes:
             tracemalloc.stop()
         generated = report["kinds"]["UP"]["generated"]
         assert generated == len(sim.up_outcomes) == 6_000
-        assert retained <= 96 * generated
+        assert retained <= 28 * generated
 
 
 @pytest.fixture(scope="module")
