@@ -22,8 +22,6 @@ costs about twice a dict's.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 import operator
@@ -318,6 +316,8 @@ def emit_report(report: Mapping[str, object], fmt: str = "json") -> str:
     if fmt == "json":
         return json.dumps(report, indent=2, sort_keys=True) + "\n"
     if fmt == "csv":
+        import csv  # local: only a CSV report loads it
+        import io
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["key", "value"])

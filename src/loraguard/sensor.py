@@ -12,18 +12,16 @@ CO and O2 trip points are site configuration: ``SensorProfile``, declared
 with the scenario's ``sensor`` section.  Alarm sources are declared there too,
 as ``TriggerSpec``.  A source exposes one species at one level, so its
 scenario asks ``alarm_check`` once, when it is built, and ``generate_events``
-yields only the instants of its exposures.
+yields only the instants of its exposures.  A clamped CO or O2 reading warns
+on the ``loraguard.sensor`` logger; ``logging`` loads on the first such reading.
 """
 
 from __future__ import annotations
 
-import logging
 from typing import Iterator
 
 from .engine import SimTime, Stream
 from .scenario import SensorProfile, TriggerSpec
-
-log = logging.getLogger(__name__)
 
 COMBUSTIBLE_GASES = ("methane", "propane", "butane")
 
@@ -82,12 +80,16 @@ def alarm_check(profile: SensorProfile, species: str, level: float) -> bool:
     if species == "co":
         reading, clamped = quantize(level, CO_RESOLUTION_PPM, *CO_RANGE_PPM)
         if clamped:
-            log.warning("CO reading %.1f ppm clamped to %.1f", level, reading)
+            import logging  # local: only a clamped reading loads it
+            logging.getLogger(__name__).warning(
+                "CO reading %.1f ppm clamped to %.1f", level, reading)
         return reading >= profile.co_alarm_ppm
     if species == "o2":
         reading, clamped = quantize(level, O2_RESOLUTION_PCT, *O2_RANGE_PCT)
         if clamped:
-            log.warning("O2 reading %.1f%% clamped to %.1f%%", level, reading)
+            import logging  # local: only a clamped reading loads it
+            logging.getLogger(__name__).warning(
+                "O2 reading %.1f%% clamped to %.1f%%", level, reading)
         return reading <= profile.o2_deficiency_pct
     raise ValueError(f"unknown gas species {species!r}")
 

@@ -312,19 +312,29 @@ def test_cli_import_does_not_load_scipy():
     assert proc.stdout.strip() == "[]"
 
 
-def test_cli_import_and_analyze_do_not_load_numpy(tmp_path):
+def test_cli_paths_load_only_the_modules_they_run(tmp_path):
     # numpy is a test-only dependency: the simulator draws from its own PCG64
     # streams, and the model and the command line never draw, so they must
-    # not even compile the ziggurat tables the first stream loads.
+    # not even compile the ziggurat tables the first stream loads.  logging
+    # loads only on a clamped sensor reading, csv only for a CSV report.
     src = str(Path(loraguard.__file__).resolve().parent.parent)
-    run_args = ["run", DEMO, "--out", str(tmp_path / "report.json"), "--quiet"]
+    json_run = ["run", DEMO, "--out", str(tmp_path / "report.json"), "--quiet"]
+    csv_run = ["run", DEMO, "--out", str(tmp_path / "report.csv"), "--format", "csv",
+               "--quiet"]
     code = ("import sys, loraguard.cli as cli; "
-            "loaded = lambda: ('numpy' in sys.modules, 'loraguard.ziggurat' in sys.modules); "
-            "print(*loaded(), cli.main(" + repr(TestAnalyze.ARGS) + "), *loaded()); "
-            "print(cli.main(" + repr(run_args) + "), *loaded())")
+            "loaded = lambda: [m in sys.modules for m in "
+            "('numpy', 'loraguard.ziggurat', 'logging', 'csv')]; "
+            "print('@import', *loaded()); "
+            "print('@analyze', cli.main(" + repr(TestAnalyze.ARGS) + "), *loaded()); "
+            "print('@json', cli.main(" + repr(json_run) + "), *loaded()); "
+            "print('@csv', cli.main(" + repr(csv_run) + "), *loaded())")
     proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
                           capture_output=True, text=True, check=True)
-    after_analyze, after_run = proc.stdout.splitlines()[-2:]
-    assert after_analyze == f"False False {EXIT_OK} False False"
-    assert after_run == f"{EXIT_OK} False True"
+    steps = dict(line.split(" ", 1) for line in proc.stdout.splitlines()
+                 if line.startswith("@"))
+    assert steps == {"@import": "False False False False",
+                     "@analyze": f"{EXIT_OK} False False False False",
+                     "@json": f"{EXIT_OK} False True False False",
+                     "@csv": f"{EXIT_OK} False True False True"}
     assert json.loads((tmp_path / "report.json").read_text())["kinds"]["UP"]["generated"] > 0
+    assert (tmp_path / "report.csv").read_text().startswith("key,value\n")

@@ -1,6 +1,7 @@
 """Gas-sensor model: bridge voltages, quantized thresholds, trigger instants."""
 
 import itertools
+import logging
 import re
 
 import numpy as np
@@ -81,6 +82,19 @@ class TestQuantizedChannels:
         assert alarm_check(PROFILE, "o2", 19.0)
         assert alarm_check(PROFILE, "o2", 19.2)       # reads 19.0
         assert not alarm_check(PROFILE, "o2", 19.3)   # reads 19.5
+
+    @pytest.mark.parametrize("species,level,warnings", [
+        ("co", 600.0, ["CO reading 600.0 ppm clamped to 500.0"]),
+        ("o2", 25.0, ["O2 reading 25.0% clamped to 21.0%"]),
+        ("co", 99.9, []),
+        ("o2", 19.2, []),
+    ])
+    def test_only_a_clamped_reading_warns_on_the_sensor_logger(self, caplog, species, level,
+                                                              warnings):
+        with caplog.at_level(logging.DEBUG, logger="loraguard.sensor"):
+            alarm_check(PROFILE, species, level)
+        assert [(r.name, r.levelname, r.getMessage()) for r in caplog.records] == [
+            ("loraguard.sensor", "WARNING", w) for w in warnings]
 
     def test_unknown_species_rejected(self):
         with pytest.raises(ValueError):
