@@ -21,7 +21,9 @@ class EndDevice:
     spec: DeviceSpec
     rp_channels: tuple[int, ...]  # the spec's report channels, else the report sub-band's
 
-    # runtime state
+    # runtime state: the device's latest frame is on the air over the
+    # half-open [last_tx_start, busy_until), so it is idle at ``at`` iff
+    # busy_until <= at; the simulation writes both when it starts a frame
     busy_until: SimTime = 0
     last_tx_start: SimTime = -1
 
@@ -38,10 +40,3 @@ class EndDevice:
     def pick_rp_channel(self, rng: Stream) -> int:
         """Uniform random hop over the report channels: a position in ``rp_channels``."""
         return rng.below(len(self.rp_channels))
-
-    def mark_transmitting(self, start: SimTime, end: SimTime) -> None:
-        self.last_tx_start = start
-        self.busy_until = end
-
-    def idle_at(self, at: SimTime) -> bool:
-        return self.busy_until <= at

@@ -672,9 +672,36 @@ def save_scenario(scenario: Scenario, path: str | Path) -> None:
         yaml.safe_dump(scenario_to_dict(scenario), sort_keys=False), encoding="utf-8")
 
 
+# Every run digests its scenario, and libyaml's emitter is about 4x faster than
+# PyYAML's pure-Python one.
+_FAST_DUMPER = yaml.CSafeDumper if yaml.__with_libyaml__ else yaml.SafeDumper
+
+
+def _printable_ascii(node: object) -> bool:
+    """Whether every string value in the document ``node`` is printable ASCII.
+
+    Both emitters write such a string plain or single-quoted, and fold it
+    alike.  Any other string is double-quoted, and once one passes the line
+    width libyaml folds it differently.
+    """
+    if isinstance(node, str):
+        return node.isascii() and node.isprintable()
+    if isinstance(node, dict):
+        return all(map(_printable_ascii, node.values()))
+    if isinstance(node, list):
+        return all(map(_printable_ascii, node))
+    return True
+
+
 def scenario_digest(scenario: Scenario) -> str:
-    """Stable content hash of a scenario, independent of file formatting."""
-    canonical = yaml.safe_dump(scenario_to_dict(scenario), sort_keys=True)
+    """Stable content hash of a scenario, independent of file formatting.
+
+    It hashes the text PyYAML's pure-Python emitter writes, so a host
+    without libyaml gets the same digest.
+    """
+    doc = scenario_to_dict(scenario)
+    dumper = _FAST_DUMPER if _printable_ascii(doc) else yaml.SafeDumper
+    canonical = yaml.dump(doc, Dumper=dumper, sort_keys=True)
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
 
 

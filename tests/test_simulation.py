@@ -15,7 +15,9 @@ import pytest
 
 from loraguard.analytic import model_inputs
 from loraguard.engine import Engine, RandomStreams
-from loraguard.metrics import CAUSE_DUTY_CYCLE, KINDS, emit_report, latency_of
+from loraguard.gateway import Gateway
+from loraguard.metrics import (CAUSE_DUTY_CYCLE, KINDS, MetricsCollector, emit_report,
+                               latency_of)
 from loraguard.phy import (BUDGETS, ChannelPlan, RadioParams, Transmission, airtime_us,
                            default_eu868_plan)
 from loraguard.scenario import StopSpec, load_scenario, parse_scenario, shipped_scenario_path
@@ -528,6 +530,40 @@ class TestBurstCloseOut:
         assert aired == sorted(aired)
         assert len(aired) == sum(tx.kind == "UP"
                                  for tx in sim.transmission_log)
+
+
+@pytest.mark.parametrize("name, ups, gateways", [("burst_cluster15", 600, 1),
+                                                  ("test2_dl_priority", 40, 1),
+                                                  ("test3_dual_gw", 40, 2)])
+def test_each_uplink_reaches_each_gateway_boundary_once(monkeypatch, name, ups, gateways):
+    # The traced benchmark's gateway.uplink_start, gateway.uplink_end and
+    # metrics.gateway_outcome rows count calls of these three methods, so the
+    # simulation calls each once per uplink per gateway.
+    calls = collections.Counter()
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls[fn.__name__] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for owner, attr in ((Gateway, "on_uplink_start"), (Gateway, "on_uplink_end"),
+                        (MetricsCollector, "on_gateway_outcome")):
+        monkeypatch.setattr(owner, attr, counted(getattr(owner, attr)))
+    sim = Simulation(shipped_with_ups(name, ups))
+    sim.transmission_log = []
+    kinds = sim.run()["kinds"]
+    assert len(sim.gateways) == gateways
+    aired = len(sim.transmission_log)
+    # Every report generated and every urgent uplink not lost to the duty
+    # cycle before it started was closed out; reports still on the air when
+    # the run stopped were not, at most one per device.
+    ended = (kinds.get("RP", {}).get("generated", 0) + kinds["UP"]["generated"]
+             - kinds["UP"]["losses"].get(CAUSE_DUTY_CYCLE, 0))
+    assert aired - len(sim.devices) <= ended <= aired
+    assert calls == {"on_uplink_start": aired * gateways,
+                     "on_uplink_end": ended * gateways,
+                     "on_gateway_outcome": ended * gateways}
 
 
 # A CO exposure of 50 ppm reads below the 100 ppm trip point.
