@@ -378,9 +378,6 @@ class CaptureModel:
         object.__setattr__(self, "survival", survival)
         object.__setattr__(self, "lethal", lethal)
 
-    def survival_probability(self, own_sf: int, other_sf: int) -> float:
-        return self.survival.get((own_sf, other_sf), 1.0)
-
 
 def decodes_against(model: CaptureModel, own_sf: int, own_power_dbm: float,
                     interferers: Iterable[tuple[int, float]], rng) -> bool:

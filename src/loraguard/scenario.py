@@ -22,7 +22,7 @@ from typing import Any, Callable, Mapping, NamedTuple
 import yaml
 
 from .engine import SimTime, US_PER_SECOND
-from .server import assign_resources
+from .server import MAX_PER_CHANNEL, assign_resources
 
 __all__ = [
     "ScenarioError", "StopSpec", "DeviceSpec", "GatewaySpec", "ClusterSpec",
@@ -193,12 +193,7 @@ def _parse_spec(cls: type, node: object, path: str) -> Any:
         if f.name == "id":
             path = f"{path}({values['id']})"
     _no_leftovers(section, path or "scenario")
-    try:
-        return cls(**values)
-    except ScenarioError:
-        raise
-    except ValueError as exc:
-        raise ScenarioError(f"{path or 'scenario'}: {exc}") from exc
+    return cls(**values)
 
 
 def _dump_spec(spec: Any) -> dict:
@@ -287,18 +282,14 @@ UP_SF_MAX = 10  # keeps the urgent airtime under the 500 ms latency budget
 
 @dataclass(frozen=True)
 class StopSpec:
-    """Run termination: a count of finalized urgent uplinks or a sim duration."""
+    """Run termination: a count of finalized urgent uplinks or a sim duration.
 
-    ups: int | None = _field("ups", _INT, None)
-    at_us: SimTime | None = _field("duration", _DURATION, None)
+    Exactly one of the two is required; ``validate_scenario`` checks that and
+    the ranges when a Scenario is built, so constructing this never raises.
+    """
 
-    def __post_init__(self) -> None:
-        if (self.ups is None) == (self.at_us is None):
-            raise ScenarioError("stop: exactly one of 'ups' or 'duration' is required")
-        if self.ups is not None and self.ups <= 0:
-            raise ScenarioError(f"stop.ups: must be > 0, got {self.ups}")
-        if self.at_us is not None and self.at_us <= 0:
-            raise ScenarioError("stop.duration: must be > 0")
+    ups: int | None = _field("ups", _INT, None, lo=1)
+    at_us: SimTime | None = _field("duration", _DURATION, None, lo=1)
 
 
 @dataclass(frozen=True)
@@ -353,10 +344,11 @@ class TriggerSpec:
     ``kind="script"`` replays ``times_us`` verbatim; ``kind="random"`` draws
     interarrival times uniformly from ``interarrival_us`` = (min, max).
     ``species``/``level`` fill the emitted events.  The other kind's timing
-    is a validation error, not ignored.
+    is a validation error, not ignored.  ``validate_scenario`` checks a
+    trigger when a Scenario is built, so constructing one never raises.
     """
 
-    kind: str = _field("kind", _STR)
+    kind: str = _field("kind", _STR, choices=("script", "random"))
     species: str = _field("species", _STR, choices=tuple(_LEVEL_UNITS))
     level: GasLevel = _field("level", _GAS_LEVEL)
     devices: tuple[str, ...] = _field("devices", _IDS, ())
@@ -365,24 +357,10 @@ class TriggerSpec:
     interarrival_us: tuple[SimTime, SimTime] | None = _field("interarrival", _INTERVAL, None)
 
     def __post_init__(self) -> None:
-        if self.kind not in ("script", "random"):
-            raise ValueError(f"unknown trigger kind {self.kind!r}")
-        if self.species in _LEVEL_UNITS:  # an unknown one is a range problem
-            problem = _level_problem(self.species, self.level.unit)
-            if problem is not None:
-                raise ValueError(problem)
-        if not self.devices and self.cluster is None:
-            raise ValueError("needs 'devices' or 'cluster'")
-        if self.kind == "script":
-            if not self.times_us:
-                raise ValueError("scripted trigger needs at least one time")
-            return
-        if self.interarrival_us is None:
+        # Filled in here, not declared, so that a scripted alarm has none.
+        if self.kind == "random" and self.interarrival_us is None:
             object.__setattr__(self, "interarrival_us",
                                (120 * US_PER_SECOND, 130 * US_PER_SECOND))
-        lo, hi = self.interarrival_us
-        if lo <= 0 or hi < lo:
-            raise ValueError("interarrival bounds must satisfy 0 < min <= max")
 
 
 @dataclass(frozen=True)
@@ -493,7 +471,10 @@ def parse_scenario(data: object) -> Scenario:
 
 
 def validate_scenario(scenario: Scenario) -> dict[str, tuple[int, int]]:
-    """Range and cross-field checks, then each cluster member's urgent (channel, SF).
+    """Every check of a scenario, then each cluster member's urgent (channel, SF).
+
+    The spec constructors check nothing; this runs the declared range and
+    choice checks and every cross-field rule.
 
     A member keeps its explicit assignment; the others take the automatic
     rule, which runs over the whole cluster (on its ``up_channels``, else the
@@ -504,6 +485,8 @@ def validate_scenario(scenario: Scenario) -> dict[str, tuple[int, int]]:
 
     plan = default_eu868_plan()
     problems = _range_problems(scenario)
+    if (scenario.stop.ups is None) == (scenario.stop.at_us is None):
+        problems.append("stop: exactly one of 'ups' or 'duration' is required")
 
     def subband(name: str, where: str) -> SubBand | None:
         try:
@@ -620,13 +603,19 @@ def validate_scenario(scenario: Scenario) -> dict[str, tuple[int, int]]:
                     f"of cluster {dev.cluster!r}")
             key = (dev.cluster, freq)
             occupancy[key] = occupancy.get(key, 0) + 1
-            if occupancy[key] > 3:
+            if occupancy[key] > MAX_PER_CHANNEL:
                 problems.append(
-                    f"{where}.assignment.channel: more than 3 devices on {freq} Hz "
-                    f"in cluster {dev.cluster!r}")
+                    f"{where}.assignment.channel: more than {MAX_PER_CHANNEL} devices on "
+                    f"{freq} Hz in cluster {dev.cluster!r}")
 
     for i, trig in enumerate(scenario.triggers):
         where = f"alarms[{i}]"
+        if trig.species in _LEVEL_UNITS:  # an unknown one is a range problem
+            problem = _level_problem(trig.species, trig.level.unit)
+            if problem is not None:
+                problems.append(f"{where}: {problem}")
+        if not trig.devices and trig.cluster is None:
+            problems.append(f"{where}: needs 'devices' or 'cluster'")
         for dev_id in trig.devices:
             if dev_id not in known_devices:
                 problems.append(f"{where}.devices: unknown device {dev_id!r}")
@@ -634,10 +623,18 @@ def validate_scenario(scenario: Scenario) -> dict[str, tuple[int, int]]:
             problems.append(f"{where}.cluster: unknown cluster {trig.cluster!r}")
         if trig.level.value < 0:
             problems.append(f"{where}.level: must be >= 0")
-        if trig.kind == "random" and trig.times_us:
-            problems.append(f"{where}.times: not used by a random alarm")
-        if trig.kind == "script" and trig.interarrival_us is not None:
-            problems.append(f"{where}.interarrival: not used by a scripted alarm")
+        if trig.kind == "script":
+            if not trig.times_us:
+                problems.append(f"{where}: scripted trigger needs at least one time")
+            if trig.interarrival_us is not None:
+                problems.append(f"{where}.interarrival: not used by a scripted alarm")
+        elif trig.kind == "random":
+            if trig.times_us:
+                problems.append(f"{where}.times: not used by a random alarm")
+            lo, hi = trig.interarrival_us
+            if lo <= 0 or hi < lo:
+                problems.append(
+                    f"{where}: interarrival bounds must satisfy 0 < min <= max")
 
     for (own, other), p in scenario.capture.survival:
         if not (7 <= own <= 12 and 7 <= other <= 12):

@@ -45,8 +45,10 @@ class TestCalibratedTable:
 
     def test_unlisted_pairs_default_to_survival_one(self):
         model = CaptureModel()
-        assert model.survival_probability(11, 7) == 1.0
-        assert model.survival_probability(7, 12) == 1.0
+        for own, other in ((11, 7), (7, 12)):
+            assert (own, other) not in model.survival
+            assert (own, other) not in model.lethal
+            assert decodes_against(model, own, 0.0, [(other, 0.0)], BoomRng())
 
     def test_lethal_pairs_are_those_with_survival_below_one(self):
         model = CaptureModel(CaptureSpec(survival=(((9, 10), 0.75), ((7, 7), 1.0))))

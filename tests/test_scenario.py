@@ -192,6 +192,43 @@ def minimal_doc():
     }
 
 
+# Independent problems: each edits minimal_doc() and returns the text the
+# scenario's one ScenarioError must name it by.
+def zero_ups(doc):
+    doc["stop"]["ups"] = 0
+    return "stop.ups: 0 below 1"
+
+
+def rp_sf_13(doc):
+    doc["devices"][0]["rp_sf"] = 13
+    return "devices(ed1).rp_sf: 13 outside [7, 12]"
+
+
+def duplicate_device(doc):
+    doc["devices"].append({"id": "ed1", "cluster": "c1"})
+    return "devices: duplicate ids ['ed1']"
+
+
+def bad_alarm(text, **entry):
+    """An alarm entry, valid but for ``entry``, named by its index."""
+    def inject(doc):
+        alarms = doc.setdefault("alarms", [])
+        alarms.append({"species": "methane", "level": "1.2 %vol", "cluster": "c1", **entry})
+        return f"alarms[{len(alarms) - 1}]{text}"
+    return inject
+
+
+INJECTED_PROBLEMS = [
+    zero_ups, rp_sf_13, duplicate_device,
+    bad_alarm(".kind: 'poisson' is not one of ['script', 'random']", kind="poisson"),
+    bad_alarm(": interarrival bounds must satisfy 0 < min <= max", kind="random",
+              interarrival={"min": "130 s", "max": "120 s"}),
+    bad_alarm(": co levels use 'ppm', got '%vol'", kind="script", species="co",
+              level="150 %vol", times=["10 s"]),
+    bad_alarm(": scripted trigger needs at least one time", kind="script"),
+]
+
+
 class TestDocumentValidation:
     def test_minimal_document_parses_with_defaults(self):
         scenario = parse_scenario(minimal_doc())
@@ -218,8 +255,19 @@ class TestDocumentValidation:
         doc["stop"] = {}
         with pytest.raises(ScenarioError, match="exactly one"):
             parse_scenario(doc)
-        with pytest.raises(ScenarioError):
-            StopSpec(ups=0)
+        stop = StopSpec(ups=0)  # constructs: the scenario it is built into checks it
+        with pytest.raises(ScenarioError, match=re.escape("stop.ups: 0 below 1")):
+            dataclasses.replace(parse_scenario(minimal_doc()), stop=stop)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.sampled_from(INJECTED_PROBLEMS), min_size=1, unique=True))
+    @example(INJECTED_PROBLEMS)
+    def test_one_error_names_every_injected_problem(self, injected):
+        doc = minimal_doc()
+        expected = [inject(doc) for inject in injected]
+        with pytest.raises(ScenarioError) as err:
+            parse_scenario(doc)
+        assert sorted(str(err.value).split("; ")) == sorted(expected)
 
     @pytest.mark.parametrize("seed", [True, -1, "7"])
     def test_bad_seeds_rejected(self, seed):

@@ -1,5 +1,6 @@
 """Gas-sensor model: bridge voltages, quantized thresholds, trigger instants."""
 
+import dataclasses
 import itertools
 import logging
 import re
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from loraguard.engine import US_PER_SECOND, RandomStreams
-from loraguard.scenario import GasLevel
+from loraguard.scenario import GasLevel, ScenarioError, parse_scenario
 from loraguard.sensor import (
     COMBUSTIBLE_ALARM_VOLTS,
     COMBUSTIBLE_GASES,
@@ -24,6 +25,18 @@ from loraguard.sensor import (
 )
 
 PROFILE = SensorProfile()
+ONE_DEVICE = parse_scenario({
+    "name": "one-device",
+    "stop": {"ups": 1},
+    "gateways": [{"id": "gw1"}],
+    "clusters": [{"id": "c1", "members": ["ed1"], "dcp_gateway": "gw1"}],
+    "devices": [{"id": "ed1", "cluster": "c1"}],
+})
+
+
+def build_with(trigger):
+    """A one-device scenario whose only alarm is ``trigger``; building it checks the trigger."""
+    return dataclasses.replace(ONE_DEVICE, triggers=(trigger,))
 
 
 class TestCombustibleBridge:
@@ -128,21 +141,23 @@ class TestTriggers:
         assert abs(gaps.mean() / US_PER_SECOND - 125.0) < 0.2
 
     @pytest.mark.parametrize("kwargs,message", [
-        ({"kind": "poisson"}, "unknown trigger kind"),
+        ({"kind": "poisson"}, "alarms[0].kind: 'poisson' is not one of ['script', 'random']"),
         ({"kind": "script", "times_us": ()}, "needs at least one time"),
         ({"kind": "random", "interarrival_us": (0, 10)}, "0 < min <= max"),
         ({"kind": "random", "interarrival_us": (10, 5)}, "0 < min <= max"),
     ], ids=["kwargs0", "kwargs1", "kwargs2", "kwargs3"])
     def test_invalid_trigger_specs_rejected(self, kwargs, message):
-        with pytest.raises(ValueError, match=message):
-            TriggerSpec(species="methane", level=GasLevel(1.2, "%vol"), devices=("ed1",),
-                        **kwargs)
+        spec = TriggerSpec(species="methane", level=GasLevel(1.2, "%vol"), devices=("ed1",),
+                           **kwargs)
+        with pytest.raises(ScenarioError, match=re.escape(message)):
+            build_with(spec)
 
     @pytest.mark.parametrize("kwargs,message", [
         ({"level": GasLevel(1.2, "ppm")}, "methane levels use '%vol', got 'ppm'"),
         ({"devices": ()}, "needs 'devices' or 'cluster'"),
     ])
     def test_level_unit_and_scope_checked(self, kwargs, message):
-        with pytest.raises(ValueError, match=re.escape(message)):
-            TriggerSpec(**{"kind": "script", "species": "methane", "times_us": (1,),
-                           "level": GasLevel(1.2, "%vol"), "devices": ("ed1",), **kwargs})
+        spec = TriggerSpec(**{"kind": "script", "species": "methane", "times_us": (1,),
+                              "level": GasLevel(1.2, "%vol"), "devices": ("ed1",), **kwargs})
+        with pytest.raises(ScenarioError, match=re.escape(message)):
+            build_with(spec)
