@@ -10,7 +10,7 @@ Run: python3 demos/04_sim_vs_model.py   (about 10 s; it prints when the run is d
 
 import time
 
-from loraguard.analytic import model_inputs, verdict
+from loraguard.analytic import verdict
 from loraguard.scenario import load_scenario, shipped_scenario_path
 from loraguard.simulation import Simulation
 
@@ -18,9 +18,10 @@ from loraguard.simulation import Simulation
 def main() -> None:
     scenario = load_scenario(shipped_scenario_path("test2_dl_priority"))
     started = time.perf_counter()
-    report = Simulation(scenario).run()
+    sim = Simulation(scenario)
+    report = sim.run()
     elapsed = time.perf_counter() - started
-    check = verdict(model_inputs(scenario), report)
+    check = verdict(sim.model_inputs(), report)
     inputs, (lo, hi) = check.inputs, check.ci95
     up = report["kinds"]["UP"]
 

@@ -33,17 +33,15 @@ the marginal evaluator makes one term per (tau, D) pair.
 Three evaluators are provided: exact per-sender airtimes, independent
 discrete mixtures of airtimes, and the small-loss linear approximation
 PLR = N (E[tau] + E[D]) / T.  ``verdict`` checks a run's urgent-uplink PLR
-against the exact evaluator on the scenario's ``model_inputs``.
+against the exact evaluator on the inputs the run reads from its own bindings
+(``Simulation.model_inputs``); this module imports no other loraguard module.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
-
-if TYPE_CHECKING:
-    from .scenario import Scenario
+from typing import Mapping, NamedTuple, Sequence
 
 #: Results are flagged out-of-regime when tau + D comes within this many
 #: sigmas of the period, where the residual-density truncation at 0 matters.
@@ -247,44 +245,12 @@ def plr_approx(n_senders: int, mean_dcp_s: float, mean_up_s: float,
 
 
 class ModelInputs(NamedTuple):
-    """What a scenario gives ``plr_exact_fixed``, in its argument order, in seconds."""
+    """What a run gives ``plr_exact_fixed``, in its argument order, in seconds."""
 
-    dcp_airtimes_s: tuple[float, ...]  # one per reporting device, in scenario order
+    dcp_airtimes_s: tuple[float, ...]  # one per reporter whose downlinks reach a window
     up_airtime_s: float | None  # None when no alarm that trips triggers any device
     period_s: float
     sigma_s: float
-
-
-def model_inputs(scenario: Scenario) -> ModelInputs | None:
-    """The exact model's inputs implied by a scenario; None when no device reports.
-
-    Every reporting device provokes one control-downlink stream at its report
-    SF.  The urgent airtime is the longest among the devices the scenario's
-    tripping triggers trigger, at their assigned SF.  The model takes one report
-    period and jitter, so reporters that differ in either raise ValueError.
-    """
-    # Lazy, so that importing the model loads neither the radio layer nor YAML.
-    from .engine import US_PER_SECOND
-    from .phy import RadioParams, airtime_us
-
-    reporters = [d for d in scenario.devices if d.rp_period_us is not None]
-    if not reporters:
-        return None
-    first = reporters[0]
-    differing = [d.id for d in reporters if (d.rp_period_us, d.clock_sigma_us)
-                 != (first.rp_period_us, first.clock_sigma_us)]
-    if differing:
-        raise ValueError(f"reporters {', '.join(differing)} differ from {first.id} in "
-                         f"report period or clock jitter; the model needs one shared "
-                         f"(T, sigma)")
-    triggered = {d for _i, trig in scenario.tripping for d in scenario.alarm_scope(trig)}
-    return ModelInputs(
-        tuple(airtime_us(RadioParams(sf=d.rp_sf), scenario.dcp_payload_len) / US_PER_SECOND
-              for d in reporters),
-        max((airtime_us(RadioParams(sf=scenario.assignments[d][1]),
-                        scenario.device(d).up_payload_len) / US_PER_SECOND
-             for d in triggered), default=None),
-        first.rp_period_us / US_PER_SECOND, first.clock_sigma_us / US_PER_SECOND)
 
 
 class ModelCheck(NamedTuple):
@@ -298,9 +264,9 @@ class ModelCheck(NamedTuple):
 
 
 def verdict(inputs: ModelInputs | None, report: Mapping) -> ModelCheck | None:
-    """Check a run's ``report`` against the exact model on ``inputs``, its scenario's
-    ``model_inputs``; None when the model does not apply (no device reports) or no
-    urgent uplink was sent."""
+    """Check a run's ``report`` against the exact model on ``inputs``, the run's
+    ``model_inputs``; None when the model does not apply (no reporter's downlinks
+    reach a window) or no urgent uplink was sent."""
     up = report["kinds"].get("UP")
     if inputs is None or not up or up["generated"] == 0:
         return None

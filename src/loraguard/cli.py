@@ -1,8 +1,9 @@
 """Command-line front end: run scenarios, query airtimes, evaluate the model.
 
 Exit codes: 0 success, 2 unreadable input, 3 invalid scenario, 4 runtime
-failure, 5 validation mismatch (``validate`` only).  ``validate`` also exits 0,
-without running, when the scenario has no reporting devices: the model then
+failure, 5 validation mismatch (``validate`` only).  ``validate`` builds the
+run once, reads the model's inputs from it and runs it.  It exits 0 without
+running when no reporter's downlinks reach a receive window: the model then
 has no control downlinks to predict.
 """
 
@@ -13,8 +14,7 @@ import sys
 import time
 from pathlib import Path
 
-from .analytic import (PlrModelParams, model_inputs, plr_approx, plr_exact_fixed,
-                       plr_marginal, verdict)
+from .analytic import PlrModelParams, plr_approx, plr_exact_fixed, plr_marginal, verdict
 from .metrics import emit_report
 from .phy import RadioParams, airtime_us
 from .scenario import Scenario, ScenarioError, load_scenario
@@ -139,18 +139,19 @@ def cmd_validate(args: argparse.Namespace) -> int:
     scenario = _load(args)
     if isinstance(scenario, int):
         return scenario
+    sim = Simulation(scenario)
     try:
-        inputs = model_inputs(scenario)
+        inputs = sim.model_inputs()
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     if inputs is None:
-        # Control downlinks answer reports: without reporters the
-        # downlink-load model has nothing to predict, so nothing is run.
+        # Without downlinks that reach a window the downlink-load model has
+        # nothing to predict, so nothing is run.
         print("validate: not applicable (no gateway sends control downlinks)")
         return EXIT_OK
 
-    check = verdict(inputs, Simulation(scenario).run())
+    check = verdict(inputs, sim.run())
     if check is None:
         print("error: scenario produced no urgent uplinks to validate", file=sys.stderr)
         return EXIT_RUNTIME

@@ -43,8 +43,8 @@ class Gateway:
     # it, for each frame holding a demod path
     active: dict[int, list[tuple[int, float]]] = field(default_factory=dict)
     finished: dict[int, str] = field(default_factory=dict)  # early loss causes
-    # uid -> (end_us, (sf, power)) per channel for every frame on the air,
-    # whether or not it holds a demod path: dropped frames still radiate.
+    # uid -> (end_us, (sf, power)) per channel for every frame until its
+    # close-out, held by a demod path or not: dropped frames still radiate.
     on_air: dict[int, dict[int, tuple[SimTime, tuple[int, float]]]] = field(
         default_factory=dict)
 
@@ -54,10 +54,10 @@ class Gateway:
         The frame joins the channel's interference set and is stamped onto
         every overlapping reception it can destroy, regardless of whether it
         wins a demodulation path itself.  A busy channel is scanned once:
-        frames that ended by ``now`` are pruned and take no part, each live
-        reception is stamped with the newcomer if their SF pair is lethal,
-        and the live frames that can destroy the newcomer, in arrival order,
-        become its interferers.
+        frames that ended by ``now`` but are not yet closed out take no part,
+        each live reception is stamped with the newcomer if their SF pair is
+        lethal, and the live frames that can destroy the newcomer, in arrival
+        order, become its interferers.
         """
         uid = tx.uid
         channel = self.on_air.get(tx.freq_hz)
@@ -69,10 +69,8 @@ class Gateway:
         active = self.active
         if channel:  # empty is the common case: nothing else on the air
             lethal = self.capture.lethal
-            ended = []
             for other_uid, (end, other) in channel.items():
                 if end <= now:
-                    ended.append(other_uid)
                     continue
                 other_sf = other[0]
                 if (other_sf, sf) in lethal:
@@ -81,8 +79,6 @@ class Gateway:
                         heard.append(signal)
                 if (sf, other_sf) in lethal:
                     interferers_seen.append(other)
-            for other_uid in ended:
-                del channel[other_uid]
         channel[uid] = (tx.end_us, signal)
 
         if self.tx_busy_until > now:
@@ -95,8 +91,7 @@ class Gateway:
     def on_uplink_end(self, tx: Transmission, now: SimTime, rng) -> str | None:
         """Close out an uplink; returns this gateway's loss cause, None if decoded."""
         uid = tx.uid
-        # A frame that ended may already have been pruned by a later arrival.
-        self.on_air[tx.freq_hz].pop(uid, None)
+        del self.on_air[tx.freq_hz][uid]
         interferers = self.active.pop(uid, None)
         if interferers is None:
             return self.finished.pop(uid)  # lost before its end

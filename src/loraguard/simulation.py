@@ -39,7 +39,8 @@ channels (indexed by the hop's position in ``rp_channels``), its cluster's DCP
 gateway, that gateway's budget on each of those sub-bands and the airtime of
 its window-1 downlink, which goes out on the report's own channel and
 sub-band; and the gateway's window-2 budget and the window-2 downlink's
-airtime, the same for every device.
+airtime, the same for every device.  ``model_inputs`` reads the renewal
+model's inputs from these bindings.
 
 Each trigger that trips its sensors, as the scenario decided when it was built
 (``Scenario.tripping``), becomes an alarm source holding the resources it
@@ -87,8 +88,9 @@ from functools import partial
 from types import MappingProxyType
 from typing import Callable, Iterator, Mapping
 
+from .analytic import ModelInputs
 from .device import EndDevice
-from .engine import Engine, RandomStreams, SimTime, Stream
+from .engine import US_PER_SECOND, Engine, RandomStreams, SimTime, Stream
 from .gateway import Gateway
 from .metrics import (CAUSE_DUTY_CYCLE, NO_GATEWAYS, KindStats, MetricsCollector,
                       OutcomeLog, build_report, system_cause)
@@ -218,6 +220,36 @@ class Simulation:
             source.handler = partial(self._fire_alarm, source)
             self._alarm_sources.append(source)
         self._live_alarm_sources = len(self._alarm_sources)
+
+    def model_inputs(self) -> ModelInputs | None:
+        """The exact model's inputs, read from what this run bound; None when no
+        reporter's downlinks reach a receive window.
+
+        The model assumes of the run one DCP term per reporter whose backhaul
+        round trip reaches a window, in scenario order, at its window-1
+        airtime.  A window-2 reporter keeps that term until the model sees the
+        gateway's budgets: the window-2 budget lets only part of its downlinks
+        out, so the SF12 airtime alone would overstate the loss.  Those
+        reporters share one report period and clock jitter (T, sigma), else
+        ValueError; an urgent uplink lasts the longest airtime among the
+        resources of the alarm sources that trip (None if none trips).
+        """
+        reporters = [r for r in self._reporters if r.dcp_window is not None]
+        if not reporters:
+            return None
+        first = reporters[0].device.spec
+        differing = [r.device.spec.id for r in reporters
+                     if (r.device.spec.rp_period_us, r.device.spec.clock_sigma_us)
+                     != (first.rp_period_us, first.clock_sigma_us)]
+        if differing:
+            raise ValueError(f"reporters {', '.join(differing)} differ from {first.id} in "
+                             f"report period or clock jitter; the model needs one shared "
+                             f"(T, sigma)")
+        return ModelInputs(
+            tuple(r.dcp_airtime_us / US_PER_SECOND for r in reporters),
+            max((resource[4] / US_PER_SECOND for source in self._alarm_sources
+                 for resource in source.resources), default=None),
+            first.rp_period_us / US_PER_SECOND, first.clock_sigma_us / US_PER_SECOND)
 
     # -- run loop ---------------------------------------------------------------
 

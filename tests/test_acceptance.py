@@ -19,8 +19,7 @@ from dataclasses import replace
 
 import pytest
 
-from loraguard.analytic import (PlrModelParams, model_inputs, plr_approx, plr_exact_fixed,
-                               plr_marginal, verdict)
+from loraguard.analytic import PlrModelParams, plr_approx, plr_exact_fixed, plr_marginal, verdict
 from loraguard.cli import main
 from loraguard.engine import US_PER_SECOND
 from loraguard.metrics import CAUSE_PRIORITY, emit_report, wilson_interval
@@ -148,7 +147,7 @@ def test_criterion_02_simulation_matches_the_exact_model(shipped_runs):
     with criterion(2, "downlink-priority PLR agrees with the renewal model"):
         scenario, sim, report, elapsed = shipped_runs["test2_dl_priority"]
         assert report["kinds"]["UP"]["generated"] == 20_000
-        check = verdict(model_inputs(scenario), report)
+        check = verdict(sim.model_inputs(), report)
         assert len(check.inputs.dcp_airtimes_s) == 8
         assert check.inputs.up_airtime_s == airtime_us(RadioParams(sf=9), 37) / US_PER_SECOND
         assert check.inside
@@ -179,8 +178,30 @@ def test_the_model_verdict_on_every_shipped_run(shipped_runs):
         return (check.inside, *(f"{100 * x:.3f}" for x in
                                 (check.observed, *check.ci95, check.predicted)))
 
-    assert {name: printed(verdict(model_inputs(scenario), report))
-            for name, (scenario, _sim, report, _s) in shipped_runs.items()} == SHIPPED_VERDICTS
+    assert {name: printed(verdict(sim.model_inputs(), report))
+            for name, (_scenario, sim, report, _s) in shipped_runs.items()} == SHIPPED_VERDICTS
+
+
+def test_the_model_inputs_are_the_airtimes_the_specs_imply(shipped_runs):
+    """Every shipped reporter's downlinks reach window 1, so the run's inputs
+    are one report-SF DCP per reporter and the longest urgent airtime over the
+    tripping scopes, derived here from the specs alone."""
+    for name, (scenario, sim, _report, _s) in shipped_runs.items():
+        fresh = Simulation(scenario).model_inputs()
+        assert sim.model_inputs() == fresh, name
+        reporters = [d for d in scenario.devices if d.rp_period_us is not None]
+        if not reporters:
+            assert fresh is None, name
+            continue
+        scopes = {d for _i, trig in scenario.tripping for d in scenario.alarm_scope(trig)}
+        assert fresh == (
+            tuple(airtime_us(RadioParams(sf=d.rp_sf), scenario.dcp_payload_len)
+                  / US_PER_SECOND for d in reporters),
+            max(airtime_us(RadioParams(sf=scenario.assignments[d][1]),
+                           scenario.device(d).up_payload_len) / US_PER_SECOND
+                for d in scopes),
+            reporters[0].rp_period_us / US_PER_SECOND,
+            reporters[0].clock_sigma_us / US_PER_SECOND), name
 
 
 def test_criterion_03_receive_only_gateway_rescues_urgent_uplinks(

@@ -206,12 +206,27 @@ class TestValidate:
                                       "calibration_pairs_sf7_sf8"])
     def test_shipped_scenarios_without_reporters_are_not_simulated(
             self, name, monkeypatch, capsys):
-        def no_run(*_args, **_kwargs):  # pragma: no cover - reaching this is the failure
-            raise AssertionError("validate must decide before it simulates")
-
-        monkeypatch.setattr(loraguard.cli, "Simulation", no_run)
+        forbid_runs(monkeypatch)
         assert main(["validate", str(shipped_scenario_path(name))]) == EXIT_OK
         assert capsys.readouterr().out == NOT_APPLICABLE
+
+    def test_downlinks_that_reach_no_window_are_not_applicable(
+            self, tmp_path, monkeypatch, capsys):
+        # A 2.4 s round trip misses both receive windows, so no DCP is sent.
+        doc = yaml.safe_load(shipped_scenario_path("test2_dl_priority").read_text(
+            encoding="utf-8"))
+        doc["gateways"][0]["backhaul"] = "1.2 s"
+        forbid_runs(monkeypatch)
+        assert main(["validate", write_doc(tmp_path, doc)]) == EXIT_OK
+        assert capsys.readouterr().out == NOT_APPLICABLE
+
+
+def forbid_runs(monkeypatch):
+    """Make running any simulation fail: ``validate`` may build one, never run it."""
+    def no_run(*_args, **_kwargs):  # pragma: no cover - reaching this is the failure
+        raise AssertionError("validate must decide before it simulates")
+
+    monkeypatch.setattr(loraguard.cli.Simulation, "run", no_run)
 
 
 def test_no_subcommand_is_a_usage_error():

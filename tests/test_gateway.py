@@ -165,10 +165,14 @@ class TestBusyChannel:
         # Neither end has been processed yet when the newcomer arrives at 100.
         newcomer = make_tx("ed3", self.CH, start=100, sf=9)
         gw.on_uplink_start(newcomer, 100)
-        assert list(gw.on_air[self.CH]) == [newcomer.uid]
+        assert list(gw.on_air[self.CH]) == [early.uid, edge.uid, newcomer.uid]
         assert gw.active[newcomer.uid] == []
         assert gw.active[early.uid] == [(8, -2.0)]
         assert gw.active[edge.uid] == [(7, -1.0)]
+        # An ended frame stays on the air until its close-out removes it.
+        for tx in (early, edge):
+            gw.on_uplink_end(tx, 100, np.random.default_rng(0))
+        assert list(gw.on_air[self.CH]) == [newcomer.uid]
 
     def test_each_live_reception_gains_one_entry_per_newcomer(self):
         gw = make_gateway(ALL_LETHAL, demod_paths=8)
@@ -192,6 +196,8 @@ class TestBusyChannel:
         newcomer = make_tx("ed5", self.CH, start=30, sf=7)
         gw.on_uplink_start(newcomer, 30)
         assert gw.active[newcomer.uid] == [(10, -1.0), (8, -2.0), (9, -3.0)]
+        assert list(gw.on_air[self.CH]) == [gone.uid, a.uid, b.uid, c.uid, newcomer.uid]
+        gw.on_uplink_end(gone, 30, np.random.default_rng(0))
         assert list(gw.on_air[self.CH]) == [a.uid, b.uid, c.uid, newcomer.uid]
 
 

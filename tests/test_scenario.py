@@ -12,7 +12,6 @@ import yaml
 from hypothesis import example, given, settings, strategies as st
 
 from loraguard import scenario as scenario_module
-from loraguard.analytic import model_inputs
 from loraguard.cli import main
 from loraguard.device import EndDevice
 from loraguard.gateway import Gateway
@@ -156,8 +155,7 @@ class TestValidatedWhenBuilt:
     def test_simulation_and_model_do_not_validate_again(self, validations):
         scenario = load_scenario(shipped_scenario_path("demo_small"))
         assert validations == ["demo_small"]
-        Simulation(scenario)
-        model_inputs(scenario)
+        Simulation(scenario).model_inputs()
         assert validations == ["demo_small"]
 
     def test_a_replaced_scenario_is_validated_by_the_replace(self):

@@ -13,7 +13,6 @@ from dataclasses import replace
 import jsonschema
 import pytest
 
-from loraguard.analytic import model_inputs
 from loraguard.engine import Engine, RandomStreams
 from loraguard.gateway import Gateway
 from loraguard.metrics import (CAUSE_DUTY_CYCLE, KINDS, MetricsCollector, emit_report,
@@ -649,5 +648,21 @@ class TestNonTrippingSources:
 
     def test_the_model_ignores_the_scope_of_a_source_that_cannot_trip(self):
         # ed2's SF10 uplink would be the longer one, but its alarm never trips.
-        inputs = model_inputs(two_device_scenario([SCRIPTED_ED1, QUIET_CO], {"ups": 2}))
+        inputs = Simulation(
+            two_device_scenario([SCRIPTED_ED1, QUIET_CO], {"ups": 2})).model_inputs()
         assert inputs.up_airtime_s == airtime_us(RadioParams(sf=9), 37) / 1e6
+
+
+@pytest.mark.parametrize("delay2_us, terms", [(20_000, 1), (1_000_000, 2)])
+def test_only_reporters_whose_downlinks_reach_a_window_give_model_terms(
+        two_gateway_scenario, delay2_us, terms):
+    # gw1's 20 ms backhaul makes a 40 ms round trip: it misses ed2's windows
+    # at 10 and 20 ms, so ed2 adds no term; a window-2 reporter keeps its
+    # window-1 term.
+    ed1, ed2 = two_gateway_scenario.devices
+    late = replace(two_gateway_scenario, devices=(ed1, replace(
+        ed2, receive_delay1_us=10_000, receive_delay2_us=delay2_us)))
+    full = Simulation(two_gateway_scenario).model_inputs()
+    assert len(full.dcp_airtimes_s) == 2
+    assert Simulation(late).model_inputs() == full._replace(
+        dcp_airtimes_s=full.dcp_airtimes_s[:terms])
