@@ -6,13 +6,14 @@ at each radio.  The system-level loss histogram assigns one cause per lost
 packet using a fixed priority (the device-side duty-cycle first, then
 collision > no-demod-path > tx-busy > gw-preempted).
 
-A run retains about 20 bytes per finalized urgent uplink.  Its outcome is
-written by column into an ``OutcomeLog``: its uid and trigger instant in one
-``array('q')`` and the position of its shape in an ``array('I')``.  A shape is
-the device, delivery, loss cause and per-gateway map with the offsets that
-give the other times from the trigger (the wait before the start, the airtime
-and the backhaul delay); a run has few.  No ``PacketOutcome`` exists until the
-log is read, which rebuilds one per row.  Latencies are counted in a dict
+A run retains a 4-byte verdict code per finalized urgent uplink and a
+20-byte row per close-out group, the uplinks of one alarm that start and end
+together, in an ``OutcomeLog``: the group's first uid and trigger instant in
+one ``array('q')`` and the position of its layout in an ``array('I')``.  A
+layout is the wait before the start, the airtime and each member's uid
+offset and device; a verdict is the per-gateway map, the backhaul delay and
+the loss cause; a run has few of each.  No ``PacketOutcome`` exists until the
+log is read, which rebuilds one per uplink.  Latencies are counted in a dict
 keyed by integer microseconds, from which the nearest-rank quantiles and the
 mean come out exactly, and gateway outcomes in nested dicts, gateway -> kind
 -> cause, which hash one string each where a ``(gateway, kind, cause)`` key
@@ -27,11 +28,11 @@ import math
 import operator
 import struct
 from array import array
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate
 from types import MappingProxyType
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .engine import SimTime
 
@@ -102,83 +103,122 @@ class PacketOutcome:
     per_gateway: Mapping[str, str] = field(default_factory=lambda: NO_GATEWAYS)
 
 
-# One outcome's uid and trigger instant as the bytes of two array('q') items.
+# A close-out group's first uid and trigger instant as the bytes of two array('q') items.
 _ROW = struct.Struct("2q")
 
-# What an ``OutcomeLog`` row shares with others: device, delivered, cause,
-# per-gateway map, then the wait (start - trigger), the airtime (end - start)
-# and the delay (delivered-at - end), each None where its time is absent.
-_Shape = tuple[str, bool, str | None, Mapping[str, str],
-               SimTime | None, SimTime | None, SimTime | None]
+# What a close-out group shares with others: the wait (start - trigger) and the
+# airtime (end - start), both None where the uplink never reached the air, then
+# each member's uid offset from the first member's and its device, in start order.
+_Layout = tuple[SimTime | None, SimTime | None, tuple[int, ...], tuple[str, ...]]
+
+# What an uplink's per-gateway outcomes mean: its per-gateway map, the delay
+# (delivered-at - end, None unless delivered) and the loss cause.
+_Verdict = tuple[Mapping[str, str], SimTime | None, str | None]
 
 
-def _outcome(uid: int, trigger: SimTime, shape: _Shape) -> PacketOutcome:
-    """Rebuild the outcome of a row from its uid, trigger instant and shape."""
-    device, delivered, cause, per_gateway, wait, airtime, delay = shape
+def _outcome(uid: int, device: str, trigger: SimTime, wait: SimTime | None,
+             airtime: SimTime | None, verdict: _Verdict) -> PacketOutcome:
+    """Rebuild an outcome from its group's times and layout and its own verdict."""
+    per_gateway, delay, cause = verdict
     if wait is None:  # never reached the air
-        return PacketOutcome(uid, device, trigger, None, None, delivered, None, cause,
-                             per_gateway)
+        return PacketOutcome(uid, device, trigger, None, None, False, None, cause, per_gateway)
     start = trigger + wait
     end = start + airtime
-    return PacketOutcome(uid, device, trigger, start, end, delivered,
+    return PacketOutcome(uid, device, trigger, start, end, delay is not None,
                          None if delay is None else end + delay, cause, per_gateway)
 
 
 class OutcomeLog(Sequence[PacketOutcome]):
-    """Read-only sequence of finalized uplink outcomes, stored by column.
+    """Read-only sequence of finalized uplink outcomes, stored one row per group.
 
-    ``write`` takes an outcome's uid and trigger instant, which go into one
-    ``array('q')``, two entries per outcome, and the rest as its shape: the
-    device, loss cause and per-gateway map and three offsets, the wait
-    (start - trigger), the airtime (end - start) and the delay
-    (delivered-at - end).  An offset is None where its time is absent: the
-    airtime exactly when the wait is (the uplink never reached the air) and
-    the delay exactly when the outcome is not delivered.  A run's shapes are
-    few, so each distinct one is held once, by reference (a shared
-    per-gateway map stays the same object), and the outcome keeps its
-    position in an ``array('I')``: 20 bytes per outcome.  Indexing and
-    iteration rebuild a ``PacketOutcome`` with start = trigger + wait,
-    end = start + airtime and delivered-at = end + delay.
+    A group is the uplinks of one alarm that start at one instant and end at
+    one instant, closed out together; an uplink that never reached the air is
+    a group of one.  ``write`` takes a group's trigger instant and first uid,
+    which go into one ``array('q')``, two entries per group, and its layout:
+    the wait (start - trigger), the airtime (end - start), both None where the
+    group never reached the air, and each member's uid offset from the first
+    and device, in start order.  A run's layouts are few, so each distinct one
+    is held once and the group keeps its position in an ``array('I')``: 20
+    bytes per group.  Each member keeps only the code of its verdict, in
+    another ``array('I')``: 4 bytes per uplink.  A verdict is the per-gateway
+    map, the delay (delivered-at - end, None unless delivered) and the loss
+    cause; ``add_verdict`` holds each by reference (a shared per-gateway map
+    stays the same object) and gives its code, and its caller interns them.
+    Indexing and iteration rebuild a ``PacketOutcome`` with uid = first uid +
+    offset, start = trigger + wait, end = start + airtime and delivered-at =
+    end + delay.
     """
 
-    __slots__ = ("_ints", "_shape_at", "_shapes", "_shape_index")
+    __slots__ = ("_rows", "_layout_at", "_layouts", "_layout_index", "_codes", "_verdicts",
+                 "_starts")
 
     def __init__(self) -> None:
-        self._ints = array("q")  # uid and trigger instant of each outcome, in turn
-        self._shape_at = array("I")  # position in _shapes of each outcome's shape
-        self._shapes: list[_Shape] = []  # in order of first use
-        # The map's identity stands for it in the key; _shapes keeps it alive.
-        self._shape_index: dict[
-            tuple[str, str | None, int, SimTime | None, SimTime | None, SimTime | None], int] = {}
+        self._rows = array("q")  # first uid and trigger instant of each group, in turn
+        self._layout_at = array("I")  # position in _layouts of each group's layout
+        self._layouts: list[_Layout] = []  # in order of first use
+        self._layout_index: dict[_Layout, int] = {}
+        self._codes = array("I")  # each outcome's verdict code, a position in _verdicts
+        self._verdicts: list[_Verdict] = []
+        # Position of each group's first outcome, built by reads as far as they need.
+        self._starts = array("q")
 
-    def write(self, uid: int, device: str, trigger_us: SimTime, wait_us: SimTime | None,
-              airtime_us: SimTime | None, delay_us: SimTime | None, cause: str | None,
-              per_gateway: Mapping[str, str]) -> None:
-        """Append the outcome with these fields; it is delivered iff ``delay_us`` is given."""
-        key = (device, cause, id(per_gateway), wait_us, airtime_us, delay_us)
-        at = self._shape_index.get(key)
+    def add_verdict(self, per_gateway: Mapping[str, str], delay_us: SimTime | None,
+                    cause: str | None) -> int:
+        """Hold this verdict and return its code; an outcome is delivered iff ``delay_us``
+        is given."""
+        self._verdicts.append((per_gateway, delay_us, cause))
+        return len(self._verdicts) - 1
+
+    def write(self, trigger_us: SimTime, first_uid: int, wait_us: SimTime | None,
+              airtime_us: SimTime | None, offsets: tuple[int, ...], devices: tuple[str, ...],
+              codes: Iterable[int]) -> None:
+        """Append a group: its members' uid offsets, devices and verdict codes, in start order."""
+        layout = (wait_us, airtime_us, offsets, devices)
+        at = self._layout_index.get(layout)
         if at is None:
-            at = self._shape_index[key] = len(self._shapes)
-            self._shapes.append((device, delay_us is not None, cause, per_gateway,
-                                 wait_us, airtime_us, delay_us))
-        self._shape_at.append(at)
+            at = self._layout_index[layout] = len(self._layouts)
+            self._layouts.append(layout)
+        self._layout_at.append(at)
         # Packing the row is faster than two appends or an extend.
-        self._ints.frombytes(_ROW.pack(uid, trigger_us))
+        self._rows.frombytes(_ROW.pack(first_uid, trigger_us))
+        self._codes.extend(codes)
 
     def __len__(self) -> int:
-        return len(self._shape_at)
+        return len(self._codes)
 
     def __getitem__(self, index: int) -> PacketOutcome:
         i = operator.index(index)  # no slices
-        shape = self._shapes[self._shape_at[i]]
-        j = 2 * (i % len(self))  # i is in range: _shape_at took it
-        return _outcome(self._ints[j], self._ints[j + 1], shape)
+        n = len(self._codes)
+        if not -n <= i < n:
+            raise IndexError("outcome index out of range")
+        i %= n
+        starts = self._group_starts()
+        g = bisect_right(starts, i) - 1
+        wait, airtime, offsets, devices = self._layouts[self._layout_at[g]]
+        k = i - starts[g]
+        return _outcome(self._rows[2 * g] + offsets[k], devices[k], self._rows[2 * g + 1],
+                        wait, airtime, self._verdicts[self._codes[i]])
+
+    def _group_starts(self) -> array:
+        """Position of each group's first outcome, extended over the groups written
+        since the last read."""
+        starts, layout_at, layouts = self._starts, self._layout_at, self._layouts
+        done = len(starts)
+        pos = starts[-1] + len(layouts[layout_at[done - 1]][2]) if done else 0
+        for g in range(done, len(layout_at)):
+            starts.append(pos)
+            pos += len(layouts[layout_at[g]][2])
+        return starts
 
     def __iter__(self) -> Iterator[PacketOutcome]:
-        shapes = self._shapes
-        ints = iter(self._ints)
-        for at, uid, trigger in zip(self._shape_at, ints, ints):
-            yield _outcome(uid, trigger, shapes[at])
+        layouts, verdicts = self._layouts, self._verdicts
+        codes = iter(self._codes)
+        rows = iter(self._rows)
+        for at, first, trigger in zip(self._layout_at, rows, rows):
+            wait, airtime, offsets, devices = layouts[at]
+            # offsets runs out first, so zip takes no code past the group's.
+            for offset, device, code in zip(offsets, devices, codes):
+                yield _outcome(first + offset, device, trigger, wait, airtime, verdicts[code])
 
 
 def latency_of(outcome: PacketOutcome) -> SimTime:

@@ -647,11 +647,31 @@ def validate_scenario(scenario: Scenario) -> dict[str, tuple[int, int]]:
     return assignments
 
 
+# libyaml's parser is about 9x faster than PyYAML's pure-Python one, but the
+# two disagree on some text.  libyaml builds another document, or one where
+# the pure-Python parser raises, from text with a tag, a tab, a block scalar,
+# a "?" or a character that is not printable ASCII, so such text goes to the
+# pure-Python parser; and text libyaml rejects goes there too, which accepts
+# some of it and words its own errors.  A file so reads alike on a host
+# without libyaml.
+_PURE_ONLY = re.compile(r"[^\n\x20-\x7e]|[!|>?]")
+
+
+def _parse_yaml(text: str) -> Any:
+    """The document in ``text``, as PyYAML's pure-Python parser builds it."""
+    if yaml.__with_libyaml__ and not _PURE_ONLY.search(text):
+        try:
+            return yaml.load(text, Loader=yaml.CSafeLoader)
+        except yaml.YAMLError:
+            pass
+    return yaml.safe_load(text)
+
+
 def load_scenario(path: str | Path, seed: int | None = None) -> Scenario:
     """Read and validate a scenario YAML file, with ``seed``, if given, for its own."""
     text = Path(path).read_text(encoding="utf-8")
     try:
-        data = yaml.safe_load(text)
+        data = _parse_yaml(text)
     except yaml.YAMLError as exc:
         raise ScenarioError(f"{path}: not valid YAML: {exc}") from exc
     if seed is not None and isinstance(data, dict):

@@ -71,11 +71,13 @@ object is built.  The group's first member schedules the action, so it runs
 where the members' own close-outs would have run one after another, and it
 closes them out in the order they started.  A deferred member is a group of
 one, and the members after it start new groups: its retry may run at their
-end instant, before their close-out.  Once finalized, an uplink is written
-into ``up_outcomes``, a ``metrics.OutcomeLog`` that keeps 20 bytes per uplink
-(its uid, its trigger instant and the position of its shape, which holds what
-it shares with others: the group's wait, its airtime and its verdict) and
-rebuilds a ``PacketOutcome`` whenever it is read.  A delivered uplink's latency is
+end instant, before their close-out.  Once finalized, a group is written
+into ``up_outcomes``, a ``metrics.OutcomeLog``, as one 20-byte row (its
+first uid, its trigger instant and the position of its layout: the wait, the
+airtime and each member's uid offset and device) and one 4-byte code per
+member, the code its verdict got when ``_verdict`` interned it; an uplink lost
+to the duty cycle is a group of one, uid 0.  The log rebuilds a
+``PacketOutcome`` whenever it is read.  A delivered uplink's latency is
 counted straight into the collector's latency counts; nothing else is kept
 per uplink.
 """
@@ -86,7 +88,7 @@ import itertools
 from dataclasses import dataclass
 from functools import partial
 from types import MappingProxyType
-from typing import Callable, Iterator, Mapping
+from typing import Callable, Iterator
 
 from .analytic import ModelInputs
 from .device import EndDevice
@@ -118,11 +120,11 @@ class _AlarmSource:
     handler: Callable[[], None] | None = None  # the source's one "alarm" action
 
 
-# What one tuple of per-gateway outcomes means for an uplink: its read-only
-# per-gateway map, the earliest backhaul delay among the gateways that
-# decoded it (None if none did) and its system-level loss cause (None if
-# delivered).
-_Verdict = tuple[Mapping[str, str], SimTime | None, str | None]
+# What one tuple of per-gateway outcomes means for an uplink: the earliest
+# backhaul delay among the gateways that decoded it (None if none did), its
+# system-level loss cause (None if delivered) and the code under which
+# ``up_outcomes`` holds these with its read-only per-gateway map.
+_Verdict = tuple[SimTime | None, str | None, int]
 
 
 @dataclass(slots=True)
@@ -161,6 +163,8 @@ class Simulation:
         self._up_stats: KindStats | None = None
         # per-gateway causes (None = decoded), in receiver order -> verdict
         self._verdicts: dict[tuple[str | None, ...], _Verdict] = {}
+        self._duty_cycle_code = self.up_outcomes.add_verdict(NO_GATEWAYS, None,
+                                                             CAUSE_DUTY_CYCLE)
 
         self.capture = CaptureModel(self.scenario.capture)
         self.gateways = {spec.id: Gateway(spec, self.capture)
@@ -348,8 +352,8 @@ class Simulation:
             if budget.clearance(now, air) > now:
                 # An urgent alarm is stale by the time the band frees; count it lost.
                 self._up_stats.add_loss(CAUSE_DUTY_CYCLE)
-                self.up_outcomes.write(0, dev_id, trigger_us, None, None, None,
-                                       CAUSE_DUTY_CYCLE, NO_GATEWAYS)
+                self.up_outcomes.write(trigger_us, 0, None, None, (0,), (dev_id,),
+                                       (self._duty_cycle_code,))
                 self._ups_finalized += 1
                 if self._ups_finalized == self._ups_generated:
                     self._stop_if_done()
@@ -376,15 +380,19 @@ class Simulation:
 
         They started ``wait_us`` after the alarm triggered at ``trigger_us``.
         Each ends at every gateway, in scenario order, and its tuple of
-        per-gateway causes is looked up among the resolved verdicts.
+        per-gateway causes is looked up among the resolved verdicts; the group
+        is written into ``up_outcomes`` as one row.
         """
         now = self.engine.now
         stats = self._up_stats
         latencies = self.metrics.up_latencies_us
         on_outcome = self.metrics.on_gateway_outcome
-        write = self.up_outcomes.write
         receivers = self._receivers
         verdicts = self._verdicts
+        uid = group[0].uid
+        codes = []
+        offsets = []
+        devices = []
         delivered = 0
         for tx in group:
             causes: tuple[str | None, ...] = ()
@@ -393,16 +401,18 @@ class Simulation:
                 on_outcome("UP", gw_id, cause)
                 causes += (cause,)
             verdict = verdicts.get(causes)
-            per_gateway, delay, cause = (verdict if verdict is not None
-                                         else self._verdict(causes))
+            delay, cause, code = verdict if verdict is not None else self._verdict(causes)
             if cause is None:
                 delivered += 1
                 latency = now + delay - trigger_us
                 latencies[latency] = latencies.get(latency, 0) + 1
             else:
                 stats.add_loss(cause)
-            write(tx.uid, tx.source, trigger_us, wait_us, tx.airtime_us, delay, cause,
-                  per_gateway)
+            codes.append(code)
+            offsets.append(tx.uid - uid)
+            devices.append(tx.source)
+        self.up_outcomes.write(trigger_us, uid, wait_us, group[0].airtime_us, tuple(offsets),
+                               tuple(devices), codes)
         stats.delivered += delivered
         self._ups_finalized += len(group)
         if self._ups_finalized == self._ups_generated:
@@ -447,7 +457,7 @@ class Simulation:
             on_outcome("RP", gw_id, cause)
             causes += (cause,)
         verdict = self._verdicts.get(causes)
-        cause = (verdict if verdict is not None else self._verdict(causes))[2]
+        cause = (verdict if verdict is not None else self._verdict(causes))[1]
         stats = self._rp_stats
         if stats is None:
             stats = self._rp_stats = self.metrics.kind("RP")
@@ -461,15 +471,17 @@ class Simulation:
     # -- verdicts, shared by reports and urgent uplinks -------------------------------
 
     def _verdict(self, causes: tuple[str | None, ...]) -> _Verdict:
-        """Resolve and intern what ``causes``, one per receiver, mean for an uplink."""
+        """Resolve and intern what ``causes``, one per receiver, mean for an uplink,
+        and give it its code in ``up_outcomes``."""
         per_gateway = {}
         delay = None
         for (gw_id, gw, _rng), cause in zip(self._receivers, causes):
             per_gateway[gw_id] = cause if cause is not None else "decoded"
             if cause is None and (delay is None or gw.spec.backhaul_delay_us < delay):
                 delay = gw.spec.backhaul_delay_us
-        verdict = (MappingProxyType(per_gateway), delay,
-                   system_cause(per_gateway) if delay is None else None)
+        cause = system_cause(per_gateway) if delay is None else None
+        verdict = (delay, cause,
+                   self.up_outcomes.add_verdict(MappingProxyType(per_gateway), delay, cause))
         self._verdicts[causes] = verdict
         return verdict
 

@@ -3,6 +3,7 @@
 import json
 import math
 from collections import Counter
+from itertools import accumulate
 from dataclasses import replace
 from types import MappingProxyType
 
@@ -186,16 +187,52 @@ LOST_TO_DUTY_CYCLE = PacketOutcome(uid=0, device="ed1", trigger_us=15_000_000,
                                    cause=CAUSE_DUTY_CYCLE)
 
 
-def write(log, outcome):
-    """Write ``outcome``'s fields, as a run writes a finalized uplink."""
-    assert (outcome.start_us is None) == (outcome.end_us is None)
+def code_of(log, outcome):
+    """The code of ``outcome``'s verdict in ``log``, added on first use, as a run
+    interns it: by the per-gateway map's identity, the delay and the cause."""
     assert outcome.delivered == (outcome.delivered_at_us is not None)
-    aired = outcome.start_us is not None
-    log.write(outcome.uid, outcome.device, outcome.trigger_us,
-              outcome.start_us - outcome.trigger_us if aired else None,
-              outcome.end_us - outcome.start_us if aired else None,
-              outcome.delivered_at_us - outcome.end_us if outcome.delivered else None,
-              outcome.cause, outcome.per_gateway)
+    verdict = (outcome.per_gateway,
+               outcome.delivered_at_us - outcome.end_us if outcome.delivered else None,
+               outcome.cause)
+    for code, (per_gateway, *rest) in enumerate(log._verdicts):
+        if per_gateway is verdict[0] and tuple(rest) == verdict[1:]:
+            return code
+    return log.add_verdict(*verdict)
+
+
+def layout_of(group):
+    """The layout a run writes for ``group``, outcomes that share their times but
+    the uid, in start order."""
+    first = group[0]
+    assert all((o.trigger_us, o.start_us, o.end_us)
+               == (first.trigger_us, first.start_us, first.end_us) for o in group)
+    assert (first.start_us is None) == (first.end_us is None)
+    aired = first.start_us is not None
+    return (first.start_us - first.trigger_us if aired else None,
+            first.end_us - first.start_us if aired else None,
+            tuple(o.uid - first.uid for o in group), tuple(o.device for o in group))
+
+
+def write_group(log, group):
+    """Write ``group`` as one row, as a run closes out a group of uplinks."""
+    log.write(group[0].trigger_us, group[0].uid, *layout_of(group),
+              [code_of(log, o) for o in group])
+
+
+def write(log, outcome):
+    """Write ``outcome`` as a group of one."""
+    write_group(log, [outcome])
+
+
+def assert_interned(log, groups):
+    """Each distinct layout is held once, in order of first use, and each group
+    and outcome keeps one position: a layout's, a verdict's."""
+    layouts = list(dict.fromkeys(map(layout_of, groups)))
+    assert log._layouts == layouts
+    assert log._layout_index == {layout: i for i, layout in enumerate(layouts)}
+    assert list(log._layout_at) == [layouts.index(layout_of(g)) for g in groups]
+    assert len(log._rows) == 2 * len(groups)
+    assert len(log._codes) == len(log) == sum(map(len, groups))
 
 
 class TestOutcomeLog:
@@ -244,7 +281,7 @@ class TestOutcomeLog:
         first, second = log
         assert (first, second) == (DELIVERED, LOST_TO_DUTY_CYCLE)
 
-    def test_rows_that_differ_only_in_wait_get_two_shapes(self):
+    def test_rows_that_differ_only_in_wait_get_two_layouts(self):
         # A deferred copy: its start, end and delivered-at all 1 us later.
         deferred = replace(DELIVERED, start_us=DELIVERED.start_us + 1,
                            end_us=DELIVERED.end_us + 1,
@@ -254,7 +291,9 @@ class TestOutcomeLog:
         write(log, deferred)
         write(log, DELIVERED)
         assert list(log) == [DELIVERED, deferred, DELIVERED]
-        assert len(log._shapes) == 2
+        assert [wait for wait, *_rest in log._layouts] == [0, 1]
+        assert list(log._layout_at) == [0, 1, 0]
+        assert list(log._codes) == [0, 0, 0]  # one verdict
 
     def test_out_of_range_and_slices_rejected(self, log):
         with pytest.raises(IndexError):
@@ -302,13 +341,63 @@ def test_outcome_log_returns_every_row_as_written(written):
     items = list(log)
     assert items == written
     assert all(a.per_gateway is b.per_gateway for a, b in zip(items, written))
-    # One shape per distinct (device, cause, map, wait, airtime, delay).
-    assert len(log._shapes) == len({
-        (o.device, o.cause, id(o.per_gateway),
-         None if o.start_us is None else o.start_us - o.trigger_us,
-         None if o.end_us is None else o.end_us - o.start_us,
-         None if o.delivered_at_us is None else o.delivered_at_us - o.end_us)
-        for o in written})
+    # One layout per distinct (wait, airtime, device), one verdict per
+    # distinct (map, delay, cause).
+    assert_interned(log, [[o] for o in written])
+    assert len(log._verdicts) == len({
+        (id(o.per_gateway), None if o.delivered_at_us is None else o.delivered_at_us - o.end_us,
+         o.cause) for o in written})
+
+
+@st.composite
+def close_out_groups(draw, first_uid):
+    """The outcomes of one close-out group, in start order, as a run writes them:
+    1-15 uplinks that start and end together, their uids leaving gaps for the
+    uplinks of other groups; an uplink lost to the duty cycle, uid 0; or a
+    deferred uplink alone, with a wait of its own."""
+    trigger = draw(st.integers(0, 10**12))
+    devices = st.sampled_from(["ed1", "ed2", "ed3"])
+    kind = draw(st.sampled_from(["burst", "duty-cycle", "deferred"]))
+    if kind == "duty-cycle":
+        return [PacketOutcome(0, draw(devices), trigger, cause=CAUSE_DUTY_CYCLE)]
+    start = trigger + (draw(st.integers(1, 10**7)) if kind == "deferred" else 0)
+    end = start + draw(st.sampled_from([1, 41_216, 267_264]))
+    gaps = [] if kind == "deferred" else draw(st.lists(st.integers(1, 3), max_size=14))
+    group = []
+    for uid in accumulate(gaps, initial=first_uid):
+        delivered = draw(st.booleans())
+        group.append(PacketOutcome(
+            uid=uid, device=draw(devices), trigger_us=trigger, start_us=start, end_us=end,
+            delivered=delivered,
+            delivered_at_us=end + draw(st.sampled_from([0, 20_000])) if delivered else None,
+            cause=None if delivered else draw(st.sampled_from(CAUSE_PRIORITY[1:])),
+            per_gateway=draw(st.sampled_from(_MAPS))))
+    return group
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(1, 2**40).flatmap(close_out_groups), max_size=12),
+       st.sets(st.integers(0, 11)))
+def test_outcome_log_returns_every_group_as_written(groups, read_after):
+    log = OutcomeLog()
+    for g, group in enumerate(groups):
+        write_group(log, group)
+        if g in read_after:  # a read between writes sees every group so far
+            assert log[-1] == group[-1]
+    written = [outcome for group in groups for outcome in group]
+    n = len(written)
+    assert len(log) == n
+    for i, outcome in enumerate(written):
+        for item in (log[i], log[i - n]):
+            assert item == outcome
+            assert item.per_gateway is outcome.per_gateway
+    items = list(log)
+    assert items == written
+    assert all(a.per_gateway is b.per_gateway for a, b in zip(items, written))
+    assert_interned(log, groups)
+    # A verdict holds its map by identity: equal but distinct maps get two.
+    assert {id(per_gateway) for per_gateway, _delay, _cause in log._verdicts} == {
+        id(o.per_gateway) for o in written}
 
 
 def make_collector():

@@ -611,6 +611,96 @@ class TestDigestText:
         assert scenario_digest(scenario) == hashlib.sha256(pure.encode()).hexdigest()[:16]
 
 
+def parsed(text, loader):
+    """The repr of the document ``loader`` builds from ``text``, or None if it
+    raises a YAMLError.  Reprs tell 1 from 1.0 and True, and a NaN's equals
+    another NaN's."""
+    try:
+        return repr(yaml.load(text, Loader=loader))
+    except yaml.YAMLError:
+        return None
+
+
+def shipped_text(name):
+    return shipped_scenario_path(name).read_text(encoding="utf-8")
+
+
+# Pieces of YAML syntax, with tabs, controls, byte-order marks, non-ASCII
+# line breaks and other characters the two parsers treat differently.
+YAML_PIECES = st.one_of(
+    st.sampled_from(["- ", ": ", "? ", "[", "]", "{", "}", ", ", "'", '"', "#", "# c", "&a ",
+                     "*a", "!", "!!str ", "|", ">", "|#", "---", "...", "%YAML 1.1\n",
+                     "%FOO\n", "\t", "\r", "\n", "\n  ", "\\", "~", "null", ".nan", "0x1F",
+                     "1e3", "2001-12-14", "<<", "\ufeff", "\x85", "\u2028", "\x00", "\x1f",
+                     "\xe9", "\U0001f600"]),
+    st.text(max_size=3),
+)
+
+
+@st.composite
+def spliced_scenarios(draw):
+    """A shipped scenario's text with a few characters or YAML tokens put in or cut out."""
+    text = shipped_text(draw(st.sampled_from(SHIPPED)))
+    for _ in range(draw(st.integers(1, 4))):
+        at = draw(st.integers(0, len(text)))
+        cut = draw(st.integers(0, 3))
+        text = text[:at] + draw(YAML_PIECES) + text[at + cut:]
+    return text
+
+
+YAML_TEXTS = st.one_of(
+    st.text(max_size=80),
+    st.text(alphabet=st.characters(min_codepoint=0x20, max_codepoint=0x7E)
+            | st.sampled_from("\n\t"), max_size=80),
+    st.lists(YAML_PIECES, max_size=30).map("".join),
+    spliced_scenarios(),
+)
+
+
+class TestScenarioParser:
+    """``load_scenario`` parses through libyaml where PyYAML has it and the two
+    parsers agree; the document, or the YAMLError, is always the pure-Python
+    parser's."""
+
+    @pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML has no libyaml")
+    @pytest.mark.parametrize("name", SHIPPED)
+    def test_a_shipped_scenario_parses_through_libyaml_to_the_same_document(self, name):
+        text = shipped_text(name)
+        assert not scenario_module._PURE_ONLY.search(text)  # libyaml parses it
+        assert parsed(text, yaml.CSafeLoader) == parsed(text, yaml.SafeLoader) is not None
+
+    @pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML has no libyaml")
+    def test_every_field_parses_through_libyaml_to_the_same_document(self):
+        text = yaml.safe_dump(EVERY_FIELD_DOC, sort_keys=False)
+        assert not scenario_module._PURE_ONLY.search(text)
+        assert parsed(text, yaml.CSafeLoader) == parsed(text, yaml.SafeLoader) == repr(
+            EVERY_FIELD_DOC)
+
+    @settings(max_examples=500, deadline=None)
+    @given(YAML_TEXTS)
+    @example("!")  # each example is a text on which the two parsers disagree
+    @example("? !")
+    @example("|#")
+    @example("b\t")
+    @example("{a? b}")
+    @example("%FOO bar\n--- x")
+    @example("{a:{b: 1}}")
+    @example("\n\ufeff\\")
+    @example("-\n\ufeff")
+    @example("\u2028\\\xe9*\t\n?")
+    def test_any_text_parses_to_the_pure_python_document_or_error(self, text):
+        pure = parsed(text, yaml.SafeLoader)
+        if yaml.__with_libyaml__ and not scenario_module._PURE_ONLY.search(text):
+            # libyaml builds the same document, or raises and leaves the text
+            # to the pure-Python parser.
+            assert parsed(text, yaml.CSafeLoader) in (None, pure)
+        try:
+            document = repr(scenario_module._parse_yaml(text))
+        except yaml.YAMLError:
+            document = None
+        assert document == pure
+
+
 def digest_with_alarm(alarm, **top_level):
     doc = minimal_doc()
     doc["alarms"] = [{"species": "methane", "level": "1.2 %vol", "devices": ["ed1"],

@@ -69,11 +69,18 @@ class TestScriptedRuns:
         # Deferred start at 10.267264 s + airtime + backhaul - 10.001 s trigger.
         assert latency_of(second) == 553_528
         assert second.start_us == first.end_us
-        # The deferred row's times come back exact from its trigger and shape.
+        # The deferred row's times come back exact from its trigger, layout
+        # and verdict.
         assert (second.trigger_us, second.start_us) == (10_001_000, 10_267_264)
         assert second.end_us - second.start_us == 267_264
         assert second.delivered_at_us - second.end_us == 20_000
-        assert len(sim.up_outcomes._shapes) == 2
+        # Two groups of one: the deferred one's wait gives it a layout of its
+        # own, and both uplinks share one verdict code.
+        log = sim.up_outcomes
+        assert [(wait, offsets) for wait, _air, offsets, _devices in log._layouts] == [
+            (0, (0,)), (266_264, (0,))]
+        assert list(log._layout_at) == [0, 1]
+        assert len(set(log._codes)) == 1
 
     def test_subthreshold_exposure_triggers_nothing(self):
         # 0.9 %vol methane reads 0.45 V, below the 0.5 V trip point: the
@@ -170,9 +177,10 @@ class TestRetainedOutcomes:
             latency_of(row) for row in sim.up_outcomes if row.delivered)
 
     def test_retained_memory_per_urgent_uplink_is_small(self):
-        # What a run keeps per finalized urgent uplink (its columns in
-        # up_outcomes and nothing per uplink elsewhere) must stay near the
-        # 20 bytes of its row: uid and trigger instant, and its shape's position.
+        # What a run keeps per finalized urgent uplink (its share of
+        # up_outcomes and nothing per uplink elsewhere) must stay near the 8
+        # bytes burst_cluster15 needs: a 4-byte verdict code, and a fifth of
+        # its group's 20-byte row (first uid, trigger instant, layout position).
         sim = Simulation(shipped_with_ups("burst_cluster15", 6_000))
         gc.collect()
         tracemalloc.start()  # traces only what run() allocates from here on
@@ -184,7 +192,7 @@ class TestRetainedOutcomes:
             tracemalloc.stop()
         generated = report["kinds"]["UP"]["generated"]
         assert generated == len(sim.up_outcomes) == 6_000
-        assert retained <= 28 * generated
+        assert retained <= 14 * generated
 
 
 @pytest.fixture(scope="module")
