@@ -13,7 +13,7 @@ one ``array('q')`` and the position of its layout in an ``array('I')``.  A
 layout is the wait before the start, the airtime and each member's uid
 offset and device; a verdict is the per-gateway map, the backhaul delay and
 the loss cause; a run has few of each.  No ``PacketOutcome`` exists until the
-log is read, which rebuilds one per uplink.  Latencies are counted in a dict
+log is iterated, which rebuilds one per uplink.  Latencies are counted in a dict
 keyed by integer microseconds, from which the nearest-rank quantiles and the
 mean come out exactly, and gateway outcomes in nested dicts, gateway -> kind
 -> cause, which hash one string each where a ``(gateway, kind, cause)`` key
@@ -25,14 +25,13 @@ from __future__ import annotations
 
 import json
 import math
-import operator
 import struct
 from array import array
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import accumulate
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping
 
 from .engine import SimTime
 
@@ -128,8 +127,8 @@ def _outcome(uid: int, device: str, trigger: SimTime, wait: SimTime | None,
                          None if delay is None else end + delay, cause, per_gateway)
 
 
-class OutcomeLog(Sequence[PacketOutcome]):
-    """Read-only sequence of finalized uplink outcomes, stored one row per group.
+class OutcomeLog:
+    """Sized, read-only iterable of finalized uplink outcomes, stored one row per group.
 
     A group is the uplinks of one alarm that start at one instant and end at
     one instant, closed out together; an uplink that never reached the air is
@@ -144,13 +143,12 @@ class OutcomeLog(Sequence[PacketOutcome]):
     map, the delay (delivered-at - end, None unless delivered) and the loss
     cause; ``add_verdict`` holds each by reference (a shared per-gateway map
     stays the same object) and gives its code, and its caller interns them.
-    Indexing and iteration rebuild a ``PacketOutcome`` with uid = first uid +
-    offset, start = trigger + wait, end = start + airtime and delivered-at =
-    end + delay.
+    Iteration rebuilds each ``PacketOutcome``, in the order written, with uid =
+    first uid + offset, start = trigger + wait, end = start + airtime and
+    delivered-at = end + delay; the log has no random access.
     """
 
-    __slots__ = ("_rows", "_layout_at", "_layouts", "_layout_index", "_codes", "_verdicts",
-                 "_starts")
+    __slots__ = ("_rows", "_layout_at", "_layouts", "_layout_index", "_codes", "_verdicts")
 
     def __init__(self) -> None:
         self._rows = array("q")  # first uid and trigger instant of each group, in turn
@@ -159,8 +157,6 @@ class OutcomeLog(Sequence[PacketOutcome]):
         self._layout_index: dict[_Layout, int] = {}
         self._codes = array("I")  # each outcome's verdict code, a position in _verdicts
         self._verdicts: list[_Verdict] = []
-        # Position of each group's first outcome, built by reads as far as they need.
-        self._starts = array("q")
 
     def add_verdict(self, per_gateway: Mapping[str, str], delay_us: SimTime | None,
                     cause: str | None) -> int:
@@ -185,30 +181,6 @@ class OutcomeLog(Sequence[PacketOutcome]):
 
     def __len__(self) -> int:
         return len(self._codes)
-
-    def __getitem__(self, index: int) -> PacketOutcome:
-        i = operator.index(index)  # no slices
-        n = len(self._codes)
-        if not -n <= i < n:
-            raise IndexError("outcome index out of range")
-        i %= n
-        starts = self._group_starts()
-        g = bisect_right(starts, i) - 1
-        wait, airtime, offsets, devices = self._layouts[self._layout_at[g]]
-        k = i - starts[g]
-        return _outcome(self._rows[2 * g] + offsets[k], devices[k], self._rows[2 * g + 1],
-                        wait, airtime, self._verdicts[self._codes[i]])
-
-    def _group_starts(self) -> array:
-        """Position of each group's first outcome, extended over the groups written
-        since the last read."""
-        starts, layout_at, layouts = self._starts, self._layout_at, self._layouts
-        done = len(starts)
-        pos = starts[-1] + len(layouts[layout_at[done - 1]][2]) if done else 0
-        for g in range(done, len(layout_at)):
-            starts.append(pos)
-            pos += len(layouts[layout_at[g]][2])
-        return starts
 
     def __iter__(self) -> Iterator[PacketOutcome]:
         layouts, verdicts = self._layouts, self._verdicts

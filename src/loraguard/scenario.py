@@ -13,6 +13,7 @@ range checks are all derived from those declarations.
 from __future__ import annotations
 
 import hashlib
+import math
 import re
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from functools import partial
@@ -56,25 +57,29 @@ def _split_quantity(value: object, path: str, expected: str) -> tuple[float, str
         number = float(match.group(1).replace("_", ""))
     except ValueError as exc:
         raise ScenarioError(f"{path}: bad number in {value!r}") from exc
+    if not math.isfinite(number):
+        raise ScenarioError(f"{path}: {value!r} is out of range")
     return number, match.group(2)
+
+
+def _scaled(value: object, path: str, expected: str, what: str, factors: dict[str, int]) -> int:
+    number, unit = _split_quantity(value, path, expected)
+    factor = factors.get(unit.lower())
+    if factor is None:
+        raise ScenarioError(f"{path}: unknown {what} unit {unit!r} in {value!r}")
+    if not math.isfinite(number * factor):
+        raise ScenarioError(f"{path}: {value!r} is out of range")
+    return round(number * factor)
 
 
 def parse_duration(value: object, path: str = "duration") -> SimTime:
     """Parse a duration string into integer microseconds."""
-    number, unit = _split_quantity(value, path, "70 s")
-    factor = _DURATION_US.get(unit if unit == "us" else unit.lower())
-    if factor is None:
-        raise ScenarioError(f"{path}: unknown duration unit {unit!r} in {value!r}")
-    return round(number * factor)
+    return _scaled(value, path, "70 s", "duration", _DURATION_US)
 
 
 def parse_frequency(value: object, path: str = "frequency") -> int:
     """Parse a frequency string into integer hertz."""
-    number, unit = _split_quantity(value, path, "867.1 MHz")
-    factor = _FREQ_HZ.get(unit.lower())
-    if factor is None:
-        raise ScenarioError(f"{path}: unknown frequency unit {unit!r} in {value!r}")
-    return round(number * factor)
+    return _scaled(value, path, "867.1 MHz", "frequency", _FREQ_HZ)
 
 
 def _parse_decibels(value: object, path: str, unit: str) -> float:

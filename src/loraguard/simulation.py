@@ -76,10 +76,10 @@ into ``up_outcomes``, a ``metrics.OutcomeLog``, as one 20-byte row (its
 first uid, its trigger instant and the position of its layout: the wait, the
 airtime and each member's uid offset and device) and one 4-byte code per
 member, the code its verdict got when ``_verdict`` interned it; an uplink lost
-to the duty cycle is a group of one, uid 0.  The log rebuilds a
-``PacketOutcome`` whenever it is read.  A delivered uplink's latency is
-counted straight into the collector's latency counts; nothing else is kept
-per uplink.
+to the duty cycle is a group of one, uid 0.  Iterating the log rebuilds
+each ``PacketOutcome``.  A delivered uplink's latency is counted straight
+into the collector's latency counts; nothing else is kept per uplink, not
+even its frame.
 """
 
 from __future__ import annotations
@@ -156,7 +156,6 @@ class Simulation:
         streams = RandomStreams(self.scenario.seed)
         self.metrics = MetricsCollector()
         self.up_outcomes = OutcomeLog()
-        self.transmission_log: list[Transmission] | None = None  # enable for tests
         self._uids = itertools.count(1)
         self._up_resources: dict[str, _Resource] = {}  # device id -> urgent resource
         self._rp_stats: KindStats | None = None
@@ -180,11 +179,9 @@ class Simulation:
         rx2_airtime_us = airtime_us(RadioParams(sf=RX2_SF), dcp_len)
 
         rp_band = plan.subband(self.scenario.rp_subband)
-        self.devices: dict[str, EndDevice] = {}
         self._reporters: list[_Reporter] = []
         for dspec in self.scenario.devices:
             device = EndDevice(dspec, dspec.rp_channels or rp_band.channels)
-            self.devices[dspec.id] = device
             freq_hz, sf = scenario.assignments[dspec.id]
             self._up_resources[dspec.id] = (
                 device, dspec.id, freq_hz, sf,
@@ -336,7 +333,6 @@ class Simulation:
         now = engine.now
         uids = self._uids
         receivers = self._receivers
-        log = self.transmission_log
         ending: dict[SimTime, list[Transmission]] = {}
         for resource in resources:
             device, dev_id, freq_hz, sf, air, rx_power_dbm, budget = resource
@@ -363,8 +359,6 @@ class Simulation:
             device.last_tx_start = now
             device.busy_until = end
             budget.record(now, air)
-            if log is not None:
-                log.append(tx)
             for _gw_id, gw, _rng in receivers:
                 gw.on_uplink_start(tx, now)
             group = ending.get(end)
@@ -440,8 +434,6 @@ class Simulation:
         device.last_tx_start = now
         device.busy_until = tx.end_us
         budget.record(now, air)
-        if self.transmission_log is not None:
-            self.transmission_log.append(tx)
         for _gw_id, gw, _rng in self._receivers:
             gw.on_uplink_start(tx, now)
         engine.schedule(tx.end_us, partial(self._finish_rp, reporter, tx, hop), "rp-end")

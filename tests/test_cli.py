@@ -265,6 +265,29 @@ def test_run_rejects_an_invalid_scenario_before_simulating(tmp_path, capsys, dev
     assert "invalid scenario" in err and message in err
 
 
+# A quantity whose number, or its product with the unit, is not a finite float.
+OVERFLOWING = [
+    ("gateways", "backhaul", "1e999 ms", "gateways[0](gw1).backhaul: '1e999 ms'"),
+    ("devices", "rp_period", "1e300 h", "devices[0](ed1).rp_period: '1e300 h'"),
+    ("devices", "rp_channels", ["1e400 MHz"], "devices[0](ed1).rp_channels[0]: '1e400 MHz'"),
+    ("devices", "rx_power", "1e999 dBm", "devices[0](ed1).rx_power: '1e999 dBm'"),
+    ("alarms", "level", "1e999 %vol", "alarms[0].level: '1e999 %vol'"),
+]
+
+
+@pytest.mark.parametrize("section,key,value,message", OVERFLOWING,
+                         ids=[f"{key}={value}" for _s, key, value, _m in OVERFLOWING])
+def test_an_overflowing_quantity_is_an_invalid_scenario(tmp_path, capsys, section, key,
+                                                        value, message):
+    doc = two_device_doc()
+    doc[section][0][key] = value
+    assert main(["run", write_doc(tmp_path, doc)]) == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: invalid scenario: {message} is out of range"]
+
+
 @pytest.mark.parametrize("command", ["run", "validate"])
 def test_empty_cluster_is_an_invalid_scenario(tmp_path, capsys, command):
     doc = two_device_doc()

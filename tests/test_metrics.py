@@ -247,14 +247,14 @@ class TestOutcomeLog:
         (0, DELIVERED), (1, LOST_ON_AIR), (2, LOST_TO_DUTY_CYCLE),
         (-3, DELIVERED), (-2, LOST_ON_AIR), (-1, LOST_TO_DUTY_CYCLE)])
     def test_each_item_comes_back_as_appended(self, log, index, outcome):
-        item = log[index]
+        item = list(log)[index]
         assert item == outcome
         assert item.per_gateway is outcome.per_gateway
 
     def test_absent_times_come_back_as_none(self, log):
-        lost = log[2]
+        _delivered, lost_on_air, lost = log
         assert (lost.start_us, lost.end_us, lost.delivered_at_us) == (None, None, None)
-        assert log[1].start_us == 0  # a time of 0 is not an absent one
+        assert lost_on_air.start_us == 0  # a time of 0 is not an absent one
 
     def test_iteration_and_length(self, log):
         assert len(log) == 3
@@ -270,9 +270,10 @@ class TestOutcomeLog:
         copy = replace(DELIVERED, per_gateway=MappingProxyType(dict(DELIVERED.per_gateway)))
         write(log, other)
         write(log, copy)
-        assert log[0].per_gateway is DELIVERED.per_gateway
-        assert log[3].per_gateway is other.per_gateway
-        assert log[4].per_gateway is copy.per_gateway
+        items = list(log)
+        assert items[0].per_gateway is DELIVERED.per_gateway
+        assert items[3].per_gateway is other.per_gateway
+        assert items[4].per_gateway is copy.per_gateway
 
     def test_unpacking(self):
         log = OutcomeLog()
@@ -295,13 +296,11 @@ class TestOutcomeLog:
         assert list(log._layout_at) == [0, 1, 0]
         assert list(log._codes) == [0, 0, 0]  # one verdict
 
-    def test_out_of_range_and_slices_rejected(self, log):
-        with pytest.raises(IndexError):
-            log[3]
-        with pytest.raises(IndexError):
-            log[-4]
+    def test_the_log_is_read_only_by_iteration(self, log):
+        # No reader needs an item by position, so the log keeps no index of
+        # where each group starts.
         with pytest.raises(TypeError):
-            log[0:2]
+            log[0]
         assert not OutcomeLog()
 
 
@@ -332,12 +331,7 @@ def test_outcome_log_returns_every_row_as_written(written):
     log = OutcomeLog()
     for outcome in written:
         write(log, outcome)
-    n = len(written)
-    assert len(log) == n
-    for i, outcome in enumerate(written):
-        for item in (log[i], log[i - n]):
-            assert item == outcome
-            assert item.per_gateway is outcome.per_gateway
+    assert len(log) == len(written)
     items = list(log)
     assert items == written
     assert all(a.per_gateway is b.per_gateway for a, b in zip(items, written))
@@ -380,17 +374,13 @@ def close_out_groups(draw, first_uid):
        st.sets(st.integers(0, 11)))
 def test_outcome_log_returns_every_group_as_written(groups, read_after):
     log = OutcomeLog()
+    written = []
     for g, group in enumerate(groups):
         write_group(log, group)
+        written += group
         if g in read_after:  # a read between writes sees every group so far
-            assert log[-1] == group[-1]
-    written = [outcome for group in groups for outcome in group]
-    n = len(written)
-    assert len(log) == n
-    for i, outcome in enumerate(written):
-        for item in (log[i], log[i - n]):
-            assert item == outcome
-            assert item.per_gateway is outcome.per_gateway
+            assert list(log) == written
+    assert len(log) == len(written)
     items = list(log)
     assert items == written
     assert all(a.per_gateway is b.per_gateway for a, b in zip(items, written))

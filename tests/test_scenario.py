@@ -525,7 +525,7 @@ class TestEveryField:
         scenario = parse_scenario(EVERY_FIELD_DOC)
         sim = Simulation(scenario)
         for spec in scenario.devices:
-            assert sim.devices[spec.id].spec is spec
+            assert sim._up_resources[spec.id][0].spec is spec
         for spec in scenario.gateways:
             assert sim.gateways[spec.id].spec is spec
         assert sim.capture.spec is scenario.capture

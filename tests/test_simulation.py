@@ -23,6 +23,8 @@ from loraguard.scenario import StopSpec, load_scenario, parse_scenario, shipped_
 from loraguard.sensor import generate_events
 from loraguard.simulation import Simulation
 
+from conftest import record_frames
+
 
 def scripted_scenario(times, **top_level):
     doc = {
@@ -161,7 +163,7 @@ class TestRetainedOutcomes:
         assert {row.delivered for row in rows} == {True, False}
         text = "".join(f"{row!r}\n" for row in rows)
         assert hashlib.sha256(text.encode()).hexdigest() == CALIBRATION_OUTCOMES_SHA256
-        assert [sim.up_outcomes[i] for i in (0, -1)] == [rows[0], rows[-1]]
+        assert list(sim.up_outcomes) == rows  # each iteration rebuilds the same rows
 
     def test_rows_with_equal_per_gateway_maps_share_one_map(self, calibration_run):
         sim, _report = calibration_run
@@ -198,15 +200,16 @@ class TestRetainedOutcomes:
 @pytest.fixture(scope="module")
 def demo_run():
     scenario = load_scenario(shipped_scenario_path("demo_small"))
-    sim = Simulation(scenario)
-    sim.transmission_log = []
-    report = sim.run()
-    return scenario, sim, report
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        frames = record_frames(monkeypatch)
+        sim = Simulation(scenario)
+        report = sim.run()
+    return scenario, sim, report, frames
 
 
 class TestDemoRun:
     def test_packet_conservation(self, demo_run):
-        _scenario, sim, report = demo_run
+        _scenario, sim, report, _frames = demo_run
         up = report["kinds"]["UP"]
         assert up["generated"] == 1500
         assert up["generated"] == up["delivered"] + up["lost"]
@@ -217,7 +220,7 @@ class TestDemoRun:
                 assert outcome.delivered_at_us >= outcome.trigger_us
 
     def test_dcp_counter_identities(self, demo_run):
-        scenario, _sim, report = demo_run
+        scenario, _sim, report, _frames = demo_run
         dcp = report["dcp"]
         # Every requested downlink is either sent or skipped, except the few
         # whose receive window had not yet arrived when the run stopped: at
@@ -234,13 +237,13 @@ class TestDemoRun:
         assert dcp["requested"] > 0 and dcp["received"] > 0
 
     def test_uplinks_respect_band_and_sf_discipline(self, demo_run):
-        scenario, sim, _report = demo_run
+        scenario, _sim, _report, frames = demo_run
         plan = default_eu868_plan()
         rp_channels = set(plan.subband(scenario.rp_subband).channels)
         up_channels = set(plan.subband(scenario.up_subband).channels)
-        assert sim.transmission_log
+        assert frames
         kinds_seen = set()
-        for tx in sim.transmission_log:
+        for tx in frames:
             kinds_seen.add(tx.kind)
             assert tx.airtime_us > 0 and tx.end_us > tx.start_us
             if tx.kind == "RP":
@@ -254,16 +257,16 @@ class TestDemoRun:
         assert kinds_seen == set(KINDS)
 
     def test_report_matches_the_published_schema(self, demo_run, docs_dir):
-        _scenario, _sim, report = demo_run
+        _scenario, _sim, report, _frames = demo_run
         schema = json.loads((docs_dir / "report.schema.json").read_text())
         jsonschema.validate(json.loads(emit_report(report)), schema)
 
     def test_replays_are_identical(self, demo_run):
-        scenario, _sim, report = demo_run
+        scenario, _sim, report, _frames = demo_run
         assert Simulation(scenario).run() == report
 
     def test_seed_override_changes_the_trajectory(self, demo_run):
-        scenario, _sim, report = demo_run
+        scenario, _sim, report, _frames = demo_run
         other = Simulation(scenario.with_seed(99)).run()
         assert other["seed"] == 99
         skip = {"seed", "scenario_digest"}  # the digest hashes the seed too
@@ -272,28 +275,26 @@ class TestDemoRun:
         assert trimmed != other_trimmed
 
 
-def test_uid_sequences_do_not_depend_on_other_simulations():
+def test_uid_sequences_do_not_depend_on_other_simulations(frames):
     # Each simulation numbers its own frames from 1, so two runs in one
     # process (and frames built outside any simulation) cannot interleave.
     scenario = load_scenario(shipped_scenario_path("demo_small"))
     first, second = Simulation(scenario), Simulation(scenario)
-    first.transmission_log, second.transmission_log = [], []
     first.run()
+    uids = [tx.uid for tx in frames]
+    frames.clear()
     Transmission(source="x", kind="UP", freq_hz=867_100_000, sf=7, start_us=0, airtime_us=1,
                  uid=1, rx_power_dbm=0.0)
     second.run()
-    uids = [tx.uid for tx in first.transmission_log]
     assert uids == list(range(1, len(uids) + 1))
-    assert [tx.uid for tx in second.transmission_log] == uids
+    assert [tx.uid for tx in frames] == uids
 
 
-def test_frames_carry_their_senders_received_power():
+def test_frames_carry_their_senders_received_power(frames):
     scenario = scripted_scenario(["10 s"])
     device = replace(scenario.devices[0], rx_power_dbm=-7.5)
-    sim = Simulation(replace(scenario, devices=(device,)))
-    sim.transmission_log = []
-    sim.run()
-    assert [tx.rx_power_dbm for tx in sim.transmission_log] == [-7.5]
+    Simulation(replace(scenario, devices=(device,))).run()
+    assert [tx.rx_power_dbm for tx in frames] == [-7.5]
 
 
 def test_each_decoded_report_requests_one_downlink(two_gateway_scenario):
@@ -306,12 +307,13 @@ def test_each_decoded_report_requests_one_downlink(two_gateway_scenario):
     assert report["dcp"]["requested"] == delivered
 
 
-def _dcp_counts(backhaul, alarm_offsets, reports):
+def _dcp_counts(frames, backhaul, alarm_offsets, reports):
     """DCP counters of one reporting device over its first ``reports`` reports.
 
     ``alarm_offsets`` maps a report index to an alarm time relative to that
-    report's RX1 instant.  A probe run without alarms finds the report times;
-    alarms draw nothing from the report stream, so the reports stay put.
+    report's RX1 instant.  A probe run without alarms finds the report times
+    in ``frames``, the recorder; alarms draw nothing from the report stream,
+    so the reports stay put.
     """
     def scenario(alarm_times, end_us):
         return parse_scenario({
@@ -329,38 +331,36 @@ def _dcp_counts(backhaul, alarm_offsets, reports):
             "device_duty_policy": "window",
         })
 
-    probe = Simulation(scenario([], 100_000_000 * reports))
-    probe.transmission_log = []
-    probe.run()
-    rps = probe.transmission_log[:reports]
+    frames.clear()
+    Simulation(scenario([], 100_000_000 * reports)).run()
+    rps = frames[:reports]
+    frames.clear()
     end_us = rps[-1].end_us + 4_000_000  # past the end of an SF12 DCP in RX2
     rx1 = [rp.end_us + 1_000_000 for rp in rps]
     sim = Simulation(scenario([rx1[i] + dt for i, dt in alarm_offsets.items()], end_us))
-    sim.transmission_log = []
     dcp = sim.run()["dcp"]
-    assert [tx.start_us for tx in sim.transmission_log
-            if tx.kind == "RP"] == [rp.start_us for rp in rps]
+    assert [tx.start_us for tx in frames if tx.kind == "RP"] == [rp.start_us for rp in rps]
     return dcp
 
 
-def test_dcp_receipt_paths():
+def test_dcp_receipt_paths(frames):
     # Report 0 hears its RX1 DCP.  Report 1's device keys an urgent uplink
     # between the report's end and RX1, so RX1 is no longer its open window.
     # Report 2's device keys up 10 ms into the 82,176 us DCP.  Report 3's
     # keys up the instant its DCP ends, having heard all of it.
-    dcp = _dcp_counts("20 ms", {1: -500_000, 2: 10_000, 3: 82_176}, reports=4)
+    dcp = _dcp_counts(frames, "20 ms", {1: -500_000, 2: 10_000, 3: 82_176}, reports=4)
     assert (dcp["requested"], dcp["sent_rx1"], dcp["sent_rx2"]) == (4, 4, 0)
     assert (dcp["received"], dcp["missed_window"], dcp["missed_device_busy"]) == (2, 1, 1)
     # A 600 ms backhaul round trip misses the 1 s RX1; the DCP goes out in RX2.
-    dcp = _dcp_counts("600 ms", {}, reports=1)
+    dcp = _dcp_counts(frames, "600 ms", {}, reports=1)
     assert (dcp["requested"], dcp["skipped_too_late"]) == (1, 1)
     assert (dcp["sent_rx1"], dcp["sent_rx2"], dcp["received"]) == (0, 1, 1)
 
 
-def test_a_round_trip_longer_than_rx2_sends_no_downlink(monkeypatch):
+def test_a_round_trip_longer_than_rx2_sends_no_downlink(monkeypatch, frames):
     # 2 x 1.5 s misses the 2 s RX2 as well: the report is answered by nothing.
     scheduled = scheduled_kinds(monkeypatch)
-    dcp = _dcp_counts("1.5 s", {}, reports=1)
+    dcp = _dcp_counts(frames, "1.5 s", {}, reports=1)
     assert dcp["requested"] == dcp["skipped_too_late"] == 1
     assert dcp["sent_rx1"] == dcp["sent_rx2"] == dcp["received"] == 0
     assert not any(kind in ("dl", "dl-end") for kind, _at in scheduled)
@@ -478,7 +478,7 @@ class TestBurstCloseOut:
         assert kinds["up"] == 0
 
     def test_a_deferred_member_is_closed_out_alone_and_later_members_regroup(
-            self, monkeypatch):
+            self, monkeypatch, frames):
         # ed1 is still sending its report when the alarm fires: its uplink is
         # retried when the report ends.  ed0, ed2 and ed3 send equally long
         # uplinks at the alarm instant, but ed2 and ed3 start after the
@@ -502,18 +502,16 @@ class TestBurstCloseOut:
                             "times": [f"{alarm_at_us} us"]}] if alarm_at_us else [],
             })
 
-        probe = Simulation(scenario(None, 100_000_000))
-        probe.transmission_log = []
-        probe.run()
-        report_tx = probe.transmission_log[0]
+        Simulation(scenario(None, 100_000_000)).run()
+        report_tx = frames[0]
+        frames.clear()
         alarm_at = report_tx.start_us + 1_000
         scheduled = scheduled_kinds(monkeypatch)
         sim = Simulation(scenario(alarm_at, report_tx.end_us + 10_000_000))
-        sim.transmission_log = []
         up = sim.run()["kinds"]["UP"]
         assert (up["generated"], up["deferrals"]) == (4, 1)
 
-        ups = [tx for tx in sim.transmission_log if tx.kind == "UP"]
+        ups = [tx for tx in frames if tx.kind == "UP"]
         assert [tx.source for tx in ups] == ["ed0", "ed2", "ed3", "ed1"]
         air = ups[0].airtime_us
         assert [tx.start_us for tx in ups] == [alarm_at] * 3 + [report_tx.end_us]
@@ -527,22 +525,21 @@ class TestBurstCloseOut:
         assert all(o.delivered for o in sim.up_outcomes)
 
     @pytest.mark.parametrize("name", SHIPPED)
-    def test_uplinks_are_finalized_in_end_then_start_order(self, name):
+    def test_uplinks_are_finalized_in_end_then_start_order(self, name, frames):
         sim = Simulation(shipped_with_ups(name, 300))
-        sim.transmission_log = []
         sim.run()
         # A frame's uid is drawn when it starts.  Uplinks lost to the duty
         # cycle never reach the air and are finalized when they are attempted.
         aired = [(o.end_us, o.uid) for o in sim.up_outcomes if o.end_us is not None]
         assert aired == sorted(aired)
-        assert len(aired) == sum(tx.kind == "UP"
-                                 for tx in sim.transmission_log)
+        assert len(aired) == sum(tx.kind == "UP" for tx in frames)
 
 
 @pytest.mark.parametrize("name, ups, gateways", [("burst_cluster15", 600, 1),
                                                   ("test2_dl_priority", 40, 1),
                                                   ("test3_dual_gw", 40, 2)])
-def test_each_uplink_reaches_each_gateway_boundary_once(monkeypatch, name, ups, gateways):
+def test_each_uplink_reaches_each_gateway_boundary_once(monkeypatch, frames, name, ups,
+                                                         gateways):
     # The traced benchmark's gateway.uplink_start, gateway.uplink_end and
     # metrics.gateway_outcome rows count calls of these three methods, so the
     # simulation calls each once per uplink per gateway.
@@ -557,17 +554,17 @@ def test_each_uplink_reaches_each_gateway_boundary_once(monkeypatch, name, ups, 
     for owner, attr in ((Gateway, "on_uplink_start"), (Gateway, "on_uplink_end"),
                         (MetricsCollector, "on_gateway_outcome")):
         monkeypatch.setattr(owner, attr, counted(getattr(owner, attr)))
-    sim = Simulation(shipped_with_ups(name, ups))
-    sim.transmission_log = []
+    scenario = shipped_with_ups(name, ups)
+    sim = Simulation(scenario)
     kinds = sim.run()["kinds"]
     assert len(sim.gateways) == gateways
-    aired = len(sim.transmission_log)
+    aired = len(frames)
     # Every report generated and every urgent uplink not lost to the duty
     # cycle before it started was closed out; reports still on the air when
     # the run stopped were not, at most one per device.
     ended = (kinds.get("RP", {}).get("generated", 0) + kinds["UP"]["generated"]
              - kinds["UP"]["losses"].get(CAUSE_DUTY_CYCLE, 0))
-    assert aired - len(sim.devices) <= ended <= aired
+    assert aired - len(scenario.devices) <= ended <= aired
     assert calls == {"on_uplink_start": aired * gateways,
                      "on_uplink_end": ended * gateways,
                      "on_gateway_outcome": ended * gateways}
